@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short race cover staticcheck serve-smoke loadgen-smoke explain-smoke chaos-smoke cluster-smoke failover-smoke fast-smoke ci clean
+.PHONY: all build vet test test-short race cover fuzz bench-smoke staticcheck serve-smoke loadgen-smoke explain-smoke chaos-smoke cluster-smoke failover-smoke fast-smoke ci clean
 
 all: build
 
@@ -26,6 +26,23 @@ race:
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -1
+
+# fuzz runs every native fuzz target in the module for 30 s each (one
+# `go test -fuzz` per target, since Go fuzzes one at a time): the
+# L1-once differential oracle in internal/core and the trace decoders.
+# A new Fuzz* target needs a line here.
+fuzz:
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzL1PassReplay$$' -fuzztime 30s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTextReader$$' -fuzztime 30s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBinaryReader$$' -fuzztime 30s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzGeneratorParams$$' -fuzztime 30s
+
+# bench-smoke runs the benchmark module's own tests (bench/ is a module
+# of its own, so `go test ./...` at the root skips it): every workload
+# at smoke-test sizes, untraced and traced, where the traced direct path
+# must reproduce sweep.RunContext field by field.
+bench-smoke:
+	$(GO) -C bench test ./...
 
 # staticcheck expects the binary on PATH (CI installs a pinned version).
 staticcheck:

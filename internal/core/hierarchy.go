@@ -276,11 +276,19 @@ func (s *System) Instrument(r *obs.Registry) {
 	if s.l2 != nil {
 		s.l2.Instrument(r, "cache_l2")
 	}
-	s.mSwaps = r.Counter("core_exclusive_swaps_total")
-	s.mVictims = r.Counter("core_victim_transfers_total")
-	s.mBackInv = r.Counter("core_back_invalidations_total")
-	s.mOffChip = r.Counter("core_offchip_fetches_total")
+	s.mSwaps = r.Counter(metricSwaps)
+	s.mVictims = r.Counter(metricVictims)
+	s.mBackInv = r.Counter(metricBackInv)
+	s.mOffChip = r.Counter(metricOffChip)
 }
+
+// Hierarchy-level counter names (System.Instrument, L1Pass.Replay).
+const (
+	metricSwaps   = "core_exclusive_swaps_total"
+	metricVictims = "core_victim_transfers_total"
+	metricBackInv = "core_back_invalidations_total"
+	metricOffChip = "core_offchip_fetches_total"
+)
 
 // Config returns the hierarchy configuration.
 func (s *System) Config() Config { return s.cfg }

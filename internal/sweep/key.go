@@ -123,14 +123,14 @@ func (e *Evaluator) Options() Options { return e.opt }
 // returned unwrapped. With Options.Trace set, each call contributes one
 // "config" span (under Options.TraceParent) with its attempt children.
 func (e *Evaluator) Evaluate(ctx context.Context, cfg core.Config) (Point, error) {
-	e.once.Do(func() { e.refs = trace.Collect(e.w.Stream(e.opt.Refs), 0) })
+	e.once.Do(func() { e.refs = trace.Collect(e.w.Stream(e.opt.Refs), e.opt.Refs) })
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cs := e.opt.Trace.Start(e.opt.TraceParent, "config",
 		span.Attr{Key: "workload", Value: e.w.Name},
 		span.Attr{Key: "label", Value: Label(cfg)})
-	p, err := evaluateOne(ctx, e.w.Name, e.refs, cfg, e.opt, e.met, cs)
+	p, err := evaluateOne(ctx, e.w.Name, e.refs, nil, cfg, e.opt, e.met, cs)
 	if err != nil {
 		cs.Annotate("error", err.Error())
 	}

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"twolevel/internal/cache"
 	"twolevel/internal/core"
 	"twolevel/internal/obs"
 	"twolevel/internal/obs/span"
@@ -121,10 +123,6 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 		}
 	}
 
-	type job struct {
-		i   int
-		cfg core.Config
-	}
 	var pending []job
 	for i, cfg := range cfgs {
 		label := Label(cfg)
@@ -149,21 +147,25 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 	}
 
 	if len(pending) > 0 && ctx.Err() == nil {
-		refs := trace.Collect(w.Stream(opt.Refs), 0)
+		refs := trace.Collect(w.Stream(opt.Refs), opt.Refs)
 		met.queueDepth.Set(int64(len(pending)))
-		jobs := make(chan job)
+		q := newGroupQueue(ctx, groupByL1(pending))
 		var wg sync.WaitGroup
 		for n := 0; n < min(opt.Workers, len(pending)); n++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for j := range jobs {
+				for {
+					j, g, ok := q.take()
+					if !ok {
+						return
+					}
 					met.queueDepth.Add(-1)
 					label := Label(j.cfg)
 					opt.Events.Emit(obs.Event{Type: obs.EventConfigStart, Workload: w.Name, Label: label})
 					cs := sw.Child("config", span.Attr{Key: "label", Value: label})
 					start := time.Now()
-					p, err := evaluateOne(ctx, w.Name, refs, j.cfg, opt, met, cs)
+					p, err := evaluateOne(ctx, w.Name, refs, g, j.cfg, opt, met, cs)
 					dur := time.Since(start)
 					mu.Lock()
 					done++
@@ -212,19 +214,12 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 					cs.End()
 					report(ProgressEvent{Done: done, Total: total, Label: label, Err: err})
 					mu.Unlock()
+					q.done(g)
 				}
 			}()
 		}
-	feed:
-		for _, j := range pending {
-			select {
-			case jobs <- j:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(jobs)
 		wg.Wait()
+		q.stop()
 		met.queueDepth.Set(0)
 	}
 
@@ -269,12 +264,16 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 // unwrapped (it is a property of the run, not of the configuration).
 // Every attempt appears in the trace as its own child of parent, so
 // retries show up as sibling "attempt" spans.
-func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
+//
+// A non-nil g is the configuration's group: when the configuration is
+// core.ReplayEligible, the attempt takes its statistics from the group's
+// L1 pass instead of simulating the whole hierarchy.
+func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, g *l1Group, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
 	var err error
 	for attempt := 0; attempt <= opt.Retries; attempt++ {
 		as := parent.Child("attempt", span.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
 		var p Point
-		p, err = evaluateGuarded(ctx, refs, cfg, opt, as)
+		p, err = evaluateGuarded(ctx, refs, g, cfg, opt, as)
 		if err == nil {
 			as.End()
 			p.Workload = workload
@@ -313,8 +312,9 @@ func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, cfg cor
 // evaluateGuarded is one evaluation attempt: panics become errors and the
 // per-configuration timeout is applied. The simulation proper is traced
 // as a "simulate" child of the attempt span (ended even when the
-// evaluation panics, so the trace stays complete).
-func evaluateGuarded(ctx context.Context, refs []trace.Ref, cfg core.Config, opt Options, sp *span.Span) (p Point, err error) {
+// evaluation panics, so the trace stays complete); an attempt that runs
+// its group's L1 pass shows it as an "l1-pass" child of "simulate".
+func evaluateGuarded(ctx context.Context, refs []trace.Ref, g *l1Group, cfg core.Config, opt Options, sp *span.Span) (p Point, err error) {
 	sim := sp.Child("simulate", span.Attr{Key: "refs", Value: strconv.Itoa(len(refs))})
 	defer func() {
 		if r := recover(); r != nil {
@@ -333,5 +333,149 @@ func evaluateGuarded(ctx context.Context, refs []trace.Ref, cfg core.Config, opt
 	if err := opt.Chaos.Hit(ChaosSiteEvaluate); err != nil {
 		return Point{}, err
 	}
-	return evaluateStream(ctx, trace.NewSliceStream(refs), cfg, opt)
+	if g == nil || !core.ReplayEligible(cfg) {
+		return evaluateStream(ctx, trace.NewSliceStream(refs), cfg, opt)
+	}
+	return evaluateWith(cfg, opt, func() (core.Stats, error) {
+		pass, err := g.l1Pass(ctx, refs, cfg, sim)
+		if err != nil {
+			return core.Stats{}, err
+		}
+		return pass.Replay(ctx, cfg, opt.Metrics)
+	})
+}
+
+// l1Group is a run of a sweep's pending configurations that share one L1
+// pass: the core.ReplayEligible configurations with one L1 geometry, or
+// a single ineligible configuration, which never records a pass.
+type l1Group struct {
+	jobs []job
+	// next is the first job not yet handed out, and running counts the
+	// jobs being evaluated; both are guarded by the groupQueue's mutex.
+	next, running int
+	// pass is recorded by the first attempt that succeeds, and dropped
+	// once the group's last job finishes.
+	pass atomic.Pointer[core.L1Pass]
+}
+
+// job is one pending configuration and its index in the sweep.
+type job struct {
+	i   int
+	cfg core.Config
+}
+
+// groupByL1 groups the eligible jobs by L1 geometry, in order of first
+// appearance. Every other job forms a group of its own.
+func groupByL1(jobs []job) []*l1Group {
+	type geometry struct{ l1i, l1d cache.Config }
+	var groups []*l1Group
+	index := map[geometry]*l1Group{}
+	for _, j := range jobs {
+		if !core.ReplayEligible(j.cfg) {
+			groups = append(groups, &l1Group{jobs: []job{j}})
+			continue
+		}
+		key := geometry{j.cfg.L1I, j.cfg.L1D}
+		g := index[key]
+		if g == nil {
+			g = &l1Group{}
+			index[key] = g
+			groups = append(groups, g)
+		}
+		g.jobs = append(g.jobs, j)
+	}
+	return groups
+}
+
+// l1Pass returns the group's L1 pass, recording it under sp on first
+// use. A failed pass is not kept, so the next attempt records it again.
+// The groupQueue runs no other job of the group until the pass is
+// recorded, so it is recorded by one attempt at a time.
+func (g *l1Group) l1Pass(ctx context.Context, refs []trace.Ref, cfg core.Config, sp *span.Span) (*core.L1Pass, error) {
+	if pass := g.pass.Load(); pass != nil {
+		return pass, nil
+	}
+	ps := sp.Child("l1-pass", span.Attr{Key: "l1", Value: cache.FormatSize(cfg.L1I.Size)})
+	defer ps.End() // also when the pass panics
+	pass, err := core.RecordL1(ctx, cfg, refs)
+	if err != nil {
+		return nil, err
+	}
+	g.pass.Store(pass)
+	return pass, nil
+}
+
+// groupQueue hands a sweep's pending jobs to its workers. A group's jobs
+// wait while one of them records the group's pass; once it is recorded,
+// any worker may replay the rest, since the pass is immutable. A worker
+// takes a job of a group already started, oldest first, before it starts
+// a new group, so at most one pass per worker is held at a time.
+type groupQueue struct {
+	ctx     context.Context
+	mu      sync.Mutex
+	cond    sync.Cond
+	groups  []*l1Group
+	started int         // groups[:started] have handed out a job
+	stop    func() bool // stops waking workers on cancellation
+}
+
+func newGroupQueue(ctx context.Context, groups []*l1Group) *groupQueue {
+	q := &groupQueue{ctx: ctx, groups: groups}
+	q.cond.L = &q.mu
+	// Waiting workers wake up when the run is cancelled.
+	q.stop = context.AfterFunc(ctx, func() {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		q.cond.Broadcast()
+	})
+	return q
+}
+
+// take returns the next job to evaluate and its group. It waits while the
+// only jobs left belong to groups whose pass is being recorded, and
+// reports false once no job is left or ctx is done.
+func (q *groupQueue) take() (job, *l1Group, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.ctx.Err() == nil {
+		recording := false
+		for _, g := range q.groups[:q.started] {
+			if g.next == len(g.jobs) {
+				continue
+			}
+			if g.running > 0 && g.pass.Load() == nil {
+				recording = true
+				continue
+			}
+			return q.hand(g)
+		}
+		if q.started < len(q.groups) {
+			q.started++
+			return q.hand(q.groups[q.started-1])
+		}
+		if !recording {
+			break
+		}
+		q.cond.Wait()
+	}
+	return job{}, nil, false
+}
+
+func (q *groupQueue) hand(g *l1Group) (job, *l1Group, bool) {
+	j := g.jobs[g.next]
+	g.next++
+	g.running++
+	return j, g, true
+}
+
+// done marks one job of g finished, drops g's pass after its last job,
+// and wakes the workers waiting for a pass.
+func (q *groupQueue) done(g *l1Group) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	g.running--
+	if g.next == len(g.jobs) && g.running == 0 {
+		g.pass.Store(nil)
+	}
+	q.cond.Broadcast()
 }

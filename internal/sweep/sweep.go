@@ -329,20 +329,28 @@ func PriceConfig(cfg core.Config, opt Options) (perf.Machine, float64, error) {
 // evaluateStream simulates cfg over an explicit reference stream and
 // prices the configuration, honoring ctx cancellation mid-simulation.
 func evaluateStream(ctx context.Context, st trace.Stream, cfg core.Config, opt Options) (Point, error) {
+	return evaluateWith(cfg, opt, func() (core.Stats, error) {
+		sys, err := core.TryNewSystem(cfg)
+		if err != nil {
+			return core.Stats{}, err
+		}
+		sys.Instrument(opt.Metrics)
+		cs := &ctxStream{st: st, ctx: ctx}
+		stats := sys.Run(cs)
+		return stats, cs.err
+	})
+}
+
+// evaluateWith prices cfg, then takes its statistics from simulate and
+// computes its TPI.
+func evaluateWith(cfg core.Config, opt Options, simulate func() (core.Stats, error)) (Point, error) {
 	m, totalArea, err := PriceConfig(cfg, opt)
 	if err != nil {
 		return Point{}, err
 	}
-
-	sys, err := core.TryNewSystem(cfg)
+	stats, err := simulate()
 	if err != nil {
 		return Point{}, err
-	}
-	sys.Instrument(opt.Metrics)
-	cs := &ctxStream{st: st, ctx: ctx}
-	stats := sys.Run(cs)
-	if cs.err != nil {
-		return Point{}, cs.err
 	}
 	tpi, err := m.TimePerInstruction(stats)
 	if err != nil {

@@ -116,6 +116,20 @@ func TestRunContextSpanTree(t *testing.T) {
 	if len(ix.byName["simulate"]) != total+1 {
 		t.Errorf("trace has %d simulate spans, want %d (one per attempt)", len(ix.byName["simulate"]), total+1)
 	}
+	// Each L1 group records its pass once, under the simulate span of the
+	// attempt that ran it (the injected panic fires before the pass).
+	groups := map[int64]bool{}
+	for _, cfg := range Configs(opt) {
+		groups[cfg.L1I.Size] = true
+	}
+	if n := len(ix.byName["l1-pass"]); n != len(groups) {
+		t.Errorf("trace has %d l1-pass spans, want %d (one per L1 group)", n, len(groups))
+	}
+	for _, s := range ix.byName["l1-pass"] {
+		if p, ok := ix.byID[s.Parent]; !ok || p.Name != "simulate" {
+			t.Errorf("l1-pass parent is %q, want simulate", p.Name)
+		}
+	}
 
 	// The exported document must be schema-valid Chrome trace JSON with
 	// machine-checkable nesting via span_id/parent_id args.

@@ -103,10 +103,19 @@ func (l *Limit) Next() (Ref, bool) {
 	return r, true
 }
 
+// collectPrealloc caps the capacity Collect allocates up front (4M
+// references, 64 MB), so a bogus max cannot allocate gigabytes before
+// the stream proves that long; a longer stream grows past it by append.
+const collectPrealloc = 1 << 22
+
 // Collect drains up to max references from s into a slice. A max of 0
-// collects the whole stream.
+// collects the whole stream. A positive max sizes the slice up front
+// (clamped to collectPrealloc), which saves the garbage of growing it.
 func Collect(s Stream, max uint64) []Ref {
 	var out []Ref
+	if max > 0 {
+		out = make([]Ref, 0, min(max, collectPrealloc))
+	}
 	for {
 		if max > 0 && uint64(len(out)) >= max {
 			return out

@@ -67,8 +67,13 @@ func TestCollect(t *testing.T) {
 		t.Errorf("Collect(0) = %d refs, want 3", len(got))
 	}
 	got = Collect(NewSliceStream(refs), 2)
-	if len(got) != 2 {
-		t.Errorf("Collect(2) = %d refs, want 2", len(got))
+	if len(got) != 2 || cap(got) != 2 {
+		t.Errorf("Collect(2) = %d refs in capacity %d, want 2 in 2", len(got), cap(got))
+	}
+	// A bogus max allocates at most the clamp, not max references.
+	got = Collect(NewSliceStream(refs), 1<<40)
+	if len(got) != 3 || cap(got) > collectPrealloc {
+		t.Errorf("Collect(1<<40) = %d refs in capacity %d, want 3 in at most %d", len(got), cap(got), collectPrealloc)
 	}
 }
 
