@@ -30,8 +30,8 @@ func l1OnceOpt() Options {
 
 // TestRunContextMatchesDirectSimulation checks that every policy's sweep
 // gives, point for point, what evaluating each configuration on the
-// direct System.Run path gives. Conventional sweeps take their points
-// from L1 passes, and exclusive and inclusive sweeps do for their
+// direct System.Run path gives. Conventional and exclusive sweeps take
+// their points from L1 passes, and inclusive sweeps do for their
 // single-level configurations.
 func TestRunContextMatchesDirectSimulation(t *testing.T) {
 	w := testWorkload(t)
@@ -53,38 +53,45 @@ func TestRunContextMatchesDirectSimulation(t *testing.T) {
 	}
 }
 
-// TestRunContextMetricsMatchDirectPath checks that a sweep's registry
-// holds the cache and core counters that instrumenting System.Run for
-// every configuration would have accumulated.
+// TestRunContextMetricsMatchDirectPath checks, for the conventional and
+// the exclusive policy, that a sweep's registry holds the cache and core
+// counters that instrumenting System.Run for every configuration would
+// have accumulated.
 func TestRunContextMetricsMatchDirectPath(t *testing.T) {
 	w := testWorkload(t)
-	opt := l1OnceOpt()
-	opt.Metrics = obs.NewRegistry()
-	if _, err := RunContext(context.Background(), w, opt); err != nil {
-		t.Fatal(err)
-	}
-	want := obs.NewRegistry()
-	refs := trace.Collect(w.Stream(opt.Refs), 0)
-	for _, cfg := range Configs(opt) {
-		sys := core.NewSystem(cfg)
-		sys.Instrument(want)
-		sys.Run(trace.NewSliceStream(refs))
-	}
-	got := opt.Metrics.Snapshot().Counters
-	checked := 0
-	for name, v := range want.Snapshot().Counters {
-		if gv, ok := got[name]; !ok || gv != v {
-			t.Errorf("%s = %d (present %t), direct path %d", name, gv, ok, v)
+	for _, pol := range []core.Policy{core.Conventional, core.Exclusive} {
+		opt := l1OnceOpt()
+		opt.Policy = pol
+		opt.Metrics = obs.NewRegistry()
+		if _, err := RunContext(context.Background(), w, opt); err != nil {
+			t.Fatal(err)
 		}
-		checked++
-	}
-	for name := range got {
-		if (strings.HasPrefix(name, "cache_") || strings.HasPrefix(name, "core_")) && !hasCounter(want, name) {
-			t.Errorf("sweep registers %s, which the direct path does not", name)
+		want := obs.NewRegistry()
+		refs := trace.Collect(w.Stream(opt.Refs), 0)
+		for _, cfg := range Configs(opt) {
+			sys := core.NewSystem(cfg)
+			sys.Instrument(want)
+			sys.Run(trace.NewSliceStream(refs))
 		}
-	}
-	if checked == 0 {
-		t.Fatal("the direct path registered no counters")
+		got := opt.Metrics.Snapshot().Counters
+		checked := 0
+		for name, v := range want.Snapshot().Counters {
+			if gv, ok := got[name]; !ok || gv != v {
+				t.Errorf("%s: %s = %d (present %t), direct path %d", pol, name, gv, ok, v)
+			}
+			checked++
+		}
+		for name := range got {
+			if (strings.HasPrefix(name, "cache_") || strings.HasPrefix(name, "core_")) && !hasCounter(want, name) {
+				t.Errorf("%s: sweep registers %s, which the direct path does not", pol, name)
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: the direct path registered no counters", pol)
+		}
+		if pol == core.Exclusive && got["core_exclusive_swaps_total"] == 0 {
+			t.Error("the exclusive sweep made no swaps, so the comparison misses that path")
+		}
 	}
 }
 

@@ -170,6 +170,24 @@ func TestRunContextSpanTree(t *testing.T) {
 }
 
 // TestRunContextResumedConfigsAppearInTrace checks that configurations
+// TestRunContextExclusiveL1PassSpans checks that an exclusive sweep
+// records one L1 pass per L1 size. The grid has no single-level
+// configurations, so every pass serves exclusive hierarchies alone.
+func TestRunContextExclusiveL1PassSpans(t *testing.T) {
+	w := testWorkload(t)
+	opt := l1OnceOpt()
+	opt.Policy = core.Exclusive
+	opt.L2Sizes = []int64{16 << 10, 64 << 10}
+	tr := span.NewTracer()
+	opt.Trace = tr
+	if _, err := RunContext(context.Background(), w, opt); err != nil {
+		t.Fatalf("RunContext: %v", err)
+	}
+	if n := len(indexSpans(tr.Snapshot()).byName["l1-pass"]); n != len(opt.L1Sizes) {
+		t.Errorf("exclusive sweep has %d l1-pass spans, want %d (one per L1 size)", n, len(opt.L1Sizes))
+	}
+}
+
 // skipped via Resume still contribute (instant) config spans.
 func TestRunContextResumedConfigsTraced(t *testing.T) {
 	w := testWorkload(t)
