@@ -159,8 +159,8 @@ func NewGenerator(p GenParams) *Generator {
 		wrng:       newXorshift(p.Seed ^ 0x57524954455F5251), // "WRITE_RQ"
 		pc:         codeBase,
 		maxTargets: maxTargets,
-		iZipf:      newZipfSampler(maxTargets, p.ITheta),
-		dZipf:      newZipfSampler(p.DataLines, p.DTheta),
+		iZipf:      sharedZipfSampler(maxTargets, p.ITheta),
+		dZipf:      sharedZipfSampler(p.DataLines, p.DTheta),
 		branchProb: 1 / p.MeanRun,
 		heapSpace:  uint64(p.DataLines) * heapSpread,
 		dataProb:   (1 - p.InstrFrac) / p.InstrFrac,

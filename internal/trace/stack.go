@@ -1,6 +1,9 @@
 package trace
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // mtfStack is a move-to-front list of line addresses used to realize an
 // LRU stack-distance reuse model: referencing depth d reproduces an LRU
@@ -192,6 +195,56 @@ func newZipfSampler(n int, theta float64) *zipfSampler {
 			i++
 		}
 		z.quant[b] = int32(i)
+	}
+	return z
+}
+
+// zipfMemo shares samplers between generators: a sampler depends only
+// on (n, theta) and is read-only once built, and building one costs a
+// math.Pow per depth, about half of NewGenerator. The memo keeps at most
+// zipfMemoEntries samplers of zipfMemoDepths depths in all, so odd
+// parameters cannot grow it without bound; past either limit a sampler
+// is built unshared.
+var zipfMemo struct {
+	sync.Mutex
+	m      map[zipfKey]*zipfSampler
+	depths int
+}
+
+type zipfKey struct {
+	n     int
+	theta uint64 // math.Float64bits, so a NaN key still matches itself
+}
+
+const (
+	zipfMemoEntries = 64
+	zipfMemoDepths  = 1 << 22 // 32 MB of CDF
+)
+
+// sharedZipfSampler returns the memoised sampler over [1, n] for theta,
+// building it on first use.
+func sharedZipfSampler(n int, theta float64) *zipfSampler {
+	k := zipfKey{n, math.Float64bits(theta)}
+	zipfMemo.Lock()
+	z := zipfMemo.m[k]
+	zipfMemo.Unlock()
+	if z != nil {
+		return z
+	}
+	// Build outside the lock so generators of different shapes do not
+	// wait on each other; a racing builder of the same shape wins.
+	z = newZipfSampler(n, theta)
+	zipfMemo.Lock()
+	defer zipfMemo.Unlock()
+	if prev := zipfMemo.m[k]; prev != nil {
+		return prev
+	}
+	if len(zipfMemo.m) < zipfMemoEntries && zipfMemo.depths+z.n() <= zipfMemoDepths {
+		if zipfMemo.m == nil {
+			zipfMemo.m = make(map[zipfKey]*zipfSampler)
+		}
+		zipfMemo.m[k] = z
+		zipfMemo.depths += z.n()
 	}
 	return z
 }
