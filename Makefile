@@ -29,10 +29,11 @@ cover:
 
 # fuzz runs every native fuzz target in the module for 30 s each (one
 # `go test -fuzz` per target, since Go fuzzes one at a time): the
-# L1-once differential oracle in internal/core and the trace decoders.
-# A new Fuzz* target needs a line here.
+# L1-once differential oracle in internal/core, the sweep document
+# decoder and the trace decoders. A new Fuzz* target needs a line here.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzL1PassReplay$$' -fuzztime 30s
+	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzLoadJSON$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTextReader$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBinaryReader$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzGeneratorParams$$' -fuzztime 30s

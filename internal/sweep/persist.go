@@ -80,10 +80,13 @@ func badMetric(v float64) bool {
 
 // pointFromPersisted validates a persisted point and rebuilds the Point.
 // Full cache configs are reconstructed from the flattened geometry with
-// the study's 16-byte lines.
+// the study's 16-byte lines. A point is accepted only if an evaluation
+// could have produced it: its rebuilt core.Config and perf.Machine must
+// validate, as PriceConfig requires of every point it prices.
 func pointFromPersisted(pp persistedPoint) (Point, error) {
+	const maxKB = math.MaxInt64 >> 10 // larger sizes overflow in bytes
 	switch {
-	case pp.L1KB <= 0:
+	case pp.L1KB <= 0 || pp.L1KB > maxKB:
 		return Point{}, fmt.Errorf("bad L1 size %d", pp.L1KB)
 	case badMetric(pp.AreaRbe):
 		return Point{}, fmt.Errorf("bad area_rbe %v", pp.AreaRbe)
@@ -91,7 +94,7 @@ func pointFromPersisted(pp persistedPoint) (Point, error) {
 		return Point{}, fmt.Errorf("bad tpi_ns %v", pp.TPINS)
 	case badMetric(pp.L1Cycle) || badMetric(pp.L2Cycle) || badMetric(pp.OffChipNS):
 		return Point{}, fmt.Errorf("bad cycle/service time (%v, %v, %v)", pp.L1Cycle, pp.L2Cycle, pp.OffChipNS)
-	case pp.L2KB < 0:
+	case pp.L2KB < 0 || pp.L2KB > maxKB:
 		return Point{}, fmt.Errorf("bad L2 size %d", pp.L2KB)
 	}
 	ev := pp.Evaluator
@@ -127,6 +130,12 @@ func pointFromPersisted(pp persistedPoint) (Point, error) {
 			p.Config.Policy = core.Conventional
 		}
 	}
+	if err := p.Config.Validate(); err != nil {
+		return Point{}, fmt.Errorf("bad configuration: %w", err)
+	}
+	if err := p.Machine.Validate(); err != nil {
+		return Point{}, fmt.Errorf("bad machine: %w", err)
+	}
 	return p, nil
 }
 
@@ -139,7 +148,8 @@ func MarshalPointJSON(p Point) ([]byte, error) {
 }
 
 // UnmarshalPointJSON parses one persisted point, applying the same
-// validation LoadJSON applies (no NaN/Inf/negative metrics).
+// validation LoadJSON applies (no NaN/Inf/negative metrics, a valid
+// configuration and machine).
 func UnmarshalPointJSON(b []byte) (Point, error) {
 	var pp persistedPoint
 	if err := json.Unmarshal(b, &pp); err != nil {
@@ -164,8 +174,9 @@ func SaveJSON(w io.Writer, points []Point) error {
 // LoadJSON reads a document written by SaveJSON. The returned points
 // carry enough to re-plot, re-rank, and re-compare envelopes (labels,
 // workloads, areas, TPIs, machines, stats). Corrupted input — truncated
-// JSON, an unknown format string, or NaN/Inf/negative metrics — returns
-// a descriptive error rather than garbage points.
+// JSON, an unknown format string, NaN/Inf/negative metrics, or a cache
+// geometry or machine no evaluation could have used — returns a
+// descriptive error rather than garbage points.
 func LoadJSON(r io.Reader) ([]Point, error) {
 	var doc persistedSweep
 	dec := json.NewDecoder(r)
