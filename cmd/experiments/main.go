@@ -8,12 +8,14 @@
 //	go run ./cmd/experiments > EXPERIMENTS.md
 //	go run ./cmd/experiments -refs 500000 > EXPERIMENTS.md   # faster
 //
-// The full run simulates hundreds of configurations; -checkpoint journals
-// each one as it completes and -resume replays the journal so an
-// interrupted run (SIGINT, -timeout) picks up where it left off:
+// The full run simulates hundreds of configurations; -store-dir records
+// each one in the durable result store (the one served -store-dir uses)
+// as it completes and serves the ones it already holds, so rerunning an
+// interrupted run (SIGINT, -timeout) on the same directory picks up
+// where it left off. A store that failed to persist a point makes the
+// run exit nonzero.
 //
-//	go run ./cmd/experiments -checkpoint exp.journal > EXPERIMENTS.md
-//	go run ./cmd/experiments -resume exp.journal -checkpoint exp.journal > EXPERIMENTS.md
+//	go run ./cmd/experiments -store-dir exp.store > EXPERIMENTS.md
 package main
 
 import (
@@ -30,6 +32,7 @@ import (
 	"twolevel/internal/figures"
 	"twolevel/internal/obs"
 	"twolevel/internal/obs/span"
+	"twolevel/internal/service"
 	"twolevel/internal/spec"
 	"twolevel/internal/sweep"
 )
@@ -126,8 +129,7 @@ var claims = map[string]string{
 func main() {
 	refs := flag.Uint64("refs", spec.DefaultRefs, "trace length per configuration")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
-	checkpoint := flag.String("checkpoint", "", "journal completed configurations to this file")
-	resume := flag.String("resume", "", "skip configurations already completed in this journal")
+	storeDir := flag.String("store-dir", "", "durable result-store directory: serve stored configurations, record evaluated ones")
 	listen := flag.String("listen", "", "serve /metrics, /progress, and /debug/pprof on this address while running")
 	metricsOut := flag.String("metrics", "", "write the final metrics snapshot as JSON to this file")
 	eventsOut := flag.String("events", "", "append the structured run-event journal (JSONL) to this file")
@@ -171,30 +173,35 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: observability on http://%s (/metrics /progress /debug/pprof)\n", srv.Addr())
 	}
 
-	var rs *sweep.ResumeSet
-	if *resume != "" {
-		var err error
-		if rs, err = sweep.ResumeFile(*resume); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: resuming past %d completed configurations from %s\n", rs.Len(), *resume)
-	}
-	var ck *sweep.Checkpointer
-	if *checkpoint != "" {
-		var err error
-		if ck, err = sweep.OpenCheckpointFile(*checkpoint); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		defer ck.Close()
-	}
-
 	var tr *span.Tracer
 	var root *span.Span
 	if *traceOut != "" {
 		tr = span.NewTracer()
 		root = tr.Start(nil, "run", span.Attr{Key: "command", Value: "experiments"})
+	}
+
+	hcfg := figures.Config{Refs: *refs, Context: ctx, Metrics: reg, Events: elog, Trace: tr, TraceParent: root}
+	var store *service.DiskStore
+	if *storeDir != "" {
+		var err error
+		if store, err = service.OpenDiskStore(*storeDir, service.DiskStoreOptions{}); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "experiments: result store %s holds %d points\n", *storeDir, store.Len())
+		hcfg.Store = store
+	}
+	// closeStore closes the store (nil-safe), reporting false on a
+	// persistence failure: some completed points may not survive.
+	closeStore := func() bool {
+		if store == nil {
+			return true
+		}
+		if err := store.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments: result store:", err)
+			return false
+		}
+		return true
 	}
 
 	// flushMetrics persists the final snapshot and span trace; it runs on
@@ -218,7 +225,7 @@ func main() {
 		}
 	}
 
-	h := figures.NewHarness(figures.Config{Refs: *refs, Context: ctx, Checkpoint: ck, Resume: rs, Metrics: reg, Events: elog, Trace: tr, TraceParent: root})
+	h := figures.NewHarness(hcfg)
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 
@@ -236,16 +243,12 @@ func main() {
 	for _, id := range figures.IDs() {
 		f, err := h.ByID(id)
 		if err != nil {
-			// Flush the checkpoint before bailing so the completed
-			// configurations survive; a rerun with -resume skips them.
+			// Close the store before bailing so the completed
+			// configurations survive; a rerun on it skips them.
 			out.Flush()
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			if ck != nil {
-				if cerr := ck.Close(); cerr != nil {
-					fmt.Fprintln(os.Stderr, "experiments: flushing checkpoint:", cerr)
-				} else {
-					fmt.Fprintf(os.Stderr, "experiments: checkpoint flushed to %s; rerun with -resume to continue\n", *checkpoint)
-				}
+			if store != nil && closeStore() {
+				fmt.Fprintf(os.Stderr, "experiments: result store closed; rerun with -store-dir %s to continue\n", *storeDir)
 			}
 			elog.Close()
 			flushMetrics()
@@ -297,4 +300,9 @@ func main() {
 	fmt.Fprintln(out, "  for every workload as the paper observes, but the two-level share of the")
 	fmt.Fprintln(out, "  envelope grows for every workload, which is the operative §6 conclusion.")
 	flushMetrics()
+	if !closeStore() {
+		out.Flush()
+		elog.Close()
+		os.Exit(1)
+	}
 }

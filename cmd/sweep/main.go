@@ -3,18 +3,20 @@
 // marking the best-performance envelope.
 //
 // Long-running sweeps can be bounded and made restartable: -timeout caps
-// the whole run, -cfg-timeout caps each configuration, -checkpoint
-// journals completed configurations, and -resume skips configurations a
-// previous journal already covers. SIGINT (Ctrl-C) drains gracefully:
-// the checkpoint is flushed, the partial envelope is printed, and the
-// process exits nonzero.
+// the whole run, -cfg-timeout caps each configuration, and -store-dir
+// records completed configurations in the durable result store served
+// -store-dir uses and skips the ones it already holds, so a rerun on the
+// same directory resumes an interrupted sweep. SIGINT (Ctrl-C) drains
+// gracefully: the store is closed, the partial envelope is printed, and
+// the process exits nonzero, as it does when the store fails to persist
+// a point.
 //
 // A running sweep can be observed live: -listen serves /metrics (counter,
 // gauge, and histogram snapshots), /progress (completion counts and an
 // ETA), and /debug/pprof on the given address; -metrics writes the final
 // snapshot to a JSON file; -events appends a structured JSONL journal of
-// run events (config_start, config_done, retries, checkpoint flushes, a
-// final run manifest); -trace writes the run's span tree
+// run events (config_start, config_done, retries, store hits, a final
+// run manifest); -trace writes the run's span tree
 // (run → sweep → config → attempt → simulate) as Chrome trace_event
 // JSON, loadable in Perfetto or chrome://tracing.
 //
@@ -24,6 +26,8 @@
 // "approx": true in saved documents. -accuracy runs both tiers and
 // reports prediction error, best-under-budget agreement, and speedup
 // per workload (with -o, as a twolevel-model-accuracy/1 JSON document).
+// Neither mode takes -store-dir: fast points never enter stores, and
+// store hits would fake the exact-tier time -accuracy reports.
 //
 // Usage:
 //
@@ -31,8 +35,7 @@
 //	sweep -workload all -fast
 //	sweep -workload all -accuracy -o accuracy.json
 //	sweep -workload all -offchip 200 -l2assoc 4 -policy exclusive -csv
-//	sweep -workload all -checkpoint run.journal -o sweeps.json
-//	sweep -workload all -resume run.journal -checkpoint run.journal -o sweeps.json
+//	sweep -workload all -store-dir results -o sweeps.json
 //	sweep -workload all -listen localhost:6060 -metrics metrics.json -events run.jsonl
 package main
 
@@ -51,6 +54,7 @@ import (
 	"twolevel/internal/model"
 	"twolevel/internal/obs"
 	"twolevel/internal/obs/span"
+	"twolevel/internal/service"
 	"twolevel/internal/spec"
 	"twolevel/internal/sweep"
 )
@@ -68,8 +72,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
 		cfgTimeout = flag.Duration("cfg-timeout", 0, "evaluation budget per configuration (0 = none)")
 		retries    = flag.Int("retries", 0, "extra attempts per configuration after a transient failure")
-		checkpoint = flag.String("checkpoint", "", "journal completed configurations to this file")
-		resume     = flag.String("resume", "", "skip configurations already completed in this journal")
+		storeDir   = flag.String("store-dir", "", "durable result-store directory: serve stored configurations, record evaluated ones")
 		progress   = flag.Bool("progress", false, "report sweep progress on stderr (throttled to one line per second)")
 		listen     = flag.String("listen", "", "serve /metrics, /progress, and /debug/pprof on this address while running")
 		metricsOut = flag.String("metrics", "", "write the final metrics snapshot as JSON to this file")
@@ -79,6 +82,12 @@ func main() {
 		accuracy   = flag.Bool("accuracy", false, "run both tiers and report fast-vs-exact accuracy (with -o, saves the twolevel-model-accuracy/1 document)")
 	)
 	flag.Parse()
+	if *storeDir != "" && (*fast || *accuracy) {
+		// Fast points never enter stores, and -accuracy times the exact
+		// tier, whose store hits would fake the speedup it reports.
+		fmt.Fprintln(os.Stderr, "sweep: -store-dir cannot be combined with -fast or -accuracy")
+		os.Exit(2)
+	}
 
 	var pol core.Policy
 	switch *policy {
@@ -156,30 +165,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: observability on http://%s (/metrics /progress /debug/pprof)\n", srv.Addr())
 	}
 
-	var rs *sweep.ResumeSet
-	if *resume != "" {
-		var err error
-		if rs, err = sweep.ResumeFile(*resume); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "sweep: resuming past %d completed configurations from %s\n", rs.Len(), *resume)
-	}
-	var ck *sweep.Checkpointer
-	if *checkpoint != "" {
-		var err error
-		if ck, err = sweep.OpenCheckpointFile(*checkpoint); err != nil {
-			fatal(err)
-		}
-		defer ck.Close()
-	}
-
 	opt := sweep.Options{
 		OffChipNS: *offchip, L2Assoc: *l2assoc, Policy: pol,
 		DualPorted: *dual, Refs: *refs,
 		Timeout: *cfgTimeout, Retries: *retries,
-		Checkpoint: ck, Resume: rs,
 		Metrics: reg, Events: elog,
 		Trace: tr, TraceParent: root,
+	}
+	var store *service.DiskStore
+	if *storeDir != "" {
+		var err error
+		if store, err = service.OpenDiskStore(*storeDir, service.DiskStoreOptions{}); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "sweep: result store %s holds %d points\n", *storeDir, store.Len())
+		opt.Store = store
 	}
 
 	names := strings.Split(*workload, ",")
@@ -212,7 +212,7 @@ func main() {
 		// run-level interruption (SIGINT, -timeout) is detected on the
 		// run context itself, not on the error chain.
 		if err != nil && ctx.Err() != nil {
-			drain(ck, flushObs, w.Name, points, err)
+			drain(store, flushObs, w.Name, points, err)
 		}
 		if err != nil {
 			// One or more configurations failed; the sweep degrades to
@@ -259,9 +259,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "saved %d points (%d workloads) to %s\n", len(saved), len(names), *jsonOut)
 	}
 	flushObs()
-	if degraded {
+	if !closeStore(store) || degraded {
 		os.Exit(1)
 	}
+}
+
+// closeStore closes the result store (nil-safe). A failure means some
+// completed points may not survive a restart; it is printed and reported
+// as false so the run exits nonzero.
+func closeStore(store *service.DiskStore) bool {
+	if store == nil {
+		return true
+	}
+	if err := store.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: result store: %v\n", err)
+		return false
+	}
+	return true
 }
 
 // runAccuracy is the -accuracy mode: both tiers sweep every workload,
@@ -319,16 +333,12 @@ func runAccuracy(ctx context.Context, names []string, opt sweep.Options, reg *ob
 	flushObs()
 }
 
-// drain is the graceful-shutdown path: flush the checkpoint journal and
+// drain is the graceful-shutdown path: close the result store, flush the
 // observability outputs, print the partial envelope, and exit nonzero.
-func drain(ck *sweep.Checkpointer, flushObs func(), workload string, points []sweep.Point, cause error) {
+func drain(store *service.DiskStore, flushObs func(), workload string, points []sweep.Point, cause error) {
 	fmt.Fprintln(os.Stderr, prefixed(cause))
-	if ck != nil {
-		if err := ck.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: flushing checkpoint: %v\n", err)
-		} else {
-			fmt.Fprintln(os.Stderr, "sweep: checkpoint flushed; rerun with -resume to continue")
-		}
+	if store != nil && closeStore(store) {
+		fmt.Fprintf(os.Stderr, "sweep: result store closed; rerun with -store-dir %s to continue\n", store.Dir())
 	}
 	flushObs()
 	r := sweep.Report{Workload: workload, Title: fmt.Sprintf("%s partial envelope (%d configurations completed)", workload, len(points))}

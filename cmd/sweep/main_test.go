@@ -2,6 +2,8 @@ package main
 
 import (
 	"errors"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -72,5 +74,29 @@ func TestProgressPrinterResumesAfterWindow(t *testing.T) {
 	}
 	if !strings.Contains(out, "3/10") {
 		t.Fatalf("post-window line missing:\n%s", out)
+	}
+}
+
+// TestStoreDirUsageExit: -store-dir is a usage error with -fast, whose
+// points never enter stores, and with -accuracy, whose exact-tier timing
+// store hits would fake. Both exit 2 before any sweep runs.
+func TestStoreDirUsageExit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the command")
+	}
+	bin := filepath.Join(t.TempDir(), "sweep")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, mode := range []string{"-fast", "-accuracy"} {
+		cmd := exec.Command(bin, mode, "-store-dir", t.TempDir(), "-refs", "1000")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("sweep %s -store-dir: err = %v, want exit status 2\n%s", mode, err, out)
+		}
+		if !strings.Contains(string(out), "-store-dir cannot be combined") {
+			t.Errorf("sweep %s -store-dir: output does not name the conflict:\n%s", mode, out)
+		}
 	}
 }

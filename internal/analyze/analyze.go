@@ -19,8 +19,7 @@
 //
 // The analyzer is a pure shadow: it observes the demand stream through
 // cache.AccessObserver and never touches primary simulator state, so
-// attaching it cannot perturb results, statistics, or checkpoint
-// output.
+// attaching it cannot perturb results, statistics, or stored points.
 package analyze
 
 import (

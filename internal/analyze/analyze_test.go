@@ -184,7 +184,7 @@ func TestConflictZeroOnFullyAssociativeLRU(t *testing.T) {
 
 // TestShadowDoesNotPerturbPrimary runs the same workload through two
 // identical systems, one shadowed, and demands bit-identical primary
-// results — the contract that keeps checkpoint/resume output unchanged
+// results — the contract that keeps stored and resumed output unchanged
 // when -explain is on.
 func TestShadowDoesNotPerturbPrimary(t *testing.T) {
 	w, err := spec.ByName("gcc1")

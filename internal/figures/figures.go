@@ -68,12 +68,10 @@ type Config struct {
 	// once it is done, figure generation finishes fast with partial data
 	// and ByID reports the cancellation.
 	Context context.Context
-	// Checkpoint, when non-nil, journals every completed sweep point so
-	// an interrupted run can resume.
-	Checkpoint *sweep.Checkpointer
-	// Resume supplies points from a previous run's journal; matching
-	// configurations are not re-simulated.
-	Resume *sweep.ResumeSet
+	// Store, when non-nil, serves every sweep point it already holds and
+	// stores each one evaluated, so an interrupted run can resume (see
+	// sweep.Options.Store).
+	Store sweep.PointStore
 	// Metrics, when non-nil, receives live sweep and simulator
 	// instrumentation (see internal/obs and the sweep.Metric* names).
 	Metrics *obs.Registry
@@ -138,8 +136,7 @@ func (h *Harness) runSweep(w spec.Workload, opt sweep.Options) []sweep.Point {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt.Checkpoint = h.cfg.Checkpoint
-	opt.Resume = h.cfg.Resume
+	opt.Store = h.cfg.Store
 	opt.Metrics = h.cfg.Metrics
 	opt.Events = h.cfg.Events
 	opt.Trace = h.cfg.Trace

@@ -131,7 +131,8 @@ func (c *Cache) peek(w spec.Workload, opt sweep.Options) (*Profile, bool) {
 // then one prediction per enumerated configuration — the analytical
 // mirror of sweep.RunContext. Points come back sorted by area like the
 // exact sweep's. A configuration the cost model rejects fails the run
-// (the exact tier's enumeration never produces one).
+// (the exact tier's enumeration never produces one). opt.Store is
+// ignored: fast points never enter stores.
 func RunContext(ctx context.Context, w spec.Workload, opt sweep.Options) ([]sweep.Point, error) {
 	e := NewEvaluator(w, opt)
 	configs := sweep.Configs(e.opt)

@@ -15,10 +15,10 @@
 // O(refs × configs).
 //
 // The tier's contract: points it produces are approximations, are
-// always marked sweep.EvaluatorFast, and must never enter checkpoint
-// journals or memoized result stores — only exact simulation results
-// are durable. internal/service enforces this by refining every
-// fast-tier point with an exact evaluation before storing anything.
+// always marked sweep.EvaluatorFast, and must never enter memoized
+// result stores — only exact simulation results are durable.
+// internal/service enforces this by refining every fast-tier point with
+// an exact evaluation before storing anything.
 package model
 
 import (

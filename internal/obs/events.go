@@ -2,8 +2,8 @@ package obs
 
 // This file implements the structured run-event journal: an EventLog
 // appends one JSON object per line for every lifecycle event of a run
-// (sweep_start, config_start/done/error/retry, checkpoint_flush,
-// sweep_done, run_manifest), stamped with a sequence number and a
+// (sweep_start, config_start/done/error/retry/skipped, sweep_done,
+// run_manifest), stamped with a sequence number and a
 // monotonic timestamp, so a long run can be replayed, diffed, and
 // reconciled against the metrics registry's totals.
 
@@ -59,15 +59,14 @@ type Event struct {
 
 // Event type tags emitted by the sweep stack.
 const (
-	EventSweepStart      = "sweep_start"
-	EventConfigStart     = "config_start"
-	EventConfigDone      = "config_done"
-	EventConfigError     = "config_error"
-	EventConfigRetry     = "config_retry"
-	EventConfigSkipped   = "config_skipped"
-	EventCheckpointFlush = "checkpoint_flush"
-	EventSweepDone       = "sweep_done"
-	EventRunManifest     = "run_manifest"
+	EventSweepStart    = "sweep_start"
+	EventConfigStart   = "config_start"
+	EventConfigDone    = "config_done"
+	EventConfigError   = "config_error"
+	EventConfigRetry   = "config_retry"
+	EventConfigSkipped = "config_skipped"
+	EventSweepDone     = "sweep_done"
+	EventRunManifest   = "run_manifest"
 )
 
 // EventLog appends events to a writer as JSONL and fans them out to any

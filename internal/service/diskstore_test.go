@@ -27,7 +27,7 @@ import (
 // diskTestData evaluates a tiny real sweep and returns its points with
 // their store keys, so store tests persist the same values the service
 // would.
-func diskTestData(t *testing.T) (keys []string, points []sweep.Point) {
+func diskTestData(t testing.TB) (keys []string, points []sweep.Point) {
 	t.Helper()
 	w, err := spec.ByName("gcc1")
 	if err != nil {

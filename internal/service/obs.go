@@ -80,8 +80,9 @@ const (
 
 // Event type tags emitted by the job service on Config.Events. Task
 // events carry the job id in Event.Job and the configuration label in
-// Event.Label; sweep-level evaluation events (config_start, config_done,
-// retries) continue to arrive from the shared sweep instrumentation.
+// Event.Label: each evaluation that finishes while its job is running
+// emits one task_done or task_error for that job. Retries
+// (config_retry) arrive from the shared sweep instrumentation.
 const (
 	EventJobSubmitted  = "job_submitted"
 	EventJobDone       = "job_done"

@@ -128,8 +128,8 @@ type JobRequest struct {
 	// Workloads are spec workload names (at least one).
 	Workloads []string
 	// Options fixes the design space and evaluation parameters. The
-	// runtime plumbing fields (Progress, Checkpoint, Resume, Metrics,
-	// Events, Workers) are owned by the manager and ignored here.
+	// runtime plumbing fields (Progress, Store, Metrics, Events,
+	// Workers) are owned by the manager and ignored here.
 	Options sweep.Options
 	// Mode selects the serving tier: ModeExact (or "", the default)
 	// simulates only; ModeFast additionally serves instant approximate
@@ -451,14 +451,12 @@ func (m *Manager) submit(req JobRequest, rehydrateID string) (*Job, error) {
 	}
 	opt := req.Options
 	// The manager owns the runtime plumbing: its own observability sinks
-	// and fault injector, no checkpoint/resume (the store subsumes them),
-	// no progress hook.
+	// and fault injector, no progress hook. Evaluations memoize through
+	// the manager's store, not opt.Store, which only RunContext reads.
 	opt.Metrics = m.reg
 	opt.Events = m.events
 	opt.Chaos = m.chaos
 	opt.Progress = nil
-	opt.Checkpoint = nil
-	opt.Resume = nil
 	cfgs := sweep.Configs(opt)
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("service: options enumerate no configurations")
@@ -794,13 +792,18 @@ func (j *Job) deliver(t *task, p sweep.Point, err error) {
 		delete(j.evalSpans, t)
 	}
 	j.pending--
+	// The task event is emitted under j.mu, before finalizeLocked closes
+	// Done, so a stream that drains on Done has already received it.
+	ev := obs.Event{Type: EventTaskDone, Job: j.id, Workload: t.eval.Workload().Name, Label: sweep.Label(t.cfg)}
 	if err != nil {
 		j.failed++
 		j.errs = append(j.errs, err.Error())
+		ev.Type, ev.Err = EventTaskError, err.Error()
 	} else {
 		j.done++
 		j.points = append(j.points, p)
 	}
+	j.m.events.Emit(ev)
 	if j.pending == 0 {
 		j.finalizeLocked()
 	}

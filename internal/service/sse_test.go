@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -150,15 +151,27 @@ func TestSSEStreamToTerminal(t *testing.T) {
 		t.Fatalf("terminal = %+v, want done 4/4", streamed)
 	}
 
-	// A job with real work produces at least one task event in between.
-	tasks := 0
+	// Every evaluation of an uncached job streams one task_done event,
+	// before the terminal state.
+	labels := map[string]int{}
 	for _, e := range events {
-		if e.event == "task" {
-			tasks++
+		if e.event != "task" {
+			continue
+		}
+		var ev obs.Event
+		if err := json.Unmarshal([]byte(e.data), &ev); err != nil {
+			t.Fatalf("task payload: %v", err)
+		}
+		if ev.Type == EventTaskDone {
+			if ev.Job != st.ID || ev.Workload != "gcc1" {
+				t.Errorf("task_done %+v names the wrong job or workload", ev)
+			}
+			labels[ev.Label]++
 		}
 	}
-	if tasks == 0 {
-		t.Fatal("no task events streamed for an uncached job")
+	want := map[string]int{"1:0": 1, "1:8": 1, "2:0": 1, "2:8": 1}
+	if !reflect.DeepEqual(labels, want) {
+		t.Fatalf("task_done events per label = %v, want %v", labels, want)
 	}
 }
 

@@ -19,15 +19,11 @@ import (
 	"twolevel/internal/sweep"
 )
 
-// Store memoizes completed evaluation points by their sweep.Key.
-// Implementations must be safe for concurrent use; Put must be
-// idempotent for a key (evaluations are deterministic, so re-putting a
-// key stores the same value either way).
+// Store memoizes completed evaluation points by their sweep.Key. It
+// extends sweep.PointStore, whose Get/Put contract it shares, so any
+// Store also makes a sweep.RunContext resumable.
 type Store interface {
-	// Get returns the stored point for key, if any.
-	Get(key string) (sweep.Point, bool)
-	// Put stores a completed point under key.
-	Put(key string, p sweep.Point)
+	sweep.PointStore
 	// Len reports the number of stored points.
 	Len() int
 	// Points returns every stored point for which keep reports true

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -172,27 +171,12 @@ func TestEventJournalPanicError(t *testing.T) {
 	}
 }
 
-// TestEventJournalResumeFingerprint checks a resumed run journals the
-// same fingerprint as the original and records every skip.
+// TestEventJournalResumeFingerprint checks a run resumed from a store
+// journals the same fingerprint as the original and records every skip.
 func TestEventJournalResumeFingerprint(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "run.journal")
 	opt := smallOpt()
-
-	ck, err := OpenCheckpointFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Checkpoint = ck
+	opt.Store = mapStore{}
 	first := runWithJournal(t, opt)
-	if err := ck.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rs, err := ResumeFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Checkpoint, opt.Resume = nil, rs
 	second := runWithJournal(t, opt)
 
 	manifest := func(evs []obs.Event) obs.Event {
@@ -212,14 +196,17 @@ func TestEventJournalResumeFingerprint(t *testing.T) {
 	if m2.Skipped != total || m2.Done != total {
 		t.Fatalf("resumed manifest = %+v, want all %d configurations skipped", m2, total)
 	}
-	skips := 0
+	skips, evals := 0, 0
 	for _, e := range second {
-		if e.Type == obs.EventConfigSkipped {
+		switch e.Type {
+		case obs.EventConfigSkipped:
 			skips++
+		case obs.EventConfigDone:
+			evals++
 		}
 	}
-	if skips != total {
-		t.Fatalf("resumed journal has %d config_skipped events, want %d", skips, total)
+	if skips != total || evals != 0 {
+		t.Fatalf("resumed journal has %d config_skipped and %d config_done events, want %d and 0", skips, evals, total)
 	}
 }
 

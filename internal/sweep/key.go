@@ -1,10 +1,10 @@
 package sweep
 
-// This file defines the canonical identity of evaluated work, shared by
-// the checkpoint journal and internal/service's result store: SweepKey
-// names one (workload, options) sweep, and Key names one evaluated
-// point. Both subsystems key off these helpers so their notions of "the
-// same evaluation" cannot drift.
+// This file defines the canonical identity of evaluated work: Key names
+// one evaluated point, and PointStore memoizes points under it. A
+// resumable RunContext and internal/service's result store both key off
+// Key, so their notions of "the same evaluation" cannot drift and a
+// store written by one serves hits to the other.
 
 import (
 	"context"
@@ -17,24 +17,18 @@ import (
 	"twolevel/internal/trace"
 )
 
-// SweepKey identifies one (workload, options) sweep: the workload name
-// joined with the result-determining option fingerprint. It is the key
-// checkpoint journals store points under.
-func SweepKey(workload string, opt Options) string {
-	return workload + "|" + opt.Fingerprint()
-}
-
 // Key identifies one evaluated point: the workload name, the
 // result-determining subset of the options, and the full configuration
 // geometry. Two evaluations with equal keys produce identical points,
 // so Key is safe to use as a memoization key (it is how
-// internal/service's result store addresses completed work).
+// PointStore implementations address completed work).
 //
-// Unlike SweepKey, Key deliberately excludes the enumeration-only
-// option fields (L1Sizes, L2Sizes, SingleLevelOnly, TwoLevelOnly) and
-// the fields Configs materializes into each core.Config (L2Assoc,
-// L2Policy, Policy, LineSize): those either do not affect a single
-// point's result or are already captured by the configuration itself.
+// Unlike Options.Fingerprint, Key deliberately excludes the
+// enumeration-only option fields (L1Sizes, L2Sizes, SingleLevelOnly,
+// TwoLevelOnly) and the fields Configs materializes into each
+// core.Config (L2Assoc, L2Policy, Policy, LineSize): those either do not
+// affect a single point's result or are already captured by the
+// configuration itself.
 // Two sweeps that enumerate different size lists therefore share keys
 // for the configurations they have in common — the property that lets
 // an overlapping job reuse another job's cached points.
@@ -43,6 +37,18 @@ func Key(workload string, cfg core.Config, opt Options) string {
 	return fmt.Sprintf("%s|tech=%g/%d;off=%g;dual=%t;refs=%d|%s",
 		workload, o.Tech.Scale, o.Tech.AddrBits, o.OffChipNS, o.DualPorted, o.Refs,
 		configKey(cfg))
+}
+
+// PointStore memoizes completed points by Key. Options.Store makes a
+// RunContext sweep resumable through one; internal/service's MemStore,
+// DiskStore and HotStore implement it. Implementations must be safe for
+// concurrent use, and Put must be idempotent for a key (evaluations are
+// deterministic, so re-putting a key stores the same value).
+type PointStore interface {
+	// Get returns the stored point for key, if any.
+	Get(key string) (Point, bool)
+	// Put stores a completed point under key.
+	Put(key string, p Point)
 }
 
 // configKey renders the complete simulatable identity of a hierarchy

@@ -12,36 +12,31 @@ import (
 	"twolevel/internal/spec"
 )
 
-// TestKeyComposition: SweepKey pins the full option fingerprint (the
-// checkpoint contract), while Key pins only what determines a single
-// point's result — so overlapping sweeps share point keys for the
-// configurations they have in common.
+// TestKeyComposition: Key pins only what determines a single point's
+// result, unlike the full option Fingerprint — so overlapping sweeps
+// share point keys for the configurations they have in common.
 func TestKeyComposition(t *testing.T) {
 	opt := Options{Refs: 1000}
 	cfg := Configs(opt)[0]
 	pk := Key("gcc1", cfg, opt)
-	sk := SweepKey("gcc1", opt)
-	if !strings.Contains(sk, opt.Fingerprint()) {
-		t.Fatalf("sweep key %q missing fingerprint", sk)
-	}
 	if !strings.HasPrefix(pk, "gcc1|") {
 		t.Fatalf("point key %q does not name the workload", pk)
 	}
 
-	// Result-determining option changes change both keys.
+	// Result-determining option changes change the key.
 	opt2 := opt
 	opt2.OffChipNS = 200
-	if SweepKey("gcc1", opt2) == sk || Key("gcc1", cfg, opt2) == pk {
-		t.Fatal("option change did not change the keys")
+	if Key("gcc1", cfg, opt2) == pk {
+		t.Fatal("option change did not change the point key")
 	}
 
-	// Enumeration-only option changes change the sweep key (a different
-	// checkpoint) but NOT the point key for a shared configuration —
-	// this is what lets overlapping jobs reuse cached points.
+	// Enumeration-only option changes change the fingerprint but NOT
+	// the point key for a shared configuration — this is what lets
+	// overlapping jobs reuse cached points.
 	opt3 := opt
 	opt3.L2Sizes = []int64{0, 16 << 10}
-	if SweepKey("gcc1", opt3) == sk {
-		t.Fatal("enumeration change did not change the sweep key")
+	if opt3.Fingerprint() == opt.Fingerprint() {
+		t.Fatal("enumeration change did not change the fingerprint")
 	}
 	if Key("gcc1", cfg, opt3) != pk {
 		t.Fatalf("enumeration change altered the point key:\n%q\nvs\n%q",

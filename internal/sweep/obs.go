@@ -18,8 +18,8 @@ const (
 	MetricConfigsTotal = "sweep_configs_total"
 	// MetricConfigsDone counts configurations evaluated to completion.
 	MetricConfigsDone = "sweep_configs_done_total"
-	// MetricConfigsSkipped counts configurations satisfied from
-	// Options.Resume without re-evaluation.
+	// MetricConfigsSkipped counts configurations served from
+	// Options.Store without re-evaluation.
 	MetricConfigsSkipped = "sweep_configs_skipped_total"
 	// MetricConfigErrors counts configurations that failed permanently.
 	MetricConfigErrors = "sweep_config_errors_total"
@@ -37,25 +37,22 @@ const (
 	MetricWorkers = "sweep_workers"
 	// MetricConfigSeconds is the per-configuration wall-time histogram.
 	MetricConfigSeconds = "sweep_config_seconds"
-	// MetricCheckpointSeconds is the checkpoint-flush latency histogram.
-	MetricCheckpointSeconds = "sweep_checkpoint_flush_seconds"
 )
 
 // runMetrics is the instrument bundle RunContext updates. Resolving the
 // instruments once up front keeps the per-configuration path to plain
 // atomic increments.
 type runMetrics struct {
-	total       *obs.Gauge
-	workers     *obs.Gauge
-	queueDepth  *obs.Gauge
-	done        *obs.Counter
-	skipped     *obs.Counter
-	failures    *obs.Counter
-	retries     *obs.Counter
-	panics      *obs.Counter
-	timeouts    *obs.Counter
-	cfgSeconds  *obs.Histogram
-	ckptSeconds *obs.Histogram
+	total      *obs.Gauge
+	workers    *obs.Gauge
+	queueDepth *obs.Gauge
+	done       *obs.Counter
+	skipped    *obs.Counter
+	failures   *obs.Counter
+	retries    *obs.Counter
+	panics     *obs.Counter
+	timeouts   *obs.Counter
+	cfgSeconds *obs.Histogram
 }
 
 // newRunMetrics resolves the sweep instruments (all nil on a nil
@@ -71,10 +68,8 @@ func newRunMetrics(r *obs.Registry) *runMetrics {
 		retries:    r.Counter(MetricRetries),
 		panics:     r.Counter(MetricPanics),
 		timeouts:   r.Counter(MetricTimeouts),
-		// Configurations run milliseconds to minutes; checkpoint flushes
-		// microseconds to seconds.
-		cfgSeconds:  r.Histogram(MetricConfigSeconds, obs.ExpBuckets(0.001, 2, 24)),
-		ckptSeconds: r.Histogram(MetricCheckpointSeconds, obs.ExpBuckets(1e-6, 4, 14)),
+		// Configurations run milliseconds to minutes.
+		cfgSeconds: r.Histogram(MetricConfigSeconds, obs.ExpBuckets(0.001, 2, 24)),
 	}
 }
 

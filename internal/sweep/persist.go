@@ -140,9 +140,8 @@ func pointFromPersisted(pp persistedPoint) (Point, error) {
 }
 
 // MarshalPointJSON renders one point in the stable persisted shape used
-// inside twolevel-sweep/1 documents and checkpoint journals. The durable
-// result store (internal/service) frames these bytes with a per-record
-// checksum.
+// inside twolevel-sweep/1 documents. The durable result store
+// (internal/service) frames these bytes with a per-record checksum.
 func MarshalPointJSON(p Point) ([]byte, error) {
 	return json.Marshal(pointToPersisted(p))
 }

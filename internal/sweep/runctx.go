@@ -47,8 +47,8 @@ type ProgressEvent struct {
 	Label string
 	// Err is the configuration's failure, nil on success.
 	Err error
-	// Skipped reports that the configuration was satisfied from
-	// Options.Resume without re-evaluation.
+	// Skipped reports that the configuration was served from
+	// Options.Store without re-evaluation.
 	Skipped bool
 }
 
@@ -79,8 +79,8 @@ func (e panicError) Error() string { return fmt.Sprintf("panic: %v", e.v) }
 //     crashing it;
 //   - Options.Timeout bounds each configuration and Options.Retries
 //     re-attempts transient failures;
-//   - Options.Checkpoint journals completed points and Options.Resume
-//     skips configurations a previous journal already covers;
+//   - Options.Store serves configurations it already holds and stores
+//     every point evaluated, so an interrupted sweep resumes;
 //   - Options.Progress observes completions.
 //
 // On success the error is nil and the points cover the full
@@ -94,8 +94,6 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 	}
 	cfgs := Configs(opt)
 	total := len(cfgs)
-	key := SweepKey(w.Name, opt)
-	resumed := opt.Resume.forKey(key)
 	met := newRunMetrics(opt.Metrics)
 	met.total.Add(int64(total))
 	met.workers.Set(int64(opt.Workers))
@@ -126,7 +124,7 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 	var pending []job
 	for i, cfg := range cfgs {
 		label := Label(cfg)
-		if p, ok := resumed[label]; ok {
+		if p, ok := stored(opt.Store, w.Name, cfg, opt); ok {
 			points[i], have[i] = p, true
 			done++
 			skipped++
@@ -135,10 +133,10 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 				Type: obs.EventConfigSkipped, Workload: w.Name, Label: label,
 				Done: done, Total: total,
 			})
-			// Resumed configurations appear in the trace as instant
+			// Stored configurations appear in the trace as instant
 			// config spans, so a resumed run's tree is still complete.
 			rs := sw.Child("config", span.Attr{Key: "label", Value: label})
-			rs.Annotate("outcome", "resumed")
+			rs.Annotate("outcome", "cached")
 			rs.End()
 			report(ProgressEvent{Done: done, Total: total, Label: label, Skipped: true})
 			continue
@@ -180,21 +178,10 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 							Done: done, Total: total, DurNS: dur.Nanoseconds(),
 							Area: p.AreaRbe, TPI: p.TPINS,
 						})
-						if opt.Checkpoint != nil {
-							fl := cs.Child("checkpoint-flush")
-							ckStart := time.Now()
-							cerr := opt.Checkpoint.Record(key, p)
-							ckDur := time.Since(ckStart)
-							fl.End()
-							met.ckptSeconds.Observe(ckDur.Seconds())
-							if cerr != nil {
-								errs = append(errs, fmt.Errorf("sweep: checkpointing %s: %w", p.Label, cerr))
-							} else {
-								opt.Events.Emit(obs.Event{
-									Type: obs.EventCheckpointFlush, Workload: w.Name,
-									Label: label, DurNS: ckDur.Nanoseconds(),
-								})
-							}
+						if opt.Store != nil {
+							ps := cs.Child("store-put")
+							opt.Store.Put(Key(w.Name, j.cfg, opt), p)
+							ps.End()
 						}
 					case ctx.Err() != nil:
 						// The whole run was cancelled mid-evaluation;
@@ -256,6 +243,23 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 	opt.Events.Emit(doneEv)
 	opt.Events.Emit(manifest)
 	return completed, errors.Join(errs...)
+}
+
+// stored looks cfg up in store under its Key. A hit is returned as a
+// fresh evaluation of cfg would be: the key pins the full geometry, but
+// a durable store rebuilds 16-byte-line configurations and names the
+// exact tier explicitly, so the enumerated cfg, the workload, and the
+// exact tier's zero-value Evaluator are restored.
+func stored(store PointStore, workload string, cfg core.Config, opt Options) (Point, bool) {
+	if store == nil {
+		return Point{}, false
+	}
+	p, ok := store.Get(Key(workload, cfg, opt))
+	if !ok {
+		return Point{}, false
+	}
+	p.Config, p.Workload, p.Evaluator = cfg, workload, ""
+	return p, true
 }
 
 // evaluateOne evaluates a single configuration with panic recovery, the

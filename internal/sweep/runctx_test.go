@@ -31,6 +31,13 @@ func withEvalHook(t *testing.T, hook func(core.Config)) {
 	t.Cleanup(func() { evalTestHook = nil })
 }
 
+// mapStore is a map-backed PointStore. RunContext calls Get before its
+// workers start and Put under its own lock, so it needs no lock itself.
+type mapStore map[string]Point
+
+func (s mapStore) Get(key string) (Point, bool) { p, ok := s[key]; return p, ok }
+func (s mapStore) Put(key string, p Point)      { s[key] = p }
+
 func testWorkload(t *testing.T) spec.Workload {
 	t.Helper()
 	w, err := spec.ByName("espresso")

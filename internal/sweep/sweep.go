@@ -72,15 +72,15 @@ type Options struct {
 	// per-configuration timeout) before recording a ConfigError.
 	Retries int
 	// Progress, when non-nil, is called by RunContext after every
-	// configuration completes, fails, or is skipped via Resume. Calls are
+	// configuration completes, fails, or is served from Store. Calls are
 	// serialized; the callback must not block for long.
 	Progress func(ProgressEvent)
-	// Checkpoint, when non-nil, journals every completed point so an
-	// interrupted sweep can be continued with Resume.
-	Checkpoint *Checkpointer
-	// Resume holds points recovered from a checkpoint journal;
-	// configurations already present there are not re-evaluated.
-	Resume *ResumeSet
+	// Store, when non-nil, makes RunContext resumable: a configuration
+	// whose Key the store already holds is served from it without
+	// re-evaluation, and every evaluated point is Put under its Key. A
+	// durable store (internal/service's DiskStore) lets an interrupted
+	// sweep pick up where it stopped. Fingerprint ignores it.
+	Store PointStore
 
 	// Metrics, when non-nil, receives live instrumentation under
 	// RunContext: the sweep-level counters/gauges/histograms named by the
@@ -89,13 +89,13 @@ type Options struct {
 	// degrade to no-ops. Fingerprint ignores it.
 	Metrics *obs.Registry
 	// Events, when non-nil, receives the structured run journal
-	// (sweep_start, config_start/done/error/retry/skipped,
-	// checkpoint_flush, sweep_done, and a final run_manifest) as JSONL
-	// under RunContext. Nil costs nothing. Fingerprint ignores it.
+	// (sweep_start, config_start/done/error/retry/skipped, sweep_done,
+	// and a final run_manifest) as JSONL under RunContext. Nil costs
+	// nothing. Fingerprint ignores it.
 	Events *obs.EventLog
 	// Trace, when non-nil, receives a span tree of the run under
-	// RunContext and Evaluator: sweep → config → attempt → {simulate,
-	// checkpoint-flush}, exportable as Chrome trace_event JSON. Nil (the
+	// RunContext and Evaluator: sweep → config → {attempt → simulate,
+	// store-put}, exportable as Chrome trace_event JSON. Nil (the
 	// default) costs nothing — span methods degrade to no-ops.
 	// Fingerprint ignores it.
 	Trace *span.Tracer
@@ -145,9 +145,8 @@ func (o Options) Defaulted() Options { return o.withDefaults() }
 
 // Fingerprint renders the result-determining option fields as a stable
 // string. Two sweeps with equal fingerprints over the same workload
-// evaluate identical configurations to identical points, so the
-// fingerprint keys checkpoint journals: resuming under changed options
-// re-evaluates everything instead of silently mixing results.
+// evaluate identical configurations to identical points; run manifests
+// record it so a resumed run can be matched to the run it continues.
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
 	return fmt.Sprintf("tech=%g/%d;off=%g;l2assoc=%d;l2pol=%s;pol=%s;dual=%t;refs=%d;l1=%v;l2=%v;single=%t;two=%t;line=%d",
@@ -182,7 +181,7 @@ const (
 	EvaluatorExact = "exact"
 	// EvaluatorFast marks an approximate point produced by
 	// internal/model's analytical reuse-distance predictor. Fast points
-	// never enter checkpoint journals or memoized result stores.
+	// never enter memoized result stores.
 	EvaluatorFast = "fast"
 )
 

@@ -188,7 +188,9 @@ func TestRunContextExclusiveL1PassSpans(t *testing.T) {
 	}
 }
 
-// skipped via Resume still contribute (instant) config spans.
+// TestRunContextResumedConfigsTraced: configurations served from
+// Options.Store still contribute (instant) config spans, and only the
+// evaluated ones store their points.
 func TestRunContextResumedConfigsTraced(t *testing.T) {
 	w := testWorkload(t)
 	opt := smallOpt()
@@ -196,36 +198,28 @@ func TestRunContextResumedConfigsTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var journal bytes.Buffer
-	ck, err := NewCheckpointer(&journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := SweepKey(w.Name, opt)
+	store := mapStore{}
 	for _, p := range points[:2] {
-		if err := ck.Record(key, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rs, err := Resume(&journal)
-	if err != nil {
-		t.Fatal(err)
+		store.Put(Key(w.Name, p.Config, opt), p)
 	}
 	tr := span.NewTracer()
 	opt.Trace = tr
-	opt.Resume = rs
+	opt.Store = store
 	if _, err := RunContext(context.Background(), w, opt); err != nil {
 		t.Fatal(err)
 	}
 	ix := indexSpans(tr.Snapshot())
-	resumed := 0
+	cached := 0
 	for _, c := range ix.byName["config"] {
-		if c.Attr("outcome") == "resumed" {
-			resumed++
+		if c.Attr("outcome") == "cached" {
+			cached++
 		}
 	}
-	if resumed != 2 {
-		t.Errorf("%d resumed config spans, want 2", resumed)
+	if cached != 2 {
+		t.Errorf("%d cached config spans, want 2", cached)
+	}
+	if n, want := len(ix.byName["store-put"]), len(points)-2; n != want {
+		t.Errorf("%d store-put spans, want %d", n, want)
 	}
 }
 

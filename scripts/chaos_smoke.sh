@@ -13,6 +13,12 @@
 #      429 + Retry-After while /readyz still says ready; then SIGTERM
 #      and assert /readyz flips to 503 during the drain and that an
 #      expired -drain-timeout makes served exit nonzero.
+#   3. CLI crash round trip: kill -9 a cmd/sweep -store-dir run about a
+#      second in, rerun it on the same store, and assert its stdout is
+#      byte-identical to an uninterrupted run's; a third run must then
+#      be served entirely from the store (every configuration a
+#      config_skipped event, none a config_done). These hold wherever
+#      the kill lands.
 #
 # Requires: go, curl, jq. Run via `make chaos-smoke`.
 set -euo pipefail
@@ -29,8 +35,10 @@ STORE="$TMP/store"
 go build -o "$TMP/served" ./cmd/served
 
 SERVED_PID=""
+SWEEP_PID=""
 cleanup() {
 	[ -n "$SERVED_PID" ] && kill -9 "$SERVED_PID" 2>/dev/null || true
+	[ -n "$SWEEP_PID" ] && kill -9 "$SWEEP_PID" 2>/dev/null || true
 	wait 2>/dev/null || true
 	rm -rf "$TMP"
 }
@@ -149,5 +157,36 @@ fi
 SERVED_PID=""
 grep -q "drain cut short" "$TMP/run3.log" || { cat "$TMP/run3.log" >&2; fail "no drain-cut-short notice in log"; }
 echo "chaos-smoke: expired drain deadline exits nonzero"
+
+# ---- Phase 3: cmd/sweep kill -9 and resume from the store ----
+
+go build -o "$TMP/sweep" ./cmd/sweep
+SWEEP_ARGS=(-workload all -refs 2000000)
+SWEEP_CONFIGS=315 # 7 workloads x the 45-configuration paper grid
+CLI_STORE="$TMP/cli-store"
+"$TMP/sweep" "${SWEEP_ARGS[@]}" >"$TMP/sweep-base.txt" 2>"$TMP/sweep-base.log" \
+	|| { cat "$TMP/sweep-base.log" >&2; fail "baseline sweep exited nonzero"; }
+
+"$TMP/sweep" "${SWEEP_ARGS[@]}" -store-dir "$CLI_STORE" >/dev/null 2>"$TMP/sweep-killed.log" &
+SWEEP_PID=$!
+sleep 1
+kill -9 "$SWEEP_PID" 2>/dev/null || true
+wait "$SWEEP_PID" 2>/dev/null || true
+SWEEP_PID=""
+echo "chaos-smoke: killed -9 a cmd/sweep -store-dir run after ~1s"
+
+"$TMP/sweep" "${SWEEP_ARGS[@]}" -store-dir "$CLI_STORE" >"$TMP/sweep-resumed.txt" 2>"$TMP/sweep-resumed.log" \
+	|| { cat "$TMP/sweep-resumed.log" >&2; fail "resumed sweep exited nonzero"; }
+cmp -s "$TMP/sweep-base.txt" "$TMP/sweep-resumed.txt" \
+	|| { diff "$TMP/sweep-base.txt" "$TMP/sweep-resumed.txt" >&2 || true; fail "resumed sweep output differs from the uninterrupted run"; }
+echo "chaos-smoke: resumed sweep output byte-identical ($(grep -o 'holds [0-9]* points' "$TMP/sweep-resumed.log"))"
+
+"$TMP/sweep" "${SWEEP_ARGS[@]}" -store-dir "$CLI_STORE" -events "$TMP/sweep-events.jsonl" >/dev/null 2>"$TMP/sweep-warm.log" \
+	|| { cat "$TMP/sweep-warm.log" >&2; fail "warm sweep exited nonzero"; }
+SKIPPED="$(jq -s '[.[] | select(.type == "config_skipped")] | length' "$TMP/sweep-events.jsonl")"
+EVALUATED="$(jq -s '[.[] | select(.type == "config_done")] | length' "$TMP/sweep-events.jsonl")"
+[ "$SKIPPED" -eq "$SWEEP_CONFIGS" ] || fail "warm sweep skipped $SKIPPED configurations, want $SWEEP_CONFIGS"
+[ "$EVALUATED" -eq 0 ] || fail "warm sweep evaluated $EVALUATED configurations, want 0"
+echo "chaos-smoke: warm sweep served all $SWEEP_CONFIGS configurations from the store"
 
 echo "chaos-smoke: PASS"

@@ -277,9 +277,10 @@ func Sweep(w Workload, opt SweepOptions) []Point { return sweep.Run(w, opt) }
 
 // SweepContext is the resilient form of Sweep: it honors ctx
 // cancellation and deadlines, isolates per-configuration panics as
-// *SweepConfigError values, and drives the checkpoint/resume machinery
-// configured in opt. The returned points are always usable (possibly
-// partial) even when err is non-nil.
+// *SweepConfigError values, and resumes from the result store set as
+// opt.Store (a *DiskResultStore makes an interrupted sweep resumable).
+// The returned points are always usable (possibly partial) even when err
+// is non-nil.
 func SweepContext(ctx context.Context, w Workload, opt SweepOptions) ([]Point, error) {
 	return sweep.RunContext(ctx, w, opt)
 }
@@ -290,22 +291,6 @@ type SweepConfigError = sweep.ConfigError
 
 // SweepProgressEvent is one per-configuration progress callback payload.
 type SweepProgressEvent = sweep.ProgressEvent
-
-// Checkpointer journals completed sweep points so an interrupted sweep
-// can be resumed.
-type Checkpointer = sweep.Checkpointer
-
-// ResumeSet holds the validated contents of a checkpoint journal.
-type ResumeSet = sweep.ResumeSet
-
-// OpenCheckpointFile opens (or creates) a checkpoint journal for
-// appending.
-func OpenCheckpointFile(path string) (*Checkpointer, error) {
-	return sweep.OpenCheckpointFile(path)
-}
-
-// ResumeFile reads and validates a checkpoint journal.
-func ResumeFile(path string) (*ResumeSet, error) { return sweep.ResumeFile(path) }
 
 // ---- Observability ----
 
@@ -426,12 +411,8 @@ func AttachAnalyzer(sys *System, reg *MetricsRegistry) *CacheAnalyzer {
 // SweepConfigs enumerates the configurations a sweep would evaluate.
 func SweepConfigs(opt SweepOptions) []Hierarchy { return sweep.Configs(opt) }
 
-// SweepKey identifies one (workload, options) sweep; it keys checkpoint
-// journals.
-func SweepKey(workload string, opt SweepOptions) string { return sweep.SweepKey(workload, opt) }
-
 // PointKey identifies one evaluated (workload, configuration, options)
-// point; it keys the job service's memoized result store.
+// point; it keys the result stores of SweepContext and the job service.
 func PointKey(workload string, cfg Hierarchy, opt SweepOptions) string {
 	return sweep.Key(workload, cfg, opt)
 }
