@@ -13,71 +13,6 @@ import (
 	"twolevel/internal/trace"
 )
 
-// naiveTracker is the O(n·footprint) move-to-front reference
-// implementation distTracker must agree with exactly.
-type naiveTracker struct {
-	stack []cache.LineAddr // most recent first
-}
-
-func (n *naiveTracker) access(l cache.LineAddr) (dist uint64, cold bool) {
-	for i, x := range n.stack {
-		if x == l {
-			copy(n.stack[1:], n.stack[:i])
-			n.stack[0] = l
-			return uint64(i) + 1, false
-		}
-	}
-	n.stack = append([]cache.LineAddr{l}, n.stack...)
-	return 0, true
-}
-
-func TestDistTrackerMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	d := &distTracker{last: map[cache.LineAddr]int32{}}
-	n := &naiveTracker{}
-	for i := 0; i < 20000; i++ {
-		// Skewed alphabet: hot lines get short distances, cold tail
-		// exercises large distances and first touches.
-		var l cache.LineAddr
-		if rng.Intn(4) == 0 {
-			l = cache.LineAddr(rng.Intn(2000))
-		} else {
-			l = cache.LineAddr(rng.Intn(64))
-		}
-		gd, _, gc := d.access(l)
-		wd, wc := n.access(l)
-		if gd != wd || gc != wc {
-			t.Fatalf("ref %d line %d: distTracker = (%d, %v), naive = (%d, %v)", i, l, gd, gc, wd, wc)
-		}
-	}
-}
-
-func TestDistTrackerKnownSequence(t *testing.T) {
-	d := &distTracker{last: map[cache.LineAddr]int32{}}
-	steps := []struct {
-		line cache.LineAddr
-		dist uint64
-		time uint64
-		cold bool
-	}{
-		{10, 0, 0, true},  // A
-		{10, 1, 1, false}, // A again: immediate reuse (collapsed)
-		{20, 0, 0, true},  // B
-		{30, 0, 0, true},  // C
-		{10, 3, 3, false}, // A after B, C (run-collapsed: B, C, A itself)
-		{20, 3, 3, false}, // B after C, A
-	}
-	for i, s := range steps {
-		dist, tdist, cold := d.access(s.line)
-		if dist != s.dist || cold != s.cold {
-			t.Fatalf("step %d (line %d): got (%d, %v), want (%d, %v)", i, s.line, dist, cold, s.dist, s.cold)
-		}
-		if !cold && tdist != s.time {
-			t.Fatalf("step %d (line %d): time distance %d, want %d", i, s.line, tdist, s.time)
-		}
-	}
-}
-
 // testConfigs spans the hierarchy shapes whose demand streams differ:
 // single level, conventional, exclusive (with its Lookup/Insert split
 // and swaps), inclusive (back-invalidations), and write-through L1.
@@ -258,48 +193,5 @@ func TestReportDocument(t *testing.T) {
 	}
 	if !bytes.Contains(text.Bytes(), []byte("conflict")) {
 		t.Errorf("text report lacks header: %q", text.String())
-	}
-}
-
-// TestFenwickFixedMatchesGrowing drives the two Fenwick representations
-// — the growing zero-value tree (bits = most-recent accesses) and the
-// preallocated fixed tree (inverted "holes" form, used by the model
-// package's profile pass) — through an identical Append/Clear stream
-// and requires identical answers from every CountSince probe. Starting
-// the fixed tree at a tiny capacity forces growFixed's rebuild path
-// several times over.
-func TestFenwickFixedMatchesGrowing(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	grow := &Fenwick{}
-	fixed := NewFenwick(16) // ~10 doublings over the run
-	last := map[cache.LineAddr]int32{}
-	for i := 0; i < 30000; i++ {
-		var l cache.LineAddr
-		if rng.Intn(4) == 0 {
-			l = cache.LineAddr(rng.Intn(4000))
-		} else {
-			l = cache.LineAddr(rng.Intn(128))
-		}
-		prev := last[l]
-		grow.Append()
-		fixed.Append()
-		if grow.N() != fixed.N() {
-			t.Fatalf("ref %d: N diverged: growing %d, fixed %d", i, grow.N(), fixed.N())
-		}
-		if prev != 0 {
-			if g, f := grow.CountSince(prev), fixed.CountSince(prev); g != f {
-				t.Fatalf("ref %d: CountSince(%d) diverged: growing %d, fixed %d", i, prev, g, f)
-			}
-			grow.Clear(prev)
-			fixed.Clear(prev)
-		}
-		last[l] = grow.N()
-		// Occasional probe at a random historical index, live or cleared.
-		if i%17 == 0 && i > 0 {
-			p := int32(rng.Intn(i) + 1)
-			if g, f := grow.CountSince(p), fixed.CountSince(p); g != f {
-				t.Fatalf("ref %d: probe CountSince(%d) diverged: growing %d, fixed %d", i, p, g, f)
-			}
-		}
 	}
 }

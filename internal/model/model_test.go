@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
-	"twolevel/internal/analyze"
 	"twolevel/internal/cache"
 	"twolevel/internal/core"
 	"twolevel/internal/spec"
@@ -21,7 +21,7 @@ func testOpt(refs uint64) sweep.Options {
 	return sweep.Options{Refs: refs}.Defaulted()
 }
 
-func collect(t *testing.T, workload string, refs uint64) *Profile {
+func collect(t testing.TB, workload string, refs uint64) *Profile {
 	t.Helper()
 	w, err := spec.ByName(workload)
 	if err != nil {
@@ -81,64 +81,113 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadProfileRejectsCorrupt exercises the validation surface a
-// cached document must pass before predictions trust it.
-func TestLoadProfileRejectsCorrupt(t *testing.T) {
-	p := collect(t, "li", 20000)
+// corruptProfiles returns documents LoadProfile must reject, each one
+// corruption of p. The two wrap cases sum to the right totals modulo
+// 2^64: a bucket holding 2^64-1 beside one holding an extra count, and
+// split-stream refs whose sum wraps to the unified refs.
+func corruptProfiles(tb testing.TB, p *Profile) map[string]string {
 	mutate := func(f func(*Profile)) string {
 		cp := *p
-		cp.Instr.Counts = append([]uint64(nil), p.Instr.Counts...)
+		for _, sp := range []*StreamProfile{&cp.Instr, &cp.Data, &cp.Unified} {
+			sp.Counts = append([]uint64(nil), sp.Counts...)
+			sp.TimeCounts = append([]uint64(nil), sp.TimeCounts...)
+		}
 		f(&cp)
 		b, err := json.Marshal(&cp)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		return string(b)
 	}
-	cases := map[string]string{
+	return map[string]string{
 		"bad format":      mutate(func(c *Profile) { c.Format = "bogus/9" }),
 		"count mismatch":  mutate(func(c *Profile) { c.Instr.Counts[0] += 7 }),
 		"bucket truncate": mutate(func(c *Profile) { c.Instr.Counts = c.Instr.Counts[:10] }),
 		"refs mismatch":   mutate(func(c *Profile) { c.Refs += 5 }),
-		"not json":        "{",
+		"wrapped counts": mutate(func(c *Profile) {
+			for _, sp := range []*StreamProfile{&c.Data, &c.Unified} {
+				sp.Counts[NumBuckets-1] += math.MaxUint64 // the empty overflow bucket
+				sp.Counts[0]++
+			}
+		}),
+		"wrapped split refs": mutate(func(c *Profile) {
+			x := c.Data.Refs + 1
+			c.Instr.Refs += x
+			c.Instr.Cold += x
+			c.Data.Refs -= x
+			c.Data.Cold -= x
+		}),
+		"not json": "{",
 	}
-	for name, doc := range cases {
+}
+
+// TestLoadProfileRejectsCorrupt exercises the validation surface a
+// cached document must pass before predictions trust it.
+func TestLoadProfileRejectsCorrupt(t *testing.T) {
+	p := collect(t, "li", 20000)
+	if p.Data.Counts[NumBuckets-1] != 0 || p.Unified.Counts[NumBuckets-1] != 0 {
+		t.Fatal("a 20k-reference profile has reuse past the last octave")
+	}
+	for name, doc := range corruptProfiles(t, p) {
 		if _, err := LoadProfile(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: LoadProfile accepted a corrupt document", name)
 		}
 	}
 }
 
+// naiveStack is the reference the profile pass must agree with: an
+// explicit move-to-front list for stack distance and the whole
+// run-collapsed history for reuse time, both scanned linearly.
+type naiveStack struct {
+	stack   []cache.LineAddr // most recent first
+	history []cache.LineAddr // the stream with immediate repeats collapsed
+}
+
+// access returns the line's 1-based stack distance and reuse time, or
+// zeros for a first touch.
+func (n *naiveStack) access(l cache.LineAddr) (dist, reuse uint64) {
+	if h := len(n.history); h > 0 && n.history[h-1] == l {
+		return 1, 1
+	}
+	n.history = append(n.history, l)
+	for i := len(n.history) - 2; i >= 0; i-- {
+		if n.history[i] == l {
+			reuse = uint64(len(n.history) - 1 - i)
+			break
+		}
+	}
+	for i, x := range n.stack {
+		if x == l {
+			copy(n.stack[1:], n.stack[:i])
+			n.stack[0] = l
+			return uint64(i) + 1, reuse
+		}
+	}
+	n.stack = append([]cache.LineAddr{l}, n.stack...)
+	return 0, 0
+}
+
 // TestStreamAccMatchesStackDist is the equivalence contract between the
-// shared-index collection pass and analyze.StackDist: over a random
-// three-stream reference sequence, streamAcc + triIndex must bucket
-// exactly the distances the exported tracker reports.
+// shared-index collection pass and the naive stack-distance reference:
+// over a random three-stream reference sequence, streamAcc + triIndex
+// must bucket exactly the stack distances and reuse times the reference
+// reports.
 func TestStreamAccMatchesStackDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 
 	type expAcc struct {
-		sd             *analyze.StackDist
+		ref            naiveStack
 		refs, writes   uint64
-		cold, active   uint64
+		cold           uint64
 		counts, tcount [NumBuckets]uint64
-		last           cache.LineAddr
-		have           bool
 	}
-	newExp := func() *expAcc { return &expAcc{sd: analyze.NewStackDist()} }
 	observeExp := func(e *expAcc, l cache.LineAddr, write bool) {
 		e.refs++
 		if write {
 			e.writes++
 		}
-		if e.have && l == e.last {
-			e.counts[0]++
-			e.tcount[0]++
-			return
-		}
-		e.last, e.have = l, true
-		e.active++
-		d, td, cold := e.sd.AccessTimed(l)
-		if cold {
+		d, td := e.ref.access(l)
+		if d == 0 {
 			e.cold++
 			return
 		}
@@ -148,7 +197,7 @@ func TestStreamAccMatchesStackDist(t *testing.T) {
 
 	const n = 60000
 	instr, data, uni := newStreamAcc(n), newStreamAcc(n), newStreamAcc(n)
-	eInstr, eData, eUni := newExp(), newExp(), newExp()
+	eInstr, eData, eUni := &expAcc{}, &expAcc{}, &expAcc{}
 	idx := newTriIndex()
 	for i := 0; i < n; i++ {
 		// Skewed alphabet across two distant regions (exercising separate
@@ -166,22 +215,23 @@ func TestStreamAccMatchesStackDist(t *testing.T) {
 		write := isData && rng.Intn(4) == 0
 		s := idx.slot(l)
 		if isData {
-			data.observe(l, write, &s.data)
+			data.observe(write, &s.data)
 			observeExp(eData, l, write)
 		} else {
-			instr.observe(l, false, &s.instr)
+			instr.observe(false, &s.instr)
 			observeExp(eInstr, l, false)
 		}
-		uni.observe(l, write, &s.uni)
+		uni.observe(write, &s.uni)
 		observeExp(eUni, l, write)
 	}
 
 	check := func(name string, got *streamAcc, want *expAcc) {
 		t.Helper()
-		p := got.p
-		if p.Refs != want.refs || p.Writes != want.writes || p.Cold != want.cold || p.Active != want.active {
+		p := got.profile()
+		active := uint64(len(want.ref.history))
+		if p.Refs != want.refs || p.Writes != want.writes || p.Cold != want.cold || p.Active != active {
 			t.Fatalf("%s: totals refs/writes/cold/active = %d/%d/%d/%d, want %d/%d/%d/%d",
-				name, p.Refs, p.Writes, p.Cold, p.Active, want.refs, want.writes, want.cold, want.active)
+				name, p.Refs, p.Writes, p.Cold, p.Active, want.refs, want.writes, want.cold, active)
 		}
 		for i := range want.counts {
 			if p.Counts[i] != want.counts[i] {

@@ -3,16 +3,16 @@
 // every configuration of a sweep from ONE pass over the workload's
 // reference stream, instead of one full simulation per configuration.
 //
-// The pass (Collect) runs the stream through internal/analyze's exact
-// Fenwick LRU stack three times in parallel — instruction references,
-// data references, and the unified stream — and buckets the resulting
-// stack distances into a reuse-distance profile (the "twolevel-rdh/1"
-// document). The predictor (Predict) then maps the bucketed
-// stack-distance distribution through a probabilistic associativity
-// model to per-level miss counts for ANY (size, assoc, hierarchy)
-// geometry, and prices the result with the same sweep.PriceConfig the
-// exact simulator uses. A sweep becomes O(refs + configs) rather than
-// O(refs × configs).
+// The pass (Collect) runs the stream through three exact LRU
+// stack-distance trackers (trace.StackTracker) in parallel — instruction
+// references, data references, and the unified stream — and buckets the
+// resulting stack distances and reuse times into a reuse-distance
+// profile (the "twolevel-rdh/1" document). The predictor (Predict) then
+// maps the bucketed stack-distance distribution through a probabilistic
+// associativity model to per-level miss counts for ANY (size, assoc,
+// hierarchy) geometry, and prices the result with the same
+// sweep.PriceConfig the exact simulator uses. A sweep becomes
+// O(refs + configs) rather than O(refs × configs).
 //
 // The tier's contract: points it produces are approximations, are
 // always marked sweep.EvaluatorFast, and must never enter memoized
@@ -32,7 +32,6 @@ import (
 	"math/bits"
 	"sync"
 
-	"twolevel/internal/analyze"
 	"twolevel/internal/cache"
 	"twolevel/internal/spec"
 	"twolevel/internal/sweep"
@@ -130,8 +129,16 @@ func (s *StreamProfile) validate(name string) error {
 		return fmt.Errorf("%s stream: %d/%d buckets (want %d)",
 			name, len(s.Counts), len(s.TimeCounts), NumBuckets)
 	}
+	// Every partial sum is checked against Refs before it grows, so a
+	// document whose counts wrap uint64 cannot sum to Refs.
+	if s.Cold > s.Refs {
+		return fmt.Errorf("%s stream: cold=%d > refs=%d", name, s.Cold, s.Refs)
+	}
 	total, ttotal := s.Cold, s.Cold
 	for i := range s.Counts {
+		if s.Counts[i] > s.Refs-total || s.TimeCounts[i] > s.Refs-ttotal {
+			return fmt.Errorf("%s stream: bucket %d takes cold+counts past refs=%d", name, i, s.Refs)
+		}
 		total += s.Counts[i]
 		ttotal += s.TimeCounts[i]
 	}
@@ -187,10 +194,10 @@ func ProfileKey(w spec.Workload, opt sweep.Options) string {
 // The pass keeps three exact LRU stacks (instruction, data, unified)
 // but shares ONE line index across them: a sparse page table mapping
 // line address → the line's latest access index in each stream's
-// Fenwick tree. Every reference then costs one page-table probe (two
-// array derefs behind a tiny cached-page check) plus two Fenwick
-// updates — no per-stream hash maps, which profiling shows would
-// otherwise dominate the pass.
+// tracker. Every reference then costs one page-table probe (two array
+// derefs behind a tiny cached-page check) plus two tracker accesses —
+// no per-stream hash maps, which profiling shows would otherwise
+// dominate the pass.
 
 // triPageShift sizes the page table's leaves: 2^17 lines per page
 // (a 2MB address span at 16-byte lines), so each of a workload's
@@ -231,56 +238,42 @@ func (t *triIndex) slot(l cache.LineAddr) *triSlot {
 	return &pg[uint64(l)&(1<<triPageShift-1)]
 }
 
-// streamAcc accumulates one stream's histograms over a
-// fixed-capacity Fenwick LRU stack (see analyze.Fenwick; the
-// preallocation is what makes the shared-index pass fast).
+// streamAcc accumulates one stream's histograms. Its tracker is sized
+// for the whole pass up front, so it never grows.
 type streamAcc struct {
-	p        StreamProfile
-	fen      *analyze.Fenwick
-	lastLine cache.LineAddr
-	haveLast bool
+	p    StreamProfile
+	dist *trace.StackTracker
 }
 
 func newStreamAcc(capacity int) *streamAcc {
-	return &streamAcc{fen: analyze.NewFenwick(capacity), p: StreamProfile{
+	return &streamAcc{dist: trace.NewStackTracker(capacity), p: StreamProfile{
 		Counts:     make([]uint64, NumBuckets),
 		TimeCounts: make([]uint64, NumBuckets),
 	}}
 }
 
 // observe folds one reference into the stream. slot is the line's
-// latest-access cell in this stream (from the shared triIndex). The
-// distances produced are identical to analyze.StackDist's: immediate
-// same-line repeats collapse to distance 1 without touching the tree,
-// and both distances are measured in the collapsed stream.
-func (a *streamAcc) observe(l cache.LineAddr, write bool, slot *int32) {
+// latest-access cell in this stream (from the shared triIndex).
+func (a *streamAcc) observe(write bool, slot *int32) {
 	a.p.Refs++
 	if write {
 		a.p.Writes++
 	}
-	if a.haveLast && l == a.lastLine {
-		a.p.Counts[0]++ // immediate repeat: d = t = 1, not an episode
-		a.p.TimeCounts[0]++
-		return
-	}
-	a.lastLine, a.haveLast = l, true
-	a.p.Active++
-	prev := *slot
-	a.fen.Append()
-	if prev == 0 {
+	d, t, idx := a.dist.Access(*slot)
+	*slot = idx
+	if d == 0 {
 		a.p.Cold++
-		*slot = a.fen.N()
 		return
 	}
-	// With the new access already appended (and the line's old bit
-	// still set), CountSince(prev) counts the distinct lines touched
-	// after prev including l itself — the 1-based stack distance.
-	d := uint64(a.fen.CountSince(prev))
-	t := uint64(a.fen.N() - prev)
-	a.fen.Clear(prev)
-	*slot = a.fen.N()
 	a.p.Counts[bucketIndex(d)]++
 	a.p.TimeCounts[bucketIndex(t)]++
+}
+
+// profile returns the finished histograms; Active is the tracker's
+// count of run-collapsed accesses.
+func (a *streamAcc) profile() StreamProfile {
+	a.p.Active = uint64(a.dist.N())
+	return a.p
 }
 
 // Collect runs one pass over the workload's reference stream and
@@ -315,11 +308,11 @@ func Collect(ctx context.Context, w spec.Workload, opt sweep.Options) (*Profile,
 		wr := r.Kind == trace.Write
 		s := idx.slot(l)
 		if r.Kind.IsData() {
-			data.observe(l, wr, &s.data)
+			data.observe(wr, &s.data)
 		} else {
-			instr.observe(l, false, &s.instr)
+			instr.observe(false, &s.instr)
 		}
-		uni.observe(l, wr, &s.uni)
+		uni.observe(wr, &s.uni)
 	}
 	return &Profile{
 		Format:      ProfileFormat,
@@ -327,9 +320,9 @@ func Collect(ctx context.Context, w spec.Workload, opt sweep.Options) (*Profile,
 		Refs:        n,
 		LineSize:    opt.LineSize,
 		Fingerprint: ProfileKey(w, opt),
-		Instr:       instr.p,
-		Data:        data.p,
-		Unified:     uni.p,
+		Instr:       instr.profile(),
+		Data:        data.profile(),
+		Unified:     uni.profile(),
 	}, nil
 }
 
@@ -348,9 +341,9 @@ func (p *Profile) Validate() error {
 	if err := p.Unified.validate("unified"); err != nil {
 		return err
 	}
-	if p.Instr.Refs+p.Data.Refs != p.Unified.Refs {
-		return fmt.Errorf("instr+data refs %d != unified refs %d",
-			p.Instr.Refs+p.Data.Refs, p.Unified.Refs)
+	if p.Instr.Refs > p.Unified.Refs || p.Data.Refs != p.Unified.Refs-p.Instr.Refs {
+		return fmt.Errorf("instr refs %d + data refs %d != unified refs %d",
+			p.Instr.Refs, p.Data.Refs, p.Unified.Refs)
 	}
 	if p.Unified.Refs != p.Refs {
 		return fmt.Errorf("unified refs %d != profile refs %d", p.Unified.Refs, p.Refs)

@@ -878,6 +878,10 @@ func (j *Job) closeLocked(event string) {
 	// Approximations die with the job: terminal result documents are
 	// exact-only on every path (done, failed, cancelled, expired).
 	clear(j.approx)
+	// The manager keeps every job for status queries, and each task's
+	// evaluator holds its workload's whole trace. Cancel and expire have
+	// already taken their snapshot of the tasks.
+	j.tasks = nil
 	// Evaluations still open (cancellation, shutdown) end with the job,
 	// marked with the state that cut them off.
 	for t, es := range j.evalSpans {

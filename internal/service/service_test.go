@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -333,5 +335,62 @@ func TestStoreEviction(t *testing.T) {
 	}
 	if _, ok := s.Get("c"); !ok {
 		t.Fatal("newest entry missing")
+	}
+}
+
+// TestFinishedJobsReleaseTraces pins that a terminal job lets go of its
+// evaluators: each cold job collects a whole trace (16 B per reference)
+// for its workload, and the manager keeps every job for status queries,
+// so a job that held on to its tasks would pin that trace forever.
+// Twenty finished 200k-reference jobs must grow the live heap by less
+// than one trace, while still serving status, points and span trace.
+func TestFinishedJobsReleaseTraces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twenty 200k-reference evaluations")
+	}
+	const refs, jobs = 200_000, 20
+	m := New(Config{Workers: 2})
+	defer m.Close()
+	run := func(i int) *Job {
+		t.Helper()
+		// A distinct trace length per job keeps every job cold.
+		opt := sweep.Options{Refs: refs + uint64(i), L1Sizes: []int64{1 << 10}, L2Sizes: []int64{0}}
+		j, err := m.Submit(JobRequest{Workloads: []string{"gcc1"}, Options: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		return j
+	}
+	run(jobs) // warm the generator's shared tables before the baseline
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	finished := make([]*Job, jobs)
+	for i := range finished {
+		finished[i] = run(i)
+	}
+	after := heap()
+	t.Logf("heap %d -> %d bytes after %d finished jobs", before, after, jobs)
+	const oneTrace = refs * 16
+	if after > before && after-before >= oneTrace {
+		t.Fatalf("%d finished jobs grew the heap by %.1f MiB, want < %.1f MiB (one trace)",
+			jobs, float64(after-before)/(1<<20), float64(oneTrace)/(1<<20))
+	}
+	for _, j := range finished {
+		if st := j.Status(); st.State != StateDone || st.Done != 1 {
+			t.Fatalf("job %s: state %s, %d done, want done with 1", j.ID(), st.State, st.Done)
+		}
+		if len(j.Points()) != 1 {
+			t.Fatalf("job %s: %d points, want 1", j.ID(), len(j.Points()))
+		}
+		if err := j.WriteTrace(io.Discard); err != nil {
+			t.Fatalf("job %s: WriteTrace: %v", j.ID(), err)
+		}
 	}
 }

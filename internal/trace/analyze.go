@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
+	"strings"
 )
 
 // Profile summarizes a reference stream: the quantities the study's
@@ -44,16 +46,17 @@ type Profile struct {
 	FarDataRefs        uint64
 }
 
-// maxTrackedLines bounds the exact stack-distance window; reuse beyond it
-// is counted as FarDataRefs (it would miss in any on-chip cache anyway).
+// maxTrackedLines bounds the histogram; reuse at a greater stack
+// distance is counted as FarDataRefs (it would miss in any on-chip cache
+// anyway).
 const maxTrackedLines = 1 << 16
 
 // lineShiftDefault matches the study's 16-byte lines.
 const lineShiftDefault = 4
 
-// Analyze drains a stream and computes its profile. The stack-distance
-// computation is exact (move-to-front over data lines); cost is
-// O(refs × mean distance), fine for the trace lengths this study uses.
+// Analyze drains a stream and computes its profile. Stack distances of
+// data lines are exact (a StackTracker over the data references), at
+// O(log refs) per reference.
 func Analyze(s Stream) Profile {
 	var p Profile
 	iLines := make(map[uint64]struct{})
@@ -63,22 +66,12 @@ func Analyze(s Stream) Profile {
 	var havePrev bool
 	seq, iTotal := uint64(0), uint64(0)
 
-	// Move-to-front list for exact LRU stack distances over data lines,
-	// bounded at maxTrackedLines; seen distinguishes cold from far reuse.
-	var stack []uint64
-	seen := make(map[uint64]struct{})
+	// Exact LRU stack distances over data lines: last holds each line's
+	// latest access index in the tracker.
+	dist := NewStackTracker(maxTrackedLines)
+	last := make(map[uint64]int32)
 
 	var hist []uint64
-	bump := func(d int) {
-		b := 0
-		for v := d; v > 1; v >>= 1 {
-			b++
-		}
-		for len(hist) <= b {
-			hist = append(hist, 0)
-		}
-		hist[b]++
-	}
 
 	for {
 		r, ok := s.Next()
@@ -105,36 +98,24 @@ func Analyze(s Stream) Profile {
 			}
 			dAddrs[r.Addr] = struct{}{}
 			line := r.Addr >> lineShiftDefault
-			// Find the line in the MTF stack.
-			found := -1
-			for i, l := range stack {
-				if l == line {
-					found = i
-					break
-				}
-			}
+			d, _, idx := dist.Access(last[line])
+			last[line] = idx
 			switch {
-			case found >= 0:
-				bump(found + 1)
-				copy(stack[1:found+1], stack[:found])
-				stack[0] = line
+			case d == 0:
+				p.ColdDataRefs++
+			case d > maxTrackedLines:
+				p.FarDataRefs++
 			default:
-				if _, ok := seen[line]; ok {
-					p.FarDataRefs++
-				} else {
-					p.ColdDataRefs++
-					seen[line] = struct{}{}
+				b := bits.Len64(d) - 1 // d in [2^b, 2^(b+1))
+				for len(hist) <= b {
+					hist = append(hist, 0)
 				}
-				if len(stack) < maxTrackedLines {
-					stack = append(stack, 0)
-				}
-				copy(stack[1:], stack)
-				stack[0] = line
+				hist[b]++
 			}
 		}
 	}
 	p.UniqueInstrLines = len(iLines)
-	p.UniqueDataLines = len(seen)
+	p.UniqueDataLines = len(last)
 	p.UniqueInstrAddrs = len(iAddrs)
 	p.UniqueDataAddrs = len(dAddrs)
 	if iTotal > 1 {
@@ -208,7 +189,7 @@ func (p Profile) Render(w io.Writer) error {
 		}
 		lo := 1 << uint(b)
 		bar := int(math.Round(40 * float64(n) / float64(total)))
-		fmt.Fprintf(w, "  >=%7d lines: %9d  %s\n", lo, n, bars(bar))
+		fmt.Fprintf(w, "  >=%7d lines: %9d  %s\n", lo, n, strings.Repeat("#", bar))
 	}
 	fmt.Fprintf(w, "  cold           : %9d   far (>%d lines): %d\n", p.ColdDataRefs, maxTrackedLines, p.FarDataRefs)
 	fmt.Fprintln(w, "estimated fully-associative LRU data miss ratio by capacity:")
@@ -220,17 +201,6 @@ func (p Profile) Render(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-func bars(n int) string {
-	if n <= 0 {
-		return ""
-	}
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = '#'
-	}
-	return string(out)
 }
 
 func formatBytes(b int64) string {

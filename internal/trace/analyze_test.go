@@ -126,3 +126,28 @@ func TestAnalyzeEmptyStream(t *testing.T) {
 		t.Error("empty profile miss ratio non-zero")
 	}
 }
+
+// TestAnalyzeFarBoundary pins the histogram's far edge: a cyclic walk
+// over n data lines reuses every line at stack distance exactly n, so
+// at n = 2^16 every reuse lands in the top bucket and at n = 2^16+1
+// every reuse counts as far.
+func TestAnalyzeFarBoundary(t *testing.T) {
+	walk := func(n int) Profile {
+		refs := make([]Ref, 0, 2*n)
+		for rep := 0; rep < 2; rep++ {
+			for i := 0; i < n; i++ {
+				refs = append(refs, Ref{Data, uint64(i) << lineShiftDefault})
+			}
+		}
+		return Analyze(NewSliceStream(refs))
+	}
+	p := walk(maxTrackedLines)
+	if h := p.DataStackHistogram; len(h) != 17 || h[16] != maxTrackedLines || p.FarDataRefs != 0 {
+		t.Errorf("walk over 2^16 lines: histogram %v, far %d; want all %d reuses in bucket 16", h, p.FarDataRefs, maxTrackedLines)
+	}
+	p = walk(maxTrackedLines + 1)
+	if len(p.DataStackHistogram) != 0 || p.FarDataRefs != maxTrackedLines+1 || p.ColdDataRefs != maxTrackedLines+1 {
+		t.Errorf("walk over 2^16+1 lines: histogram %v, far %d, cold %d; want every reuse far",
+			p.DataStackHistogram, p.FarDataRefs, p.ColdDataRefs)
+	}
+}

@@ -280,7 +280,28 @@ func (g *Generator) streamRef() uint64 {
 	return base + uint64(pos)*8
 }
 
-// Generate returns a finite stream of n references from params.
+// Generate returns a finite stream of n references from params. Once
+// the n-th reference is out, the generator's stack arenas go back to
+// the pool for the next generator.
 func Generate(p GenParams, n uint64) Stream {
-	return NewLimit(NewGenerator(p), n)
+	return &generated{g: NewGenerator(p), left: n}
+}
+
+type generated struct {
+	g    *Generator
+	left uint64
+}
+
+func (s *generated) Next() (Ref, bool) {
+	if s.left == 0 {
+		return Ref{}, false
+	}
+	s.left--
+	r, _ := s.g.Next()
+	if s.left == 0 {
+		s.g.targets.release()
+		s.g.heap.release()
+		s.g = nil
+	}
+	return r, true
 }

@@ -60,6 +60,26 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
+// TestGenerateOnRecycledArenas checks that stacks built on pooled
+// arenas, dirtied by a generator of another shape and by compactions,
+// produce the same references as a generator that never touches the
+// pool. At 600k references both stacks compact at least once.
+func TestGenerateOnRecycledArenas(t *testing.T) {
+	const n = 600_000
+	want := Collect(NewLimit(NewGenerator(testParams()), n), 0)
+	other := testParams()
+	other.Seed, other.DataLines, other.CodeBytes = 7, 4096, 64<<10
+	for i := 0; i < 2; i++ {
+		Collect(Generate(other, n), 0)
+		got := Collect(Generate(testParams(), n), 0)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("round %d: ref %d = %v, want %v", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
 func TestGeneratorSeedsDiffer(t *testing.T) {
 	p2 := testParams()
 	p2.Seed = 2

@@ -13,20 +13,20 @@ import (
 //
 // The representation is an order-statistics list rather than a dense
 // slice: lines live in slots of a fixed arena, the front of the stack
-// occupies the lowest occupied slot, and a Fenwick tree over slot
-// occupancy answers "which slot holds depth d" in O(log n). A
-// move-to-front (or a push of a new line) claims the next slot below
-// the current front, so both cost O(log n) instead of the O(depth)
-// memmove of a dense slice — the difference between microseconds and
-// milliseconds per million references for footprints of 10^4..10^5
-// lines. When the arena's headroom below the front is exhausted the
-// stack compacts into a fresh arena (amortized O(1) per operation).
+// occupies the lowest occupied slot, and the shared Fenwick tree
+// (lrustack.go) over slot occupancy answers "which slot holds depth d"
+// by rank in O(log n). A move-to-front (or a push of a new line) claims
+// the next slot below the current front, so both cost O(log n) instead
+// of the O(depth) memmove of a dense slice — the difference between
+// microseconds and milliseconds per million references for footprints
+// of 10^4..10^5 lines. When the arena's headroom below the front is
+// exhausted the stack compacts into a fresh arena (amortized O(1) per
+// operation).
 type mtfStack struct {
 	lines []uint64 // 1-based: slot -> line (stale once a slot is vacated)
-	bit   []int32  // Fenwick over slot occupancy, 1-based
-	occ   int      // occupied slots == stack depth
+	occ   fenwick  // slot occupancy
+	n     int      // occupied slots == stack depth
 	front int      // lowest occupied slot; 0 = empty
-	hibit int      // largest power of two ≤ len(bit)-1, for select descent
 }
 
 // arena sizes the slot arena for a stack of n lines. Headroom trades
@@ -34,44 +34,33 @@ type mtfStack struct {
 // a few hundred KB for typical footprints (so select/update paths stay
 // cache-resident) while compactions — O(n log n) each, every 2n
 // move-to-fronts — amortize to a couple of tree walks per reference.
-func arenaCap(n int) int {
-	h := 2 * n
-	if h < 1<<16 {
-		h = 1 << 16
-	}
-	return n + h
-}
+func arenaCap(n int) int { return n + max(2*n, 1<<16) }
+
+// arenas recycles slot arenas: a stack that compacts, and a generator
+// that has produced its last reference, hand theirs back. Every sweep
+// and service job builds fresh generators, and without the pool each
+// one is a megabyte or two of garbage the collector pays for.
+var arenas sync.Pool // of *mtfStack, holding only lines and occ
 
 func (s *mtfStack) initArena(capacity int) {
-	s.lines = make([]uint64, capacity+1)
-	s.bit = make([]int32, capacity+1)
-	s.hibit = 1
-	for s.hibit*2 <= capacity {
-		s.hibit *= 2
+	if a, _ := arenas.Get().(*mtfStack); a != nil && cap(a.occ) > capacity {
+		s.lines, s.occ = a.lines[:capacity+1], a.occ[:capacity+1]
+		clear(s.occ)
+	} else {
+		s.lines = make([]uint64, capacity+1)
+		s.occ = newFenwick(capacity)
 	}
-	s.occ = 0
+	s.n = 0
 	s.front = capacity + 1 // next claim takes slot capacity
 }
 
-// add toggles slot occupancy in the Fenwick tree.
-func (s *mtfStack) add(i int, delta int32) {
-	for ; i < len(s.bit); i += i & -i {
-		s.bit[i] += delta
+// release hands the stack's arena to the pool; the stack is unusable
+// afterwards.
+func (s *mtfStack) release() {
+	if s.lines != nil {
+		arenas.Put(&mtfStack{lines: s.lines, occ: s.occ})
+		s.lines, s.occ = nil, nil
 	}
-}
-
-// selectSlot returns the d-th occupied slot in increasing order (depth
-// d counts from the front, which is the lowest occupied slot).
-func (s *mtfStack) selectSlot(d int) int {
-	pos := 0
-	rem := int32(d)
-	for k := s.hibit; k > 0; k >>= 1 {
-		if next := pos + k; next < len(s.bit) && s.bit[next] < rem {
-			pos = next
-			rem -= s.bit[next]
-		}
-	}
-	return pos + 1
 }
 
 // claimFront returns a fresh slot strictly below the current front,
@@ -88,17 +77,8 @@ func (s *mtfStack) claimFront() int {
 // in depth order, restoring full headroom below the front.
 func (s *mtfStack) compact() {
 	old := *s
-	s.initArena(arenaCap(old.occ))
-	base := len(s.lines) - 1 - old.occ // slots base+1..base+occ
-	for d := 1; d <= old.occ; d++ {
-		s.lines[base+d] = old.lines[old.selectSlot(d)]
-		s.add(base+d, 1)
-	}
-	s.occ = old.occ
-	s.front = base + 1
-	if s.occ == 0 {
-		s.front = len(s.lines)
-	}
+	s.prewarm(old.n, func(i int) uint64 { return old.lines[old.occ.rank(int32(old.n-i))] })
+	old.release()
 }
 
 // push adds a brand-new line at the front (a compulsory reference).
@@ -108,8 +88,8 @@ func (s *mtfStack) push(line uint64) {
 	}
 	f := s.claimFront()
 	s.lines[f] = line
-	s.add(f, 1)
-	s.occ++
+	s.occ.add(f, 1)
+	s.n++
 }
 
 // prewarm fills the stack with n lines produced by gen(i), most recent
@@ -122,13 +102,10 @@ func (s *mtfStack) prewarm(n int, gen func(int) uint64) {
 	for i := 0; i < n; i++ {
 		// Depth i+1 (slot base+1+i) holds gen(n-1-i): most recent first.
 		s.lines[base+1+i] = gen(n - 1 - i)
-		s.add(base+1+i, 1)
+		s.occ.add(base+1+i, 1)
 	}
-	s.occ = n
-	s.front = base + 1
-	if n == 0 {
-		s.front = len(s.lines)
-	}
+	s.n = n
+	s.front = base + 1 // len(s.lines) when n is 0: the empty stack
 }
 
 // refDepth references the line at 1-based depth d, moving it to the
@@ -142,17 +119,17 @@ func (s *mtfStack) refDepth(d int) uint64 {
 		// and must see every line still in place.
 		s.compact()
 	}
-	slot := s.selectSlot(d)
+	slot := s.occ.rank(int32(d))
 	line := s.lines[slot]
-	s.add(slot, -1)
+	s.occ.add(slot, -1)
 	f := s.claimFront()
 	s.lines[f] = line
-	s.add(f, 1)
+	s.occ.add(f, 1)
 	return line
 }
 
 // depth returns the current stack depth.
-func (s *mtfStack) depth() int { return s.occ }
+func (s *mtfStack) depth() int { return s.n }
 
 // zipfSampler draws 1-based stack depths from a truncated Zipf
 // distribution P(d) ∝ 1/d^theta over [1, n] by inverse-CDF lookup.
