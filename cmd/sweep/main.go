@@ -88,6 +88,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep: -store-dir cannot be combined with -fast or -accuracy")
 		os.Exit(2)
 	}
+	if *retries < 0 {
+		fmt.Fprintf(os.Stderr, "sweep: -retries %d is negative\n", *retries)
+		os.Exit(2)
+	}
 
 	var pol core.Policy
 	switch *policy {

@@ -79,7 +79,9 @@ func TestProgressPrinterResumesAfterWindow(t *testing.T) {
 
 // TestStoreDirUsageExit: -store-dir is a usage error with -fast, whose
 // points never enter stores, and with -accuracy, whose exact-tier timing
-// store hits would fake. Both exit 2 before any sweep runs.
+// store hits would fake. A negative -retries is one too, rather than a
+// sweep whose every configuration fails. Each exits 2 before any sweep
+// runs.
 func TestStoreDirUsageExit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the command")
@@ -88,15 +90,21 @@ func TestStoreDirUsageExit(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, mode := range []string{"-fast", "-accuracy"} {
-		cmd := exec.Command(bin, mode, "-store-dir", t.TempDir(), "-refs", "1000")
-		out, err := cmd.CombinedOutput()
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fast", "-store-dir", t.TempDir()}, "-store-dir cannot be combined"},
+		{[]string{"-accuracy", "-store-dir", t.TempDir()}, "-store-dir cannot be combined"},
+		{[]string{"-retries", "-1"}, "-retries -1 is negative"},
+	} {
+		out, err := exec.Command(bin, append(c.args, "-refs", "1000")...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("sweep %s -store-dir: err = %v, want exit status 2\n%s", mode, err, out)
+			t.Errorf("sweep %v: err = %v, want exit status 2\n%s", c.args, err, out)
 		}
-		if !strings.Contains(string(out), "-store-dir cannot be combined") {
-			t.Errorf("sweep %s -store-dir: output does not name the conflict:\n%s", mode, out)
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("sweep %v: output does not say %q:\n%s", c.args, c.want, out)
 		}
 	}
 }

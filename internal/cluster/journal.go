@@ -1,41 +1,35 @@
 package cluster
 
-// This file is the coordinator's crash journal: an append-only
-// CRC32-framed JSONL log of cluster state changes (job admission, lease
-// grant/renew/expiry, completion acceptance) under the same framing
-// discipline as the durable store's segments (service/diskstore.go). A
-// restarted coordinator replays it atop the DiskStore to rebuild the
-// job table and the ready queue, and to mark the leases that were in
-// flight at the crash as orphaned for reconciliation (coordinator.go).
+// This file is the coordinator's crash journal: a
+// twolevel-cluster-journal/1 internal/wal log of cluster state changes
+// (job admission, lease grant/renew/expiry, completion acceptance) in
+// DIR/journal.jsonl. A restarted coordinator replays it atop the
+// DiskStore to rebuild the job table and the ready queue, and to mark
+// the leases in flight at the crash as orphaned (coordinator.go).
 //
-// Durability discipline, mirroring the store:
+// The format and crash mechanics are wal's; the policy is this file's:
 //
-//   - One record per line, {"crc": <IEEE CRC32 of rec>, "rec": {...}},
-//     fsynced per append. A failed or torn append poisons the journal
-//     (Err goes sticky, /readyz degrades) instead of risking framing on
-//     top of a partial record — the next boot's replay truncates it.
-//   - Replay truncates a newline-less tail (a torn final record cut off
-//     by a crash) and skips CRC-failing complete lines (silent media
-//     corruption), counting both.
-//   - Compaction is crash-atomic checkpoint+truncate: the live state
-//     (admitted jobs, outstanding leases, the job-id sequence) is
-//     rewritten to a temp file, fsynced, and renamed over the journal,
-//     so renewals and completed work stop accumulating forever. A crash
-//     anywhere during compaction leaves either the old or the new file,
-//     never a mix.
+//   - Every append is fsynced. A failed or torn append poisons the
+//     journal (Err goes sticky, /readyz degrades) and leaves the torn
+//     bytes for the next boot's replay to truncate, rather than framing
+//     on top of a partial record.
+//   - Replay folds records into journalState; a torn tail or torn
+//     header is truncated and a corrupt line skipped, both counted.
+//   - Once journalCompactMinDead records are dead, the append that
+//     crossed the line rewrites the journal to its live state (admitted
+//     jobs, outstanding leases, the job-id sequence), synchronously.
 //
-// The journal is ordering-correct by construction: every record is
-// appended under the coordinator's own mutex, so grants precede the
-// completions that trim them, and a "complete" record is appended only
-// after Manager.Complete returned — i.e. after the point reached the
-// store — so a crash between the two replays as a store hit, never as a
-// lost point.
+// Every record is appended under the coordinator's own mutex, so grants
+// precede the completions that trim them, and a "complete" record is
+// appended only after Manager.Complete returned — after the point
+// reached the store — so a crash between the two replays as a store
+// hit, never as a lost point.
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,6 +41,7 @@ import (
 	"twolevel/internal/chaos"
 	"twolevel/internal/obs"
 	"twolevel/internal/service"
+	"twolevel/internal/wal"
 )
 
 // JournalFormat is the format tag of the journal's header line.
@@ -54,6 +49,14 @@ const JournalFormat = "twolevel-cluster-journal/1"
 
 // journalFile is the journal's file name inside its directory.
 const journalFile = "journal.jsonl"
+
+// journalTempPrefix names the temp files of a compaction rewrite.
+const journalTempPrefix = "journal-compact-"
+
+// journalCompactMinDead is how many dead records (renewals, expired
+// leases, completed work, ended jobs) accumulate before an append
+// triggers compaction.
+const journalCompactMinDead = 4096
 
 // Journal record operations.
 const (
@@ -104,18 +107,8 @@ type journalRecord struct {
 	OK  bool   `json:"ok,omitempty"`
 }
 
-// journalFrame is one framed line: CRC32 (IEEE) over the raw rec bytes.
-type journalFrame struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
-}
-
 // JournalOptions parameterizes OpenJournal.
 type JournalOptions struct {
-	// CompactMinDead is how many dead records (renewals, expired leases,
-	// completed work, ended jobs) accumulate before an append triggers
-	// checkpoint+truncate compaction (default 4096; <0 disables).
-	CompactMinDead int
 	// Metrics, when non-nil, receives the journal instrumentation (see
 	// the MetricJournal* names). Nil costs nothing.
 	Metrics *obs.Registry
@@ -275,8 +268,29 @@ func (s *journalState) dropLease(id string) {
 	}
 }
 
-// live counts the records a checkpoint of this state would write.
-func (s *journalState) live() int { return len(s.jobs) + len(s.leases) }
+// checkpoint lists the records of a compacted journal: one admission
+// per live job, then one grant per live lease with its keys sorted.
+func (s *journalState) checkpoint() []journalRecord {
+	recs := make([]journalRecord, 0, len(s.jobs)+len(s.leases))
+	for _, id := range s.jobOrder {
+		if jw, ok := s.jobs[id]; ok {
+			recs = append(recs, journalRecord{Op: journalOpJob, Job: id, Req: jw})
+		}
+	}
+	for _, id := range s.leaseOrder {
+		l, ok := s.leases[id]
+		if !ok {
+			continue
+		}
+		keys := make([]string, 0, len(l.keys))
+		for k := range l.keys {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		recs = append(recs, journalRecord{Op: journalOpGrant, Lease: id, Worker: l.worker, Keys: keys})
+	}
+	return recs
+}
 
 // jobSeq parses the numeric sequence out of a manager job id ("j17").
 func jobSeq(id string) (int, bool) {
@@ -288,9 +302,7 @@ func jobSeq(id string) (int, bool) {
 // returns one; a nil *Journal is valid and inert, so the coordinator
 // calls the Record* hooks unconditionally.
 type Journal struct {
-	dir  string
 	path string
-	opt  JournalOptions
 	inj  *chaos.Injector
 	met  *journalMetrics
 
@@ -324,19 +336,15 @@ func newJournalMetrics(r *obs.Registry) *journalMetrics {
 }
 
 // OpenJournal opens (creating if needed) the cluster journal in dir and
-// replays it. The replayed state is available from Replayed until the
-// journal is closed; Record* appends require the returned journal.
+// replays it, truncating a torn tail. The replayed state is available
+// from Replayed until the journal is closed; Record* appends require
+// the returned journal.
 func OpenJournal(dir string, opt JournalOptions) (*Journal, error) {
-	if opt.CompactMinDead == 0 {
-		opt.CompactMinDead = 4096
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: journal dir: %w", err)
 	}
 	j := &Journal{
-		dir:   dir,
 		path:  filepath.Join(dir, journalFile),
-		opt:   opt,
 		inj:   opt.Chaos,
 		met:   newJournalMetrics(opt.Metrics),
 		state: newJournalState(),
@@ -344,166 +352,44 @@ func OpenJournal(dir string, opt JournalOptions) (*Journal, error) {
 	if err := j.inj.Hit(ChaosSiteJournalReplay); err != nil {
 		return nil, fmt.Errorf("cluster: journal replay: %w", err)
 	}
-	if err := j.open(); err != nil {
-		return nil, err
+	wal.RemoveTemps(dir, journalTempPrefix)
+	hdr := journalHeader{Format: JournalFormat}
+	f, res, err := wal.Open(j.path, JournalFormat, &hdr, j.replayRecord)
+	if errors.Is(err, fs.ErrNotExist) {
+		f, _, err = wal.Create(j.path, hdr)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cluster: journal %s: %w", j.path, err)
+	}
+	j.f = f
+	j.replay.Records = res.Records
+	j.replay.CorruptDropped = res.Corrupt
+	j.met.corruptDropped.Add(uint64(res.Corrupt))
+	if res.Torn >= 0 {
+		j.replay.TornRepaired = 1
+		j.met.tornRepaired.Inc()
+	}
+	j.state.maxSeq = max(j.state.maxSeq, hdr.Seq)
+	j.replay.Seq = j.state.maxSeq
+	for _, rec := range j.state.checkpoint() {
+		if rec.Op == journalOpJob {
+			j.replay.Jobs = append(j.replay.Jobs, JournaledJob{ID: rec.Job, Req: rec.Req.toRequest()})
+		} else {
+			j.replay.Leases = append(j.replay.Leases, JournaledLease{ID: rec.Lease, Worker: rec.Worker, Keys: rec.Keys})
+		}
 	}
 	return j, nil
 }
 
-// open reads, repairs, and replays the journal file, leaving j.f
-// positioned for appends.
-func (j *Journal) open() error {
-	f, err := os.OpenFile(j.path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("cluster: opening journal: %w", err)
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close() //nolint:errcheck // error path
-		return fmt.Errorf("cluster: journal stat: %w", err)
-	}
-	if info.Size() == 0 {
-		if err := j.writeHeader(f, 0); err != nil {
-			f.Close() //nolint:errcheck // error path
-			return err
-		}
-		j.f = f
-		return nil
-	}
-
-	// Replay. A torn tail (final line without its newline — a record cut
-	// off mid-write by a crash) is truncated; a complete line that fails
-	// JSON or CRC is silent corruption the frame checksum exists to
-	// catch: skipped and counted, replay continues.
-	r := bufio.NewReaderSize(f, 1<<16)
-	var offset int64
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		// The header itself is torn: the crash hit the very first write.
-		// Start the journal over — there were no records to lose.
-		if terr := f.Truncate(0); terr != nil {
-			f.Close() //nolint:errcheck // error path
-			return fmt.Errorf("cluster: repairing torn journal header: %w", terr)
-		}
-		if _, serr := f.Seek(0, 0); serr != nil {
-			f.Close() //nolint:errcheck // error path
-			return fmt.Errorf("cluster: repairing torn journal header: %w", serr)
-		}
-		j.replay.TornRepaired++
-		j.met.tornRepaired.Inc()
-		if err := j.writeHeader(f, 0); err != nil {
-			f.Close() //nolint:errcheck // error path
-			return err
-		}
-		j.f = f
-		return nil
-	}
-	var hdr journalHeader
-	if jerr := json.Unmarshal(line, &hdr); jerr != nil || hdr.Format != JournalFormat {
-		f.Close() //nolint:errcheck // error path
-		return fmt.Errorf("cluster: %s is not a %s journal", j.path, JournalFormat)
-	}
-	j.state.maxSeq = hdr.Seq
-	offset += int64(len(line))
-
-	for {
-		line, err = r.ReadBytes('\n')
-		if err != nil {
-			if len(line) > 0 {
-				// Newline-less tail at EOF: the torn final record.
-				if terr := f.Truncate(offset); terr != nil {
-					f.Close() //nolint:errcheck // error path
-					return fmt.Errorf("cluster: truncating torn journal tail: %w", terr)
-				}
-				j.replay.TornRepaired++
-				j.met.tornRepaired.Inc()
-			}
-			break
-		}
-		rec, derr := decodeJournalLine(line)
-		if derr != nil {
-			j.replay.CorruptDropped++
-			j.met.corruptDropped.Inc()
-			offset += int64(len(line))
-			continue
-		}
-		j.dead += j.state.apply(rec)
-		j.records++
-		j.replay.Records++
-		offset += int64(len(line))
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close() //nolint:errcheck // error path
-		return fmt.Errorf("cluster: seeking journal end: %w", err)
-	}
-	j.f = f
-	j.snapshotReplay()
-	return nil
-}
-
-// snapshotReplay freezes the replayed live state into j.replay.
-func (j *Journal) snapshotReplay() {
-	j.replay.Seq = j.state.maxSeq
-	for _, id := range j.state.jobOrder {
-		jw, ok := j.state.jobs[id]
-		if !ok {
-			continue
-		}
-		j.replay.Jobs = append(j.replay.Jobs, JournaledJob{ID: id, Req: jw.toRequest()})
-	}
-	for _, id := range j.state.leaseOrder {
-		l, ok := j.state.leases[id]
-		if !ok {
-			continue
-		}
-		keys := make([]string, 0, len(l.keys))
-		for k := range l.keys {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		j.replay.Leases = append(j.replay.Leases, JournaledLease{ID: id, Worker: l.worker, Keys: keys})
-	}
-}
-
-func (j *Journal) writeHeader(f *os.File, seq int) error {
-	b, err := json.Marshal(journalHeader{Format: JournalFormat, Seq: seq})
-	if err != nil {
+// replayRecord folds one replayed rec payload into the state.
+func (j *Journal) replayRecord(body []byte) error {
+	var rec journalRecord
+	if err := json.Unmarshal(body, &rec); err != nil {
 		return err
 	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("cluster: writing journal header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("cluster: syncing journal header: %w", err)
-	}
+	j.dead += j.state.apply(rec)
+	j.records++
 	return nil
-}
-
-func encodeJournalLine(rec journalRecord) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(journalFrame{CRC: crc32.ChecksumIEEE(body), Rec: body})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
-}
-
-func decodeJournalLine(line []byte) (journalRecord, error) {
-	var fr journalFrame
-	var rec journalRecord
-	if err := json.Unmarshal(line, &fr); err != nil {
-		return rec, err
-	}
-	if crc32.ChecksumIEEE(fr.Rec) != fr.CRC {
-		return rec, fmt.Errorf("cluster: journal record crc mismatch")
-	}
-	if err := json.Unmarshal(fr.Rec, &rec); err != nil {
-		return rec, err
-	}
-	return rec, nil
 }
 
 // Replayed returns what opening the journal recovered. Nil-safe.
@@ -621,7 +507,7 @@ func (j *Journal) append(rec journalRecord) {
 	if j.err != nil || j.f == nil {
 		return
 	}
-	line, err := encodeJournalLine(rec)
+	line, err := wal.Encode(rec)
 	if err != nil {
 		j.failLocked(fmt.Errorf("cluster: encoding journal record: %w", err))
 		return
@@ -641,7 +527,7 @@ func (j *Journal) append(rec journalRecord) {
 	j.met.appends.Inc()
 	j.records++
 	j.dead += j.state.apply(rec)
-	if j.opt.CompactMinDead > 0 && j.dead >= j.opt.CompactMinDead {
+	if j.dead >= journalCompactMinDead {
 		j.compactLocked()
 	}
 }
@@ -668,11 +554,9 @@ func (j *Journal) Compact() error {
 	return j.err
 }
 
-// compactLocked rewrites the journal to just its live state: header
-// (carrying the job-id sequence), one admission per live job, one grant
-// per live lease. The rewrite goes to a temp file, is fsynced, and is
-// renamed over the journal — crash-atomic, exactly like the store's
-// segment compaction. Caller holds j.mu.
+// compactLocked rewrites the journal to its live state: a header
+// carrying the job-id sequence, then the state's checkpoint records.
+// Caller holds j.mu.
 func (j *Journal) compactLocked() {
 	if err := j.inj.Hit(ChaosSiteJournalCompact); err != nil {
 		// An injected compaction fault aborts the compaction, not the
@@ -680,75 +564,19 @@ func (j *Journal) compactLocked() {
 		j.dead = 0 // don't retrigger on every append
 		return
 	}
-	tmp, err := os.CreateTemp(j.dir, "journal-compact-*.tmp")
+	recs := j.state.checkpoint()
+	err := wal.Rewrite(j.path, journalTempPrefix, journalHeader{Format: JournalFormat, Seq: j.state.maxSeq}, func(add func(any) error) error {
+		for _, rec := range recs {
+			if err := add(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		j.failLocked(fmt.Errorf("cluster: journal compact: %w", err))
 		return
 	}
-	defer os.Remove(tmp.Name()) //nolint:errcheck // no-op after rename
-	w := bufio.NewWriter(tmp)
-	hdr, err := json.Marshal(journalHeader{Format: JournalFormat, Seq: j.state.maxSeq})
-	if err == nil {
-		_, err = w.Write(append(hdr, '\n'))
-	}
-	records := 0
-	if err == nil {
-		for _, id := range j.state.jobOrder {
-			jw, ok := j.state.jobs[id]
-			if !ok {
-				continue
-			}
-			line, lerr := encodeJournalLine(journalRecord{Op: journalOpJob, Job: id, Req: jw})
-			if lerr == nil {
-				_, lerr = w.Write(line)
-			}
-			if lerr != nil {
-				err = lerr
-				break
-			}
-			records++
-		}
-	}
-	if err == nil {
-		for _, id := range j.state.leaseOrder {
-			l, ok := j.state.leases[id]
-			if !ok {
-				continue
-			}
-			keys := make([]string, 0, len(l.keys))
-			for k := range l.keys {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			line, lerr := encodeJournalLine(journalRecord{Op: journalOpGrant, Lease: id, Worker: l.worker, Keys: keys})
-			if lerr == nil {
-				_, lerr = w.Write(line)
-			}
-			if lerr != nil {
-				err = lerr
-				break
-			}
-			records++
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		j.failLocked(fmt.Errorf("cluster: journal compact: %w", err))
-		return
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		j.failLocked(fmt.Errorf("cluster: journal compact rename: %w", err))
-		return
-	}
-	syncJournalDir(j.dir)
 	// Swap the append handle onto the compacted file.
 	j.f.Close() //nolint:errcheck // replaced by rename
 	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -758,20 +586,9 @@ func (j *Journal) compactLocked() {
 		return
 	}
 	j.f = f
-	j.records = records
+	j.records = len(recs)
 	j.dead = 0
 	j.compactions++
 	j.met.compactions.Inc()
 	j.lastCompact = time.Now()
-}
-
-// syncJournalDir best-effort fsyncs the journal directory so the
-// compaction rename is durable.
-func syncJournalDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()  //nolint:errcheck // best-effort
-	d.Close() //nolint:errcheck // read side
 }

@@ -90,10 +90,13 @@ func unitKey(u workUnit) string {
 }
 
 // validateUnit checks a received unit: known workload, simulatable
-// configuration, key integrity.
+// configuration, non-negative retries, key integrity.
 func validateUnit(u workUnit) error {
 	if _, err := spec.ByName(u.Workload); err != nil {
 		return err
+	}
+	if u.Options.Retries < 0 {
+		return fmt.Errorf("cluster: unit %s: negative retries %d", u.Key, u.Options.Retries)
 	}
 	if err := u.Config.Validate(); err != nil {
 		return err

@@ -39,8 +39,8 @@ func TestWireOptionsRoundTripPreservesKey(t *testing.T) {
 }
 
 // TestValidateUnit proves the worker-side integrity checks: a tampered
-// key, an unknown workload, and a bad geometry are all refused before
-// any cycles are spent evaluating.
+// key, an unknown workload, a bad geometry and a negative retry count
+// are all refused before any cycles are spent evaluating.
 func TestValidateUnit(t *testing.T) {
 	wl, err := spec.ByName("gcc1")
 	if err != nil {
@@ -74,6 +74,13 @@ func TestValidateUnit(t *testing.T) {
 	bad.Config.L1I.Size = 3000 // not a power of two
 	if err := validateUnit(bad); err == nil {
 		t.Fatal("invalid configuration accepted")
+	}
+
+	bad = u
+	bad.Options.Retries = -1
+	bad.Key = unitKey(bad) // the key is intact; the retry count is not
+	if err := validateUnit(bad); err == nil {
+		t.Fatal("negative retries accepted")
 	}
 }
 

@@ -1,44 +1,32 @@
 package service
 
 // This file implements DiskStore, the crash-safe durable result store:
-// the same Store contract as MemStore, backed by append-only JSONL
-// segment files so a kill -9 and restart replays to the identical
-// memoized state.
-//
-// Layout and guarantees:
+// the same Store contract as MemStore, backed by internal/wal logs so a
+// kill -9 and restart replays to the identical memoized state. The
+// format and crash mechanics are wal's; the policy is this file's:
 //
 //   - The store directory holds numbered segments (seg-000001.jsonl,
-//     seg-000002.jsonl, ...). Exactly the highest-numbered segment is
-//     active (appended to); lower ones are sealed and immutable.
-//   - Every segment starts with a header line naming the format, then
-//     one record per line: {"crc": <IEEE CRC32>, "rec": {"key": ...,
-//     "point": <persisted twolevel-sweep/1 point>}}, with the checksum
-//     taken over the exact bytes of "rec".
-//   - Appends are fsynced (every DiskStoreOptions.SyncEvery records, 1
-//     by default), so a completed Put survives power loss.
-//   - On open, records with a failing checksum or unparsable body are
-//     dropped and counted (Stats().CorruptDropped) — the affected key
-//     is simply re-evaluated on next use. A torn final record (a
-//     newline-less tail, the signature of a crash mid-append) is
-//     truncated off the active segment so it is append-safe again.
-//   - When the active segment outgrows SegmentBytes it is sealed and a
-//     new one started. Once enough overwritten (dead) records
-//     accumulate, sealed segments are compacted in the background:
-//     the live snapshot is written to a temp file, fsynced, and
-//     atomically renamed over the highest sealed segment, then the
-//     lower ones are deleted. Replay order (ascending segment, then
-//     line order, last record wins) is preserved throughout.
+//     ...), each a twolevel-store-segment/1 log of {"key", "point"}
+//     records. Only the highest-numbered segment is active; lower ones
+//     are sealed. Replay runs in ascending segment and line order, and
+//     the last record for a key wins.
+//   - Every Put is fsynced before it returns.
+//   - Records failing their checksum or parse are dropped and counted
+//     (Stats().CorruptDropped); the key is re-evaluated on next use. A
+//     torn tail is truncated off the active segment. In a sealed
+//     segment it counts as corrupt, and a torn header is an error.
+//   - A failed append that left partial bytes is truncated back off in
+//     place; if that repair fails the segment is retired.
+//   - The active segment is sealed once it outgrows SegmentBytes. Once
+//     CompactMinDead overwritten records accumulate, a background pass
+//     rewrites the sealed segments into one snapshot.
 //
 // DiskStore keeps the full point map in memory — disk is durability,
 // not capacity — so Get/Points serve at MemStore speed.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,6 +34,7 @@ import (
 
 	"twolevel/internal/chaos"
 	"twolevel/internal/sweep"
+	"twolevel/internal/wal"
 )
 
 // segmentFormat identifies the segment-file schema version.
@@ -70,15 +59,15 @@ const (
 	ChaosSiteStoreCompact = "store.compact"
 )
 
+// compactPrefix names the temp files of a compaction rewrite.
+const compactPrefix = "compact-"
+
 // DiskStoreOptions tunes a DiskStore. The zero value selects the
 // defaults noted on each field.
 type DiskStoreOptions struct {
 	// SegmentBytes seals the active segment once it grows past this
 	// size (default 4MB).
 	SegmentBytes int64
-	// SyncEvery is the fsync cadence in records (default 1: every
-	// append reaches stable storage before Put returns).
-	SyncEvery int
 	// CompactMinDead is how many overwritten records may accumulate in
 	// sealed segments before a background compaction pass reclaims them
 	// (default 1024).
@@ -92,9 +81,6 @@ type DiskStoreOptions struct {
 func (o DiskStoreOptions) withDefaults() DiskStoreOptions {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 1
 	}
 	if o.CompactMinDead <= 0 {
 		o.CompactMinDead = 1024
@@ -127,13 +113,7 @@ type segHeader struct {
 	Segment int    `json:"segment"`
 }
 
-// segRecord is one framed record line.
-type segRecord struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
-}
-
-// recBody is the checksummed payload of a record.
+// recBody is the rec payload of a record.
 type recBody struct {
 	Key   string          `json:"key"`
 	Point json.RawMessage `json:"point"`
@@ -146,16 +126,15 @@ type DiskStore struct {
 	opt DiskStoreOptions
 	inj *chaos.Injector
 
-	mu        sync.Mutex
-	m         map[string]sweep.Point
-	seg       *os.File // active segment (nil once persistence has failed hard)
-	segN      int
-	segBytes  int64
-	sinceSync int
-	dead      int
-	stats     DiskStoreStats
-	err       error // first persistence failure, sticky
-	closed    bool
+	mu       sync.Mutex
+	m        map[string]sweep.Point
+	seg      *os.File // active segment (nil once persistence has failed hard)
+	segN     int
+	segBytes int64
+	dead     int
+	stats    DiskStoreStats
+	err      error // first persistence failure, sticky
+	closed   bool
 
 	compacting bool
 	compactWG  sync.WaitGroup
@@ -170,6 +149,7 @@ func OpenDiskStore(dir string, opt DiskStoreOptions) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: store dir: %w", err)
 	}
+	wal.RemoveTemps(dir, compactPrefix)
 	s := &DiskStore{
 		dir: dir,
 		opt: opt,
@@ -180,45 +160,29 @@ func OpenDiskStore(dir string, opt DiskStoreOptions) (*DiskStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, n := range segs {
-		if err := s.replaySegment(n, i == len(segs)-1); err != nil {
-			return nil, err
-		}
-	}
+	s.stats.Segments = max(len(segs), 1)
 	if len(segs) == 0 {
 		if err := s.startSegment(1); err != nil {
 			return nil, err
 		}
-	} else {
-		last := segs[len(segs)-1]
-		f, err := os.OpenFile(s.segPath(last), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("service: opening active segment: %w", err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("service: active segment: %w", err)
-		}
-		s.seg, s.segN, s.segBytes = f, last, st.Size()
-		if st.Size() == 0 {
-			// The torn-tail repair can leave a fully-truncated active
-			// segment; restore its header.
-			if err := s.writeHeader(); err != nil {
-				f.Close()
-				return nil, err
-			}
+		return s, nil
+	}
+	for _, n := range segs[:len(segs)-1] {
+		if err := s.replaySealed(n); err != nil {
+			return nil, err
 		}
 	}
-	s.stats.Segments = countSegments(segs)
+	last := segs[len(segs)-1]
+	f, res, err := wal.Open(s.segPath(last), segmentFormat, &segHeader{Format: segmentFormat, Segment: last}, s.replayRecord)
+	if err != nil {
+		return nil, fmt.Errorf("service: segment %d: %w", last, err)
+	}
+	s.stats.CorruptDropped += res.Corrupt
+	if res.Torn >= 0 {
+		s.stats.TornRepaired++
+	}
+	s.seg, s.segN, s.segBytes = f, last, res.Size
 	return s, nil
-}
-
-func countSegments(segs []int) int {
-	if len(segs) == 0 {
-		return 1
-	}
-	return len(segs)
 }
 
 func (s *DiskStore) segPath(n int) string {
@@ -242,165 +206,72 @@ func (s *DiskStore) listSegments() ([]int, error) {
 	return segs, nil
 }
 
-// replaySegment loads one segment into the memory map. Only the final
-// segment may carry a torn tail; it is truncated off in place.
-func (s *DiskStore) replaySegment(n int, final bool) error {
-	path := s.segPath(n)
-	f, err := os.Open(path)
+// replaySealed loads sealed segment n. No crash mid-append tears a
+// sealed segment, so a torn tail there counts as corrupt and a torn
+// header is an error.
+func (s *DiskStore) replaySealed(n int) error {
+	f, err := os.Open(s.segPath(n))
 	if err != nil {
 		return fmt.Errorf("service: opening segment: %w", err)
 	}
-	torn, err := s.replayFrom(f, n, final)
-	f.Close()
-	if err != nil {
-		return err
+	defer f.Close()
+	res, err := wal.Scan(f, segmentFormat, &segHeader{}, s.replayRecord)
+	switch {
+	case err != nil:
+		return fmt.Errorf("service: segment %d: %w", n, err)
+	case res.Torn == 0:
+		return fmt.Errorf("service: segment %d: torn header in sealed segment", n)
+	case res.Torn > 0:
+		res.Corrupt++
 	}
-	if torn >= 0 {
-		if err := os.Truncate(path, torn); err != nil {
-			return fmt.Errorf("service: repairing torn segment tail: %w", err)
-		}
-		s.stats.TornRepaired++
-	}
+	s.stats.CorruptDropped += res.Corrupt
 	return nil
 }
 
-// replayFrom reads one segment stream, returning the offset of a torn
-// final record to truncate (-1 for a clean tail).
-func (s *DiskStore) replayFrom(r io.Reader, n int, final bool) (int64, error) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	var off int64
-
-	hdrLine, rerr := br.ReadBytes('\n')
-	if rerr != nil && rerr != io.EOF {
-		return -1, fmt.Errorf("service: reading segment %d: %w", n, rerr)
+// replayRecord folds one replayed rec payload into the memory map.
+func (s *DiskStore) replayRecord(body []byte) error {
+	key, p, err := decodeRecord(body)
+	if err != nil {
+		return err
 	}
-	if len(hdrLine) == 0 {
-		return -1, nil // empty file: a fresh active segment
+	if _, exists := s.m[key]; exists {
+		s.dead++
 	}
-	if rerr == io.EOF || hdrLine[len(hdrLine)-1] != '\n' {
-		if final {
-			return 0, nil // torn header: truncate the whole segment
-		}
-		return -1, fmt.Errorf("service: segment %d: torn header in sealed segment", n)
-	}
-	var hdr segHeader
-	if err := json.Unmarshal(hdrLine, &hdr); err != nil {
-		return -1, fmt.Errorf("service: segment %d header: %w", n, err)
-	}
-	if hdr.Format != segmentFormat {
-		return -1, fmt.Errorf("service: segment %d: unknown format %q (want %q)", n, hdr.Format, segmentFormat)
-	}
-	off += int64(len(hdrLine))
-
-	for {
-		raw, rerr := br.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return -1, fmt.Errorf("service: reading segment %d: %w", n, rerr)
-		}
-		if len(raw) == 0 {
-			return -1, nil
-		}
-		start := off
-		off += int64(len(raw))
-		if raw[len(raw)-1] != '\n' {
-			// A newline-less tail only occurs at EOF: the torn final
-			// record of a crashed append.
-			if final {
-				return start, nil
-			}
-			s.stats.CorruptDropped++
-			return -1, nil
-		}
-		key, p, err := decodeRecord(bytes.TrimSuffix(raw, []byte("\n")))
-		if err != nil {
-			// Checksum or parse failure: this key was not durably
-			// stored; drop it and let the next job re-evaluate it.
-			s.stats.CorruptDropped++
-			continue
-		}
-		if _, exists := s.m[key]; exists {
-			s.dead++
-		}
-		s.m[key] = p
-	}
+	s.m[key] = p
+	return nil
 }
 
-// decodeRecord verifies and unpacks one record line.
-func decodeRecord(line []byte) (string, sweep.Point, error) {
-	var rec segRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
+// decodeRecord unpacks one rec payload.
+func decodeRecord(body []byte) (string, sweep.Point, error) {
+	var rec recBody
+	if err := json.Unmarshal(body, &rec); err != nil {
 		return "", sweep.Point{}, err
 	}
-	if got := crc32.ChecksumIEEE(rec.Rec); got != rec.CRC {
-		return "", sweep.Point{}, fmt.Errorf("service: record checksum %08x, want %08x", got, rec.CRC)
-	}
-	var body recBody
-	if err := json.Unmarshal(rec.Rec, &body); err != nil {
-		return "", sweep.Point{}, err
-	}
-	if body.Key == "" {
+	if rec.Key == "" {
 		return "", sweep.Point{}, fmt.Errorf("service: record missing key")
 	}
-	p, err := sweep.UnmarshalPointJSON(body.Point)
-	if err != nil {
-		return "", sweep.Point{}, err
-	}
-	return body.Key, p, nil
+	p, err := sweep.UnmarshalPointJSON(rec.Point)
+	return rec.Key, p, err
 }
 
-// encodeRecord frames one (key, point) as a checksummed record line.
+// encodeRecord frames one (key, point) as a record line.
 func encodeRecord(key string, p sweep.Point) ([]byte, error) {
 	pj, err := sweep.MarshalPointJSON(p)
 	if err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(recBody{Key: key, Point: pj})
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(segRecord{CRC: crc32.ChecksumIEEE(body), Rec: body})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
+	return wal.Encode(recBody{Key: key, Point: pj})
 }
 
 // startSegment creates and activates segment n. Caller holds s.mu (or
 // has exclusive access during open).
 func (s *DiskStore) startSegment(n int) error {
-	f, err := os.OpenFile(s.segPath(n), os.O_WRONLY|os.O_CREATE|os.O_APPEND|os.O_EXCL, 0o644)
+	f, size, err := wal.Create(s.segPath(n), segHeader{Format: segmentFormat, Segment: n})
 	if err != nil {
 		return fmt.Errorf("service: creating segment: %w", err)
 	}
-	s.seg, s.segN, s.segBytes = f, n, 0
-	if err := s.writeHeader(); err != nil {
-		return err
-	}
-	syncDir(s.dir)
+	s.seg, s.segN, s.segBytes = f, n, size
 	return nil
-}
-
-// writeHeader writes the active segment's header line.
-func (s *DiskStore) writeHeader() error {
-	b, err := json.Marshal(segHeader{Format: segmentFormat, Segment: s.segN})
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if _, err := s.seg.Write(b); err != nil {
-		return fmt.Errorf("service: segment header: %w", err)
-	}
-	s.segBytes += int64(len(b))
-	return s.seg.Sync()
-}
-
-// syncDir best-effort fsyncs a directory so renames and creates are
-// durable.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() //nolint:errcheck // advisory; data writes carry their own fsync
-		d.Close()
-	}
 }
 
 // Get returns the stored point for key, if any.
@@ -478,13 +349,10 @@ func (s *DiskStore) Put(key string, p sweep.Point) {
 		return
 	}
 	s.segBytes += int64(n)
-	if s.sinceSync++; s.sinceSync >= s.opt.SyncEvery {
-		s.sinceSync = 0
-		if err := s.inj.Hit(ChaosSiteStoreSync); err != nil {
-			s.fail(fmt.Errorf("service: fsync: %w", err))
-		} else if err := s.seg.Sync(); err != nil {
-			s.fail(fmt.Errorf("service: fsync: %w", err))
-		}
+	if err := s.inj.Hit(ChaosSiteStoreSync); err != nil {
+		s.fail(fmt.Errorf("service: fsync: %w", err))
+	} else if err := s.seg.Sync(); err != nil {
+		s.fail(fmt.Errorf("service: fsync: %w", err))
 	}
 	if s.segBytes >= s.opt.SegmentBytes {
 		s.rotateLocked()
@@ -534,7 +402,6 @@ func (s *DiskStore) rotateLocked() {
 	if err := s.seg.Close(); err != nil {
 		s.fail(fmt.Errorf("service: sealing segment: %w", err))
 	}
-	s.sinceSync = 0
 	if err := s.startSegment(s.segN + 1); err != nil {
 		s.fail(err)
 		s.seg = nil // persistence is over; memory keeps serving
@@ -605,49 +472,26 @@ func (s *DiskStore) compactOnce() error {
 	deadAtSnap := s.dead
 	s.mu.Unlock()
 
-	tmp, err := os.CreateTemp(s.dir, "compact-*.tmp")
+	err := wal.Rewrite(s.segPath(outN), compactPrefix, segHeader{Format: segmentFormat, Segment: outN}, func(add func(any) error) error {
+		keys := make([]string, 0, len(snap))
+		for k := range snap {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			pj, err := sweep.MarshalPointJSON(snap[k])
+			if err == nil {
+				err = add(recBody{Key: k, Point: pj})
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return finish(fmt.Errorf("service: compaction: %w", err))
 	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 256*1024)
-	hdr, err := json.Marshal(segHeader{Format: segmentFormat, Segment: outN})
-	if err != nil {
-		tmp.Close()
-		return finish(err)
-	}
-	bw.Write(append(hdr, '\n')) //nolint:errcheck // surfaced by Flush below
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		line, err := encodeRecord(k, snap[k])
-		if err != nil {
-			tmp.Close()
-			return finish(fmt.Errorf("service: compaction: %w", err))
-		}
-		if _, err := bw.Write(line); err != nil {
-			tmp.Close()
-			return finish(fmt.Errorf("service: compaction: %w", err))
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return finish(fmt.Errorf("service: compaction: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return finish(fmt.Errorf("service: compaction: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return finish(fmt.Errorf("service: compaction: %w", err))
-	}
-	if err := os.Rename(tmp.Name(), s.segPath(outN)); err != nil {
-		return finish(fmt.Errorf("service: compaction: %w", err))
-	}
-	syncDir(s.dir)
 	for n := outN - 1; n >= 1; n-- {
 		if err := os.Remove(s.segPath(n)); err != nil && !os.IsNotExist(err) {
 			return finish(fmt.Errorf("service: compaction: removing segment %d: %w", n, err))

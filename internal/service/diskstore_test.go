@@ -241,6 +241,61 @@ func TestDiskStoreTornFinalRecord(t *testing.T) {
 	}
 }
 
+// TestDiskStoreTornSealedSegment: only the active segment can be torn
+// by a crash mid-append, so a sealed segment is not repaired. Its torn
+// tail is counted as a corrupt record and left on disk, and its torn
+// header refuses the open.
+func TestDiskStoreTornSealedSegment(t *testing.T) {
+	keys, points := diskTestData(t)
+	master := t.TempDir()
+	s, err := OpenDiskStore(master, DiskStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(s, keys, points)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(s.segPath(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := []byte(`{"format":"` + segmentFormat + `","segment":2}` + "\n")
+	hdrLen := bytes.IndexByte(whole, '\n') + 1
+
+	for _, c := range []struct {
+		name   string
+		sealed []byte
+	}{{"torn tail", whole[:len(whole)-5]}, {"torn header", whole[:hdrLen/2]}} {
+		dir := t.TempDir()
+		sealed := filepath.Join(dir, "seg-000001.jsonl")
+		if err := os.WriteFile(sealed, c.sealed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "seg-000002.jsonl"), active, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenDiskStore(dir, DiskStoreOptions{})
+		if c.name == "torn header" {
+			if err == nil || !strings.Contains(err.Error(), "torn header in sealed segment") {
+				t.Fatalf("%s: err = %v, want the sealed torn-header error", c.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		st := r.Stats()
+		r.Close()
+		if st.Points != len(points)-1 || st.CorruptDropped != 1 || st.TornRepaired != 0 {
+			t.Fatalf("%s: %+v, want %d points, 1 corrupt, 0 repaired", c.name, st, len(points)-1)
+		}
+		if b, _ := os.ReadFile(sealed); !bytes.Equal(b, c.sealed) {
+			t.Fatalf("%s: the sealed segment was rewritten", c.name)
+		}
+	}
+}
+
 // TestDiskStoreCorruptRecordDropped: a mid-file record whose payload
 // byte was flipped on disk fails its checksum on replay and is dropped
 // and counted; every other record survives.
@@ -599,4 +654,101 @@ func TestDiskStoreCompactionRacesConcurrentAppends(t *testing.T) {
 	}
 	defer r.Close()
 	check(r, "reopened")
+}
+
+// TestDiskStoreReadsFormatFixture pins twolevel-store-segment/1 across
+// versions. testdata/store-segment-v1.jsonl was written by the store
+// before it moved onto internal/wal: gcc1's first three test points put
+// under keys[0], keys[1], then keys[0] again. It must replay to that
+// state, and a store putting the same records today must write the
+// same bytes.
+func TestDiskStoreReadsFormatFixture(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "store-segment-v1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, points := diskTestData(t)
+	puts := []struct {
+		key string
+		p   sweep.Point
+	}{{keys[0], points[0]}, {keys[1], points[1]}, {keys[0], points[2]}}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001.jsonl"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenDiskStore(dir, DiskStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Points != 2 || st.Dead != 1 || st.CorruptDropped != 0 || st.TornRepaired != 0 {
+		t.Fatalf("fixture replayed to %+v, want 2 points and 1 dead record", st)
+	}
+	for _, w := range puts[1:] {
+		got, ok := s.Get(w.key)
+		a, _ := sweep.MarshalPointJSON(got)
+		b, _ := sweep.MarshalPointJSON(w.p)
+		if !ok || !bytes.Equal(a, b) {
+			t.Fatalf("fixture key %q replayed to %s, want %s", w.key, a, b)
+		}
+	}
+
+	fresh := t.TempDir()
+	r, err := OpenDiskStore(fresh, DiskStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range puts {
+		r.Put(w.key, w.p)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(r.segPath(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, fixture) {
+		t.Fatalf("today's segment differs from the fixture:\n%s\nvs\n%s", written, fixture)
+	}
+}
+
+// TestDiskStoreOpenRemovesCompactionTemps: a compaction temp file left
+// by a crash before its rename is deleted at open, the replayed state is
+// unchanged, and a temp file of another log sharing the directory (the
+// cluster journal's) is left alone.
+func TestDiskStoreOpenRemovesCompactionTemps(t *testing.T) {
+	dir := t.TempDir()
+	keys, points := diskTestData(t)
+	s, err := OpenDiskStore(dir, DiskStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(s, keys, points)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	leftover := filepath.Join(dir, compactPrefix+"123.tmp")
+	foreign := filepath.Join(dir, "journal-compact-123.tmp")
+	for _, p := range []string{leftover, foreign} {
+		if err := os.WriteFile(p, []byte(`{"format":"twolevel-store-segment/1","segment":1}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r, err := OpenDiskStore(dir, DiskStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Fatalf("compaction leftover survived open: %v", err)
+	}
+	if _, err := os.Stat(foreign); err != nil {
+		t.Fatalf("open removed another log's temp file: %v", err)
+	}
+	if st := r.Stats(); st.Points != len(points) || st.CorruptDropped != 0 || st.TornRepaired != 0 {
+		t.Fatalf("replayed state changed: %+v", st)
+	}
 }

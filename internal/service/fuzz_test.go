@@ -2,19 +2,22 @@ package service
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
-	"twolevel/internal/sweep"
+	"twolevel/internal/wal"
 )
 
-// FuzzDiskStoreReplay runs the segment decoder over arbitrary bytes as
-// the active (final) segment, seeded with a clean segment and the torn
-// and corrupt variants the chaos tests build from it. Replay must never
-// panic; a torn offset must be -1 or lie within the input; every
+// FuzzDiskStoreReplay opens a store whose only (active) segment holds
+// arbitrary bytes, seeded with a clean segment and the torn and corrupt
+// variants the chaos tests build from it. Open must never panic; its
+// repair may only cut bytes off a segment that replayed points; every
 // replayed point must rebuild a core.Config and perf.Machine that
-// validate; and every replayed record must round-trip through
-// encodeRecord and decodeRecord unchanged.
+// validate; every replayed record must round-trip through encodeRecord,
+// wal.Decode and decodeRecord unchanged; and reopening the repaired
+// segment must replay the same points with nothing left to repair.
 func FuzzDiskStoreReplay(f *testing.F) {
 	keys, points := diskTestData(f)
 	var seg bytes.Buffer
@@ -46,13 +49,25 @@ func FuzzDiskStoreReplay(f *testing.F) {
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := &DiskStore{m: make(map[string]sweep.Point)}
-		torn, err := s.replayFrom(bytes.NewReader(data), 1, true)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "seg-000001.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenDiskStore(dir, DiskStoreOptions{})
 		if err != nil {
 			return // a foreign or unparsable header is refused, not replayed
 		}
-		if torn != -1 && (torn < 0 || torn >= int64(len(data))) {
-			t.Fatalf("torn offset %d outside the %d-byte input", torn, len(data))
+		first := s.Stats()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		repaired, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Points > 0 && !bytes.HasPrefix(data, repaired) {
+			t.Fatalf("repair rewrote a segment that replayed %d points", first.Points)
 		}
 		for key, p := range s.m {
 			if err := p.Config.Validate(); err != nil {
@@ -65,10 +80,24 @@ func FuzzDiskStoreReplay(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoding %q: %v", key, err)
 			}
-			k2, p2, err := decodeRecord(bytes.TrimSuffix(line, []byte("\n")))
+			body, err := wal.Decode(line)
+			if err != nil {
+				t.Fatalf("re-encoded %q does not decode: %v", key, err)
+			}
+			k2, p2, err := decodeRecord(body)
 			if err != nil || k2 != key || !reflect.DeepEqual(p2, p) {
 				t.Fatalf("record %q does not round-trip: key %q, err %v\n%+v\nvs\n%+v", key, k2, err, p2, p)
 			}
+		}
+		r, err := OpenDiskStore(dir, DiskStoreOptions{})
+		if err != nil {
+			t.Fatalf("reopening the repaired store: %v", err)
+		}
+		second := r.Stats()
+		r.Close() //nolint:errcheck // nothing appended
+		if second.TornRepaired != 0 || second.CorruptDropped != first.CorruptDropped ||
+			second.Points != first.Points || !reflect.DeepEqual(r.m, s.m) {
+			t.Fatalf("replay changed across a reopen:\nfirst  %+v\nsecond %+v", first, second)
 		}
 	})
 }

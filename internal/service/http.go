@@ -137,6 +137,9 @@ func (s optionsSpec) toOptions() (sweep.Options, error) {
 	if s.CfgTimeoutMS < 0 {
 		return opt, fmt.Errorf("bad cfg_timeout_ms %d", s.CfgTimeoutMS)
 	}
+	if s.Retries < 0 {
+		return opt, fmt.Errorf("bad retries %d", s.Retries)
+	}
 	opt.Timeout = time.Duration(s.CfgTimeoutMS) * time.Millisecond
 	return opt, nil
 }

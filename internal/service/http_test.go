@@ -257,6 +257,7 @@ func TestAPIErrors(t *testing.T) {
 		{"POST", "/v1/jobs", `{"workloads": ["gcc1"], "options": {"policy": "weird"}}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `{"workloads": ["gcc1"], "options": {"l2_policy": "weird"}}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `{"workloads": ["gcc1"], "options": {"l1_kb": [-1]}}`, http.StatusBadRequest},
+		{"POST", "/v1/jobs", `{"workloads": ["gcc1"], "options": {"retries": -1}}`, http.StatusBadRequest},
 		{"GET", "/v1/jobs/j999", "", http.StatusNotFound},
 		{"GET", "/v1/jobs/j999/result", "", http.StatusNotFound},
 		{"DELETE", "/v1/jobs/j999", "", http.StatusNotFound},

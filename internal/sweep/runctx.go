@@ -274,7 +274,9 @@ func stored(store PointStore, workload string, cfg core.Config, opt Options) (Po
 // L1 pass instead of simulating the whole hierarchy.
 func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, g *l1Group, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
 	var err error
-	for attempt := 0; attempt <= opt.Retries; attempt++ {
+	// A negative Retries still makes the one attempt, so a ConfigError
+	// always carries the cause of a real failure.
+	for attempt := 0; attempt <= max(opt.Retries, 0); attempt++ {
 		as := parent.Child("attempt", span.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
 		var p Point
 		p, err = evaluateGuarded(ctx, refs, g, cfg, opt, as)

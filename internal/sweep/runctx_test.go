@@ -235,6 +235,44 @@ func TestRunContextRetriesExhausted(t *testing.T) {
 	}
 }
 
+// TestRunContextNegativeRetries: Retries below zero counts as zero. A
+// sweep evaluates normally, and a failing configuration makes its one
+// attempt and reports that attempt's cause, never a nil one.
+func TestRunContextNegativeRetries(t *testing.T) {
+	w := testWorkload(t)
+	opt := smallOpt()
+	opt.Retries = -1
+	points, err := RunContext(context.Background(), w, opt)
+	if err != nil {
+		t.Fatalf("sweep with Retries -1 failed: %v", err)
+	}
+	if total := len(Configs(opt)); len(points) != total {
+		t.Fatalf("sweep with Retries -1 completed %d/%d points", len(points), total)
+	}
+	if _, err := NewEvaluator(w, opt).Evaluate(context.Background(), points[0].Config); err != nil {
+		t.Fatalf("Evaluate with Retries -1: %v", err)
+	}
+
+	var mu sync.Mutex
+	attempts := 0
+	withEvalHook(t, func(core.Config) {
+		mu.Lock()
+		defer mu.Unlock()
+		attempts++
+		panic("persistent failure")
+	})
+	opt.L1Sizes = opt.L1Sizes[:1]
+	opt.L2Sizes = []int64{0}
+	_, err = RunContext(context.Background(), w, opt)
+	var ce *ConfigError
+	if !errors.As(err, &ce) || ce.Cause == nil {
+		t.Fatalf("err = %v, want a *ConfigError with a cause", err)
+	}
+	if attempts != 1 {
+		t.Errorf("made %d attempts, want 1", attempts)
+	}
+}
+
 func TestRunContextProgress(t *testing.T) {
 	w := testWorkload(t)
 	opt := smallOpt()

@@ -69,7 +69,8 @@ type Options struct {
 	Timeout time.Duration
 	// Retries is the number of extra evaluation attempts RunContext makes
 	// for a configuration that failed transiently (panic or
-	// per-configuration timeout) before recording a ConfigError.
+	// per-configuration timeout) before recording a ConfigError. A
+	// negative value counts as 0.
 	Retries int
 	// Progress, when non-nil, is called by RunContext after every
 	// configuration completes, fails, or is served from Store. Calls are
