@@ -29,16 +29,19 @@ cover:
 
 # fuzz runs every native fuzz target in the module for 30 s each (one
 # `go test -fuzz` per target, since Go fuzzes one at a time): the
-# L1-once differential oracle in internal/core, the sweep document
+# L1-once differential oracles in internal/core (one geometry, and a set
+# of geometries recorded in one walk), the sweep document
 # decoder, the result store's segment replay, the reuse-distance
 # profile (twolevel-rdh/1) decoder, the cluster journal's replay, the
 # cluster wire units and the trace decoders. A new Fuzz* target needs a
 # line here. The store's, the profile's, the journal's and the work
 # units' seeds are whole documents of several hundred bytes to a few
 # KB, and at the default 60 s budget minimizing one new input that size
-# can take the whole 30 s, so their minimization is capped at 5 s.
+# can take the whole 30 s, so their minimization is capped at 5 s; so is
+# the one-walk recorder's, whose inputs replay up to 9 geometries each.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzL1PassReplay$$' -fuzztime 30s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzL1Record$$' -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzLoadJSON$$' -fuzztime 30s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDiskStoreReplay$$' -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/model -run '^$$' -fuzz '^FuzzLoadProfile$$' -fuzztime 30s -fuzzminimizetime 5s

@@ -186,7 +186,7 @@ type Cache struct {
 
 	// Replacement state.
 	lastUse []uint64 // LRU timestamps
-	fifoPtr []uint16 // next way to replace per set, FIFO
+	fifoPtr []uint32 // next way to replace per set, FIFO
 	tick    uint64
 	lfsr    uint32
 
@@ -247,7 +247,7 @@ func TryNew(cfg Config) (*Cache, error) {
 	case LRU:
 		c.lastUse = make([]uint64, lines)
 	case FIFO:
-		c.fifoPtr = make([]uint16, cfg.Sets())
+		c.fifoPtr = make([]uint32, cfg.Sets())
 	}
 	return c, nil
 }
@@ -498,7 +498,7 @@ func (c *Cache) insertState(set int, l LineAddr, dirty bool) Victim {
 			if c.fifoPtr != nil {
 				// FIFO pointer is only meaningful once the set is
 				// full; filling in order keeps it consistent.
-				c.fifoPtr[set] = uint16((w + 1) % c.assoc)
+				c.fifoPtr[set] = uint32((w + 1) & (c.assoc - 1))
 			}
 			return Victim{}
 		}
@@ -533,10 +533,10 @@ func (c *Cache) victimWay(set int) int {
 		return w
 	case FIFO:
 		w := int(c.fifoPtr[set])
-		c.fifoPtr[set] = uint16((w + 1) % c.assoc)
+		c.fifoPtr[set] = uint32((w + 1) & (c.assoc - 1))
 		return w
 	default: // Random
-		return int(c.nextRand()) % c.assoc
+		return int(c.nextRand()) & (c.assoc - 1)
 	}
 }
 

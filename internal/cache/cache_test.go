@@ -215,6 +215,25 @@ func TestFIFOEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestFIFOPointerPastSixteenBits checks the FIFO fill pointer of a set
+// with more than 2^16 ways. The ways and the pointer are set directly,
+// since filling the set through Access scans it once per insertion: the
+// lines are in way order and the next victim is way 2^16-1.
+func TestFIFOPointerPastSixteenBits(t *testing.T) {
+	const ways = 1 << 17
+	c := mustNew(t, Config{Size: ways, LineSize: 1, Assoc: ways, Policy: FIFO})
+	for w := range c.tags {
+		c.tags[w], c.valid[w] = LineAddr(w), true
+	}
+	c.fifoPtr[0] = 1<<16 - 1
+	for i := 1<<16 - 1; i <= 1<<16+1; i++ {
+		v := c.InsertLine(LineAddr(ways + i))
+		if !v.Valid || v.Line != LineAddr(i) {
+			t.Fatalf("insertion into way %d evicted %+v, want line %d", i, v, i)
+		}
+	}
+}
+
 func TestRandomReplacementStaysInSet(t *testing.T) {
 	c := mustNew(t, Config{Size: 64, LineSize: 16, Assoc: 4, Policy: Random})
 	a := []Addr{0x000, 0x040, 0x080, 0x0C0}

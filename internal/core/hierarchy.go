@@ -356,14 +356,14 @@ func (s *System) Access(r trace.Ref) {
 		s.mOffChip.Inc()
 		return
 	}
-	if s.l2.Lookup(cache.Addr(r.Addr)) {
+	hit, v2 := s.l2.Access(cache.Addr(r.Addr))
+	if hit {
 		s.st.L2Hits++
 		return
 	}
 	s.st.L2Misses++
 	s.st.OffChipFetches++
 	s.mOffChip.Inc()
-	v2 := s.l2.Insert(cache.Addr(r.Addr))
 	if v2.Valid && v2.Dirty {
 		s.st.WriteBacksOffChip++
 	}

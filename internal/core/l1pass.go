@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"twolevel/internal/cache"
 	"twolevel/internal/obs"
@@ -14,9 +15,10 @@ import (
 // stores, a direct-mapped L1 never reads L2 state to decide its hits,
 // misses and victims, under the conventional and the exclusive policy
 // alike: they are the same whatever sits below it. So one pass of a
-// trace through a split direct-mapped L1 pair (RecordL1) yields the L1
-// counters of every such hierarchy with those L1s, plus the stream of L1
-// misses the L2 sees; each L2 is then simulated over that stream alone
+// trace through a split direct-mapped L1 pair yields the L1 counters of
+// every such hierarchy with those L1s, plus the stream of L1 misses the
+// L2 sees (an L1Pass, which an L1Recorder records for several L1 pairs
+// in one walk); each L2 is then simulated over that stream alone
 // (L1Pass.Replay). The only L2 state an exclusive L1 takes in is the
 // dirty bit of a line that moves up, which the replay tracks per L1
 // slot. DESIGN.md "L1-once replay" states the exactness argument.
@@ -69,79 +71,210 @@ type L1Pass struct {
 	lineShift uint
 }
 
+// Refs reports the length of the recorded trace.
+func (p *L1Pass) Refs() uint64 { return p.st.Refs() }
+
 // RecordL1 runs refs through cfg's split L1s, which must be
 // direct-mapped; cfg's L2, policy and write mode are ignored. It checks
 // ctx every ctxCheckInterval references and returns ctx's error once it
-// is done.
+// is done. It is an L1Recorder of one geometry.
 func RecordL1(ctx context.Context, cfg Config, refs []trace.Ref) (*L1Pass, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.L1I.Assoc != 1 || cfg.L1D.Assoc != 1 {
-		return nil, fmt.Errorf("core: L1 pass needs direct-mapped L1s, got %s and %s", cfg.L1I, cfg.L1D)
+	rec, err := NewL1Recorder([]Config{cfg})
+	if err != nil {
+		return nil, err
 	}
-	p := &L1Pass{
-		l1i: cfg.L1I, l1d: cfg.L1D,
-		icache:    newDML1(cfg.L1I),
-		dcache:    newDML1(cfg.L1D),
-		lineShift: uint(bits.TrailingZeros(uint(cfg.L1I.LineSize))),
+	if err := rec.Record(ctx, refs); err != nil {
+		return nil, err
 	}
-	var writes uint64
-	for i, r := range refs {
-		if i%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		c := &p.dcache
-		if r.Kind == trace.Instr {
-			c = &p.icache
-		}
-		write := r.Kind == trace.Write
-		if write {
-			writes++
-		}
-		c.refs++
-		l := cache.LineAddr(r.Addr >> p.lineShift)
-		e := &c.lines[uint64(l)&c.mask]
-		if e.valid && e.tag == l {
-			e.dirty = e.dirty || write
-			continue
-		}
-		c.misses++
-		ev := missEvent{Line: l, Victim: l}
-		if e.valid {
-			c.evictions++
-			if e.dirty {
-				c.dirtyVictims++
-				ev.Victim = e.tag
-			}
-		}
-		*e = dmLine{tag: l, valid: true, dirty: write}
-		n := len(p.events)
-		if n%64 == 0 {
-			p.instr = append(p.instr, 0)
-		}
-		if c == &p.icache {
-			p.instr[n/64] |= 1 << (n % 64)
-		}
-		p.events = append(p.events, ev)
-	}
-	p.icache.lines, p.dcache.lines = nil, nil
-	p.st = Stats{
-		InstrRefs: p.icache.refs,
-		DataRefs:  p.dcache.refs,
-		WriteRefs: writes,
-		L1IHits:   p.icache.refs - p.icache.misses,
-		L1IMisses: p.icache.misses,
-		L1DHits:   p.dcache.refs - p.dcache.misses,
-		L1DMisses: p.dcache.misses,
-	}
-	return p, nil
+	return rec.Finish()[0], nil
 }
 
-func newDML1(c cache.Config) dmL1 {
-	return dmL1{lines: make([]dmLine, c.Lines()), mask: uint64(c.Lines() - 1)}
+// L1Recorder records the L1 passes of several split direct-mapped L1
+// geometries over one trace in a single walk, fed chunk by chunk. It
+// rests on inclusion (Hill & Smith, IEEE TC 1989): a direct-mapped cache
+// holds in each slot the most recent line that maps to it, so with equal
+// lines a hit in a cache is a hit in every larger one, and a line dirty
+// in the smaller cache is dirty in the larger. The walk probes the
+// distinct caches of a reference's side, per line size, from smallest to
+// largest and stops at the first hit; the larger caches then only take a store's
+// dirty bit. A miss records its event in every pass with that cache, as
+// a pass of that geometry alone would.
+type L1Recorder struct {
+	passes []*L1Pass
+	sides  [2][]l1Chain // the L1I's caches, then the L1D's
+	refs   [2]uint64    // instruction and data references
+	writes uint64
+}
+
+// l1Chain is the distinct caches of one side with one line size,
+// smallest first.
+type l1Chain struct {
+	shift  uint
+	caches []recCache
+}
+
+// recCache is one distinct L1 cache of a recorder and the passes that
+// have it as their L1 of its side.
+type recCache struct {
+	dmL1
+	users []*L1Pass
+}
+
+// NewL1Recorder prepares a recorder with one pass per configuration, in
+// order. Only the L1s of each configuration matter: they must be valid
+// and direct-mapped, with one line size per configuration.
+func NewL1Recorder(cfgs []Config) (*L1Recorder, error) {
+	r := &L1Recorder{}
+	for _, cfg := range cfgs {
+		if err := (Config{L1I: cfg.L1I, L1D: cfg.L1D}).Validate(); err != nil {
+			return nil, err
+		}
+		if cfg.L1I.Assoc != 1 || cfg.L1D.Assoc != 1 {
+			return nil, fmt.Errorf("core: L1 pass needs direct-mapped L1s, got %s and %s", cfg.L1I, cfg.L1D)
+		}
+		p := &L1Pass{
+			l1i: cfg.L1I, l1d: cfg.L1D,
+			lineShift: uint(bits.TrailingZeros(uint(cfg.L1I.LineSize))),
+		}
+		r.passes = append(r.passes, p)
+		r.sides[0] = useCache(r.sides[0], cfg.L1I, p)
+		r.sides[1] = useCache(r.sides[1], cfg.L1D, p)
+	}
+	return r, nil
+}
+
+// useCache adds pass p as a user of cache c to one side's chains, adding
+// the cache, and its chain, if the side has none like it.
+func useCache(chains []l1Chain, c cache.Config, p *L1Pass) []l1Chain {
+	shift := uint(bits.TrailingZeros(uint(c.LineSize)))
+	i := 0
+	for i < len(chains) && chains[i].shift != shift {
+		i++
+	}
+	if i == len(chains) {
+		chains = append(chains, l1Chain{shift: shift})
+	}
+	cs, mask := chains[i].caches, uint64(c.Lines()-1)
+	j := 0
+	for j < len(cs) && cs[j].mask < mask {
+		j++
+	}
+	if j == len(cs) || cs[j].mask != mask {
+		cs = slices.Insert(cs, j, recCache{dmL1: dmL1{lines: make([]dmLine, c.Lines()), mask: mask}})
+	}
+	cs[j].users = append(cs[j].users, p)
+	chains[i].caches = cs
+	return chains
+}
+
+// Record walks the next chunk of the trace through every pass. It
+// checks ctx every ctxCheckInterval references of the whole trace and
+// returns ctx's error once it is done; the passes are then incomplete.
+func (r *L1Recorder) Record(ctx context.Context, refs []trace.Ref) error {
+	for len(refs) > 0 {
+		n := r.refs[0] + r.refs[1]
+		if n%ctxCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		k := min(len(refs), int(ctxCheckInterval-n%ctxCheckInterval))
+		r.walk(refs[:k])
+		refs = refs[k:]
+	}
+	return nil
+}
+
+func (r *L1Recorder) walk(refs []trace.Ref) {
+	for _, ref := range refs {
+		side, write := 1, ref.Kind == trace.Write
+		if ref.Kind == trace.Instr {
+			side = 0
+		}
+		r.refs[side]++
+		if write {
+			r.writes++
+		}
+		for i := range r.sides[side] {
+			ch := &r.sides[side][i]
+			l := cache.LineAddr(ref.Addr >> ch.shift)
+			cs, k := ch.caches, 0
+			for ; k < len(cs); k++ {
+				c := &cs[k]
+				e := &c.lines[uint64(l)&c.mask]
+				if e.valid && e.tag == l {
+					break
+				}
+				c.misses++
+				ev := missEvent{Line: l, Victim: l}
+				if e.valid {
+					c.evictions++
+					if e.dirty {
+						c.dirtyVictims++
+						ev.Victim = e.tag
+					}
+				}
+				*e = dmLine{tag: l, valid: true, dirty: write}
+				for _, p := range c.users {
+					p.record(ev, side == 0)
+				}
+			}
+			// The line hit in cs[k], so it is in every larger cache too.
+			for ; write && k < len(cs); k++ {
+				c := &cs[k]
+				c.lines[uint64(l)&c.mask].dirty = true
+			}
+		}
+	}
+}
+
+// record appends one miss event, and whether the L1I missed it.
+func (p *L1Pass) record(ev missEvent, instr bool) {
+	n := len(p.events)
+	if n%64 == 0 {
+		p.instr = append(p.instr, 0)
+	}
+	if instr {
+		p.instr[n/64] |= 1 << (n % 64)
+	}
+	p.events = append(p.events, ev)
+}
+
+// Finish returns the recorded passes, one per configuration given to
+// NewL1Recorder, in that order, and drops the recorder's L1 arrays.
+func (r *L1Recorder) Finish() []*L1Pass {
+	for side, chains := range r.sides {
+		for _, ch := range chains {
+			for i := range ch.caches {
+				c := &ch.caches[i]
+				c.lines, c.refs = nil, r.refs[side]
+				for _, p := range c.users {
+					if side == 0 {
+						p.icache = c.dmL1
+					} else {
+						p.dcache = c.dmL1
+					}
+				}
+			}
+		}
+	}
+	for _, p := range r.passes {
+		p.st = Stats{
+			InstrRefs: p.icache.refs,
+			DataRefs:  p.dcache.refs,
+			WriteRefs: r.writes,
+			L1IHits:   p.icache.refs - p.icache.misses,
+			L1IMisses: p.icache.misses,
+			L1DHits:   p.dcache.refs - p.dcache.misses,
+			L1DMisses: p.dcache.misses,
+		}
+	}
+	passes := r.passes
+	*r = L1Recorder{}
+	return passes
 }
 
 // Replay returns the statistics System.Run would return for cfg over the
@@ -194,12 +327,13 @@ func (p *L1Pass) Replay(ctx context.Context, cfg Config, reg *obs.Registry) (Sta
 				st.WriteBacksOffChip++
 			}
 		}
-		if l2.Lookup(cache.Addr(ev.Line << p.lineShift)) {
+		hit, v := l2.Access(cache.Addr(ev.Line << p.lineShift))
+		if hit {
 			st.L2Hits++
 			continue
 		}
 		st.L2Misses++
-		if v := l2.InsertLine(ev.Line); v.Valid && v.Dirty {
+		if v.Valid && v.Dirty {
 			st.WriteBacksOffChip++
 		}
 	}

@@ -25,6 +25,13 @@ const differentialCases = 10_000
 // sequential runs and random jumps.
 func randomCase(rng *rand.Rand) (Config, []trace.Ref) {
 	line := 1 << rng.IntN(6)
+	cfg := randomConfig(rng, line)
+	return cfg, randomTrace(rng, line)
+}
+
+// randomConfig draws the geometry and policy of one randomCase with the
+// given line size.
+func randomConfig(rng *rand.Rand, line int) Config {
 	l1i := 1 << rng.IntN(8)
 	l1d := l1i
 	if rng.IntN(4) == 0 {
@@ -44,7 +51,12 @@ func randomCase(rng *rand.Rand) (Config, []trace.Ref) {
 		}
 		cfg.Policy = Policy(rng.IntN(2))
 	}
+	return cfg
+}
 
+// randomTrace draws the trace of one randomCase, whose footprint is
+// counted in lines of the given size.
+func randomTrace(rng *rand.Rand, line int) []trace.Ref {
 	n := 1 + rng.IntN(1500)
 	footprint := uint64(1) << rng.IntN(13)
 	instrFrac, writeFrac := rng.Float64(), rng.Float64()
@@ -77,22 +89,27 @@ func randomCase(rng *rand.Rand) (Config, []trace.Ref) {
 		}
 		r.Addr = base + data
 	}
-	return cfg, refs
+	return refs
 }
 
 // checkThreeWay compares every Stats field of the reference simulator,
 // System.Run, and an L1 pass replayed into cfg and into the single-level
 // hierarchy with the same L1s. It returns the reference simulator's
 // statistics and hierarchy.
-func checkThreeWay(cfg Config, refs []trace.Ref) (Stats, *refHierarchy, error) {
+//
+// pass is the L1 pass of cfg's L1s over refs, or nil to record it with
+// RecordL1.
+func checkThreeWay(cfg Config, refs []trace.Ref, pass *L1Pass) (Stats, *refHierarchy, error) {
 	want, ref := refRun(cfg, refs)
 	if got := NewSystem(cfg).Run(trace.NewSliceStream(refs)); got != want {
 		return want, ref, fmt.Errorf("System.Run %+v\n oracle %+v", got, want)
 	}
 	ctx := context.Background()
-	pass, err := RecordL1(ctx, cfg, refs)
-	if err != nil {
-		return want, ref, err
+	if pass == nil {
+		var err error
+		if pass, err = RecordL1(ctx, cfg, refs); err != nil {
+			return want, ref, err
+		}
 	}
 	if got, err := pass.Replay(ctx, cfg, nil); err != nil || got != want {
 		return want, ref, fmt.Errorf("Replay %+v (err %v)\n oracle %+v", got, err, want)
@@ -119,7 +136,7 @@ func TestL1PassReplayOracle(t *testing.T) {
 	var upDirty uint64 // victims dirty only because they came up dirty
 	for i := 0; cases[Conventional] < differentialCases || cases[Exclusive] < differentialCases; i++ {
 		cfg, refs := randomCase(rng)
-		st, ref, err := checkThreeWay(cfg, refs)
+		st, ref, err := checkThreeWay(cfg, refs, nil)
 		if err != nil {
 			t.Fatalf("case %d, %s (L1I %s, L1D %s, L2 %s), %d refs: %v", i, cfg, cfg.L1I, cfg.L1D, cfg.L2, len(refs), err)
 		}
@@ -187,8 +204,131 @@ func FuzzL1PassReplay(f *testing.F) {
 				Addr: uint64(data[0]>>2)<<40 | uint64(binary.LittleEndian.Uint16(data[1:])),
 			})
 		}
-		if _, _, err := checkThreeWay(cfg, refs); err != nil {
+		if _, _, err := checkThreeWay(cfg, refs, nil); err != nil {
 			t.Fatalf("%s (L1 %s, L2 %s), %d refs: %v", cfg, cfg.L1I, cfg.L2, len(refs), err)
+		}
+	})
+}
+
+// recordCases is how many recordings TestL1RecordOracle checks.
+const recordCases = 1000
+
+// randomRecording draws one case of the one-walk recorder: 1–9
+// geometries as randomCase draws them, half of them with the first one's
+// line size so that they share its chains, over one randomCase trace.
+func randomRecording(rng *rand.Rand) ([]Config, []trace.Ref) {
+	line := 1 << rng.IntN(6)
+	cfgs := []Config{randomConfig(rng, line)}
+	for k := rng.IntN(9); k > 0; k-- {
+		l := line
+		if rng.IntN(2) == 0 {
+			l = 1 << rng.IntN(6)
+		}
+		cfgs = append(cfgs, randomConfig(rng, l))
+	}
+	return cfgs, randomTrace(rng, line)
+}
+
+// checkRecording records every geometry of cfgs in one walk over refs,
+// fed in chunks of the given size, and checks each pass's replay against
+// System.Run and the reference simulator. It reports how many sides of
+// the walk had several chains and how many of its caches served several
+// passes.
+func checkRecording(cfgs []Config, refs []trace.Ref, chunk int) (chains, shared int, err error) {
+	rec, err := NewL1Recorder(cfgs)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, side := range rec.sides {
+		if len(side) > 1 {
+			chains++
+		}
+		for _, ch := range side {
+			for _, c := range ch.caches {
+				if len(c.users) > 1 {
+					shared++
+				}
+			}
+		}
+	}
+	for rest := refs; len(rest) > 0; rest = rest[min(chunk, len(rest)):] {
+		if err := rec.Record(context.Background(), rest[:min(chunk, len(rest))]); err != nil {
+			return chains, shared, err
+		}
+	}
+	for i, pass := range rec.Finish() {
+		cfg := cfgs[i]
+		if _, _, err := checkThreeWay(cfg, refs, pass); err != nil {
+			return chains, shared, fmt.Errorf("geometry %d of %d, %s (L1I %s, L1D %s, L2 %s): %w", i, len(cfgs), cfg, cfg.L1I, cfg.L1D, cfg.L2, err)
+		}
+	}
+	return chains, shared, nil
+}
+
+// TestL1RecordOracle is the differential test of the one-walk recorder:
+// a seeded table of geometry sets and traces, each recorded in one walk
+// fed in random chunks, on which every pass's replay, System.Run and the
+// naive reference simulator must agree on every counter. The table must
+// reach sides with several line sizes and caches shared by several
+// geometries.
+func TestL1RecordOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20, 1989))
+	var chains, shared int
+	for i := 0; i < recordCases; i++ {
+		cfgs, refs := randomRecording(rng)
+		c, s, err := checkRecording(cfgs, refs, 1+rng.IntN(len(refs)))
+		if err != nil {
+			t.Fatalf("case %d, %d refs: %v", i, len(refs), err)
+		}
+		chains += c
+		shared += s
+	}
+	if chains == 0 || shared == 0 {
+		t.Errorf("%d sides with several line sizes, %d shared caches: a path is unexercised", chains, shared)
+	}
+}
+
+// FuzzL1Record is the fuzzing form of TestL1RecordOracle. Each five
+// bytes of geo draw one of up to 9 geometries: the line size, the L1I
+// and L1D sizes, the L2 size (0 for none), and the L2's ways, replacement
+// policy and hierarchy policy. The trace comes from data, three bytes per
+// reference: a kind byte whose high bits set the top bits of the address,
+// and a 16-bit offset. The walk is fed in chunks of 1–8 references.
+func FuzzL1Record(f *testing.F) {
+	f.Add([]byte("\x04\x00\x00\x02\x01"), []byte("\x00\x00\x10\x01\x00\x20\x02\x10\x00\x00\x00\x10"))
+	f.Add([]byte("\x00\x00\x01\x03\x00\x00\x02\x02\x04\x0d\x00\x01\x00\x00\x00"), []byte("\x02\x01\x00\x02\x02\x00\x02\x01\x00\xfe\xff\xff"))
+	f.Add([]byte("\x01\x03\x03\x05\x06\x02\x03\x03\x05\x06\x01\x05\x07\x00\x00\x03\x00\x00\x08\x17"), []byte("\xfe\xff\xff\x02\x00\x00\xfe\xff\xff\x03\x10\x00\x02\x10\x00"))
+	f.Fuzz(func(t *testing.T, geo, data []byte) {
+		var cfgs []Config
+		for ; len(geo) >= 5 && len(cfgs) < 9; geo = geo[5:] {
+			line := 1 << (geo[0] % 6)
+			cfg := Config{
+				L1I: cache.Config{Size: int64(line << (geo[1] % 8)), LineSize: line, Assoc: 1},
+				L1D: cache.Config{Size: int64(line << (geo[2] % 8)), LineSize: line, Assoc: 1},
+			}
+			if geo[3]%9 != 0 {
+				assoc := 1 << (geo[4] % 4)
+				cfg.L2 = cache.Config{
+					Size:     int64(assoc * line << (geo[3]%9 - 1)),
+					LineSize: line, Assoc: assoc,
+					Policy: cache.ReplacementPolicy(geo[4] / 4 % 3),
+				}
+				cfg.Policy = Policy(geo[4] / 12 % 2)
+			}
+			cfgs = append(cfgs, cfg)
+		}
+		if len(cfgs) == 0 {
+			return
+		}
+		refs := make([]trace.Ref, 0, len(data)/3)
+		for ; len(data) >= 3; data = data[3:] {
+			refs = append(refs, trace.Ref{
+				Kind: trace.Kind(data[0] % 3),
+				Addr: uint64(data[0]>>2)<<58 | uint64(binary.LittleEndian.Uint16(data[1:])),
+			})
+		}
+		if _, _, err := checkRecording(cfgs, refs, 1+len(refs)%8); err != nil {
+			t.Fatalf("%d refs: %v", len(refs), err)
 		}
 	})
 }

@@ -2,9 +2,12 @@ package sweep
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,85 +103,9 @@ func hasCounter(r *obs.Registry, name string) bool {
 	return ok
 }
 
-// TestGroupQueueSharesRecordedPasses walks the queue through two groups:
-// a group's jobs wait while its pass is being recorded, any worker may
-// take them once it is, a started group goes before a new one, the pass
-// is dropped after the group's last job, and cancellation releases a
-// waiting worker.
-func TestGroupQueueSharesRecordedPasses(t *testing.T) {
-	cfg := Configs(l1OnceOpt())[0]
-	g1 := &l1Group{jobs: []job{{0, cfg}, {1, cfg}, {2, cfg}}}
-	g2 := &l1Group{jobs: []job{{3, cfg}, {4, cfg}}}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	q := newGroupQueue(ctx, []*l1Group{g1, g2})
-	defer q.stop()
-
-	type taken struct {
-		j  job
-		g  *l1Group
-		ok bool
-	}
-	takeAsync := func() chan taken {
-		ch := make(chan taken, 1)
-		go func() {
-			j, g, ok := q.take()
-			ch <- taken{j, g, ok}
-		}()
-		return ch
-	}
-	want := func(ch chan taken, i int, g *l1Group) {
-		t.Helper()
-		select {
-		case got := <-ch:
-			if !got.ok || got.j.i != i || got.g != g {
-				t.Fatalf("take = job %d ok %t, want job %d", got.j.i, got.ok, i)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("take blocked, want job %d", i)
-		}
-	}
-	blocked := func(ch chan taken) {
-		t.Helper()
-		select {
-		case got := <-ch:
-			t.Fatalf("take = job %d ok %t while every group left is recording", got.j.i, got.ok)
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-
-	want(takeAsync(), 0, g1) // records g1's pass
-	want(takeAsync(), 3, g2) // g1 is recording, so g2 starts
-	waiter := takeAsync()
-	blocked(waiter)
-
-	g1.pass.Store(&core.L1Pass{})
-	q.done(g1)
-	want(waiter, 1, g1)
-	want(takeAsync(), 2, g1) // g1 is recorded: a second worker shares it
-	waiter = takeAsync()
-	blocked(waiter) // only g2's recording job is left
-	q.done(g1)
-	q.done(g1)
-	if g1.pass.Load() != nil {
-		t.Error("g1 keeps its pass after its last job")
-	}
-	blocked(waiter)
-
-	cancel()
-	select {
-	case got := <-waiter:
-		if got.ok {
-			t.Fatalf("take after cancel = job %d, want none", got.j.i)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not release a waiting take")
-	}
-}
-
 // TestRunContextSingleGroupUsesEveryWorker checks that a sweep with one
 // L1 size, and so one group, replays its configurations on several
-// workers at once once the pass is recorded.
+// workers at once.
 func TestRunContextSingleGroupUsesEveryWorker(t *testing.T) {
 	w := testWorkload(t)
 	opt := l1OnceOpt()
@@ -195,7 +122,7 @@ func TestRunContextSingleGroupUsesEveryWorker(t *testing.T) {
 		n := started
 		mu.Unlock()
 		switch n {
-		case 1: // records the pass alone
+		case 1:
 		case 2:
 			<-together
 		case 3:
@@ -216,4 +143,44 @@ func TestRunContextSingleGroupUsesEveryWorker(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("the group's replays never ran on two workers at once")
 	}
+}
+
+// TestRunContextCancelDuringTraceStage cancels a sweep while its trace
+// stage is still generating and recording: the sweep must return the
+// interrupted error promptly and start no configuration.
+func TestRunContextCancelDuringTraceStage(t *testing.T) {
+	w := testWorkload(t)
+	opt := l1OnceOpt()
+	opt.Refs = 1 << 25 // generating it all takes seconds
+	var started atomic.Int32
+	withEvalHook(t, func(core.Config) { started.Add(1) })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	begin := time.Now()
+	points, err := RunContext(ctx, w, opt)
+	if elapsed := time.Since(begin); elapsed > time.Second {
+		t.Errorf("cancelled trace stage returned after %v", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "interrupted after 0/") {
+		t.Fatalf("err = %v, want the interrupted error", err)
+	}
+	if len(points) != 0 || started.Load() != 0 {
+		t.Errorf("cancelled trace stage returned %d points and started %d configurations", len(points), started.Load())
+	}
+}
+
+// TestRunContextGeneratorPanicReachesCaller checks that a panic on the
+// trace stage's generator goroutine is raised again on the caller's
+// goroutine, with its value, instead of crashing the process.
+func TestRunContextGeneratorPanicReachesCaller(t *testing.T) {
+	w := testWorkload(t)
+	w.Gen.InstrFrac = 0 // NewGenerator panics on invalid parameters
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "InstrFrac") {
+			t.Errorf("recovered %v, want the generator's panic", r)
+		}
+	}()
+	RunContext(context.Background(), w, l1OnceOpt())
+	t.Error("RunContext returned despite the generator's panic")
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -145,25 +146,35 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 	}
 
 	if len(pending) > 0 && ctx.Err() == nil {
-		refs := trace.Collect(w.Stream(opt.Refs), opt.Refs)
+		groups := groupByL1(pending)
+		refs := recordPasses(ctx, w, groups, opt, sw)
 		met.queueDepth.Set(int64(len(pending)))
-		q := newGroupQueue(ctx, groupByL1(pending))
+		// Every pass is recorded, so the jobs go out in group order with
+		// no waiting; sized to hold every job.
+		queue := make(chan queued, len(pending))
+		for _, g := range groups {
+			g.left.Store(int32(len(g.jobs)))
+			for _, j := range g.jobs {
+				queue <- queued{j, g}
+			}
+		}
+		close(queue)
 		var wg sync.WaitGroup
 		for n := 0; n < min(opt.Workers, len(pending)); n++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
-					j, g, ok := q.take()
-					if !ok {
+				for q := range queue {
+					if ctx.Err() != nil {
 						return
 					}
+					j, g := q.job, q.group
 					met.queueDepth.Add(-1)
 					label := Label(j.cfg)
 					opt.Events.Emit(obs.Event{Type: obs.EventConfigStart, Workload: w.Name, Label: label})
 					cs := sw.Child("config", span.Attr{Key: "label", Value: label})
 					start := time.Now()
-					p, err := evaluateOne(ctx, w.Name, refs, g, j.cfg, opt, met, cs)
+					p, err := evaluateOne(ctx, w.Name, refs, g.pass, j.cfg, opt, met, cs)
 					dur := time.Since(start)
 					mu.Lock()
 					done++
@@ -201,12 +212,13 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 					cs.End()
 					report(ProgressEvent{Done: done, Total: total, Label: label, Err: err})
 					mu.Unlock()
-					q.done(g)
+					if g.left.Add(-1) == 0 {
+						g.pass = nil // the group's last job is done
+					}
 				}
 			}()
 		}
 		wg.Wait()
-		q.stop()
 		met.queueDepth.Set(0)
 	}
 
@@ -269,17 +281,17 @@ func stored(store PointStore, workload string, cfg core.Config, opt Options) (Po
 // Every attempt appears in the trace as its own child of parent, so
 // retries show up as sibling "attempt" spans.
 //
-// A non-nil g is the configuration's group: when the configuration is
-// core.ReplayEligible, the attempt takes its statistics from the group's
-// L1 pass instead of simulating the whole hierarchy.
-func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, g *l1Group, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
+// A non-nil pass is the recorded L1 pass of the configuration's group:
+// the attempt replays it instead of simulating the whole hierarchy over
+// refs.
+func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, pass *core.L1Pass, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
 	var err error
 	// A negative Retries still makes the one attempt, so a ConfigError
 	// always carries the cause of a real failure.
 	for attempt := 0; attempt <= max(opt.Retries, 0); attempt++ {
 		as := parent.Child("attempt", span.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
 		var p Point
-		p, err = evaluateGuarded(ctx, refs, g, cfg, opt, as)
+		p, err = evaluateGuarded(ctx, refs, pass, cfg, opt, as)
 		if err == nil {
 			as.End()
 			p.Workload = workload
@@ -317,11 +329,15 @@ func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, g *l1Gr
 
 // evaluateGuarded is one evaluation attempt: panics become errors and the
 // per-configuration timeout is applied. The simulation proper is traced
-// as a "simulate" child of the attempt span (ended even when the
-// evaluation panics, so the trace stays complete); an attempt that runs
-// its group's L1 pass shows it as an "l1-pass" child of "simulate".
-func evaluateGuarded(ctx context.Context, refs []trace.Ref, g *l1Group, cfg core.Config, opt Options, sp *span.Span) (p Point, err error) {
-	sim := sp.Child("simulate", span.Attr{Key: "refs", Value: strconv.Itoa(len(refs))})
+// as a "simulate" child of the attempt span, which carries the trace
+// length (and is ended even when the evaluation panics, so the trace
+// stays complete).
+func evaluateGuarded(ctx context.Context, refs []trace.Ref, pass *core.L1Pass, cfg core.Config, opt Options, sp *span.Span) (p Point, err error) {
+	n := uint64(len(refs))
+	if pass != nil {
+		n = pass.Refs()
+	}
+	sim := sp.Child("simulate", span.Attr{Key: "refs", Value: strconv.FormatUint(n, 10)})
 	defer func() {
 		if r := recover(); r != nil {
 			err = panicError{v: r}
@@ -339,29 +355,24 @@ func evaluateGuarded(ctx context.Context, refs []trace.Ref, g *l1Group, cfg core
 	if err := opt.Chaos.Hit(ChaosSiteEvaluate); err != nil {
 		return Point{}, err
 	}
-	if g == nil || !core.ReplayEligible(cfg) {
+	if pass == nil {
 		return evaluateStream(ctx, trace.NewSliceStream(refs), cfg, opt)
 	}
 	return evaluateWith(cfg, opt, func() (core.Stats, error) {
-		pass, err := g.l1Pass(ctx, refs, cfg, sim)
-		if err != nil {
-			return core.Stats{}, err
-		}
 		return pass.Replay(ctx, cfg, opt.Metrics)
 	})
 }
 
 // l1Group is a run of a sweep's pending configurations that share one L1
 // pass: the core.ReplayEligible configurations with one L1 geometry, or
-// a single ineligible configuration, which never records a pass.
+// a single configuration that simulates directly and has no pass.
 type l1Group struct {
-	jobs []job
-	// next is the first job not yet handed out, and running counts the
-	// jobs being evaluated; both are guarded by the groupQueue's mutex.
-	next, running int
-	// pass is recorded by the first attempt that succeeds, and dropped
-	// once the group's last job finishes.
-	pass atomic.Pointer[core.L1Pass]
+	jobs   []job
+	replay bool
+	// pass is set by recordPasses before any job runs, and dropped once
+	// left, the count of unfinished jobs, falls to zero.
+	pass *core.L1Pass
+	left atomic.Int32
 }
 
 // job is one pending configuration and its index in the sweep.
@@ -370,21 +381,29 @@ type job struct {
 	cfg core.Config
 }
 
+// queued is a job handed to the workers with its group.
+type queued struct {
+	job   job
+	group *l1Group
+}
+
 // groupByL1 groups the eligible jobs by L1 geometry, in order of first
-// appearance. Every other job forms a group of its own.
+// appearance. Every other job, and every job whose L1s are invalid, forms
+// a group of its own.
 func groupByL1(jobs []job) []*l1Group {
 	type geometry struct{ l1i, l1d cache.Config }
 	var groups []*l1Group
 	index := map[geometry]*l1Group{}
 	for _, j := range jobs {
-		if !core.ReplayEligible(j.cfg) {
+		l1s := core.Config{L1I: j.cfg.L1I, L1D: j.cfg.L1D}
+		if !core.ReplayEligible(j.cfg) || l1s.Validate() != nil {
 			groups = append(groups, &l1Group{jobs: []job{j}})
 			continue
 		}
 		key := geometry{j.cfg.L1I, j.cfg.L1D}
 		g := index[key]
 		if g == nil {
-			g = &l1Group{}
+			g = &l1Group{replay: true}
 			index[key] = g
 			groups = append(groups, g)
 		}
@@ -393,95 +412,141 @@ func groupByL1(jobs []job) []*l1Group {
 	return groups
 }
 
-// l1Pass returns the group's L1 pass, recording it under sp on first
-// use. A failed pass is not kept, so the next attempt records it again.
-// The groupQueue runs no other job of the group until the pass is
-// recorded, so it is recorded by one attempt at a time.
-func (g *l1Group) l1Pass(ctx context.Context, refs []trace.Ref, cfg core.Config, sp *span.Span) (*core.L1Pass, error) {
-	if pass := g.pass.Load(); pass != nil {
-		return pass, nil
+// chunkRefs caps the references of one chunk of the trace stage, and
+// chunkBuffers is how many chunks exist at once: enough for the generator
+// to keep running while the recorder walks the chunk before.
+const (
+	chunkRefs    = 64 << 10
+	chunkBuffers = 4
+)
+
+// keptPrealloc caps the capacity the kept trace allocates up front (4M
+// references, as trace.Collect caps it), so a bogus Options.Refs cannot
+// allocate gigabytes before the stream proves that long.
+const keptPrealloc = 1 << 22
+
+// recordPasses is the sweep-level trace stage, which runs before the
+// workers start. A generator goroutine fills recycled chunks of the
+// workload's trace, and the calling goroutine feeds each chunk to one
+// core.L1Recorder, which records the pass of every replay group in a
+// single walk. Each replay group gets its pass. The whole trace is kept,
+// and returned, only when some group simulates directly.
+//
+// A done ctx stops the stage; it then returns with the passes unset, and
+// the workers, which check ctx before every job, take none. A panic in
+// the generator is raised again on the calling goroutine, where a panic
+// in the recorder surfaces anyway.
+func recordPasses(ctx context.Context, w spec.Workload, groups []*l1Group, opt Options, sw *span.Span) []trace.Ref {
+	var (
+		cfgs   []core.Config
+		direct bool
+	)
+	for _, g := range groups {
+		if g.replay {
+			cfgs = append(cfgs, g.jobs[0].cfg)
+		} else {
+			direct = true
+		}
 	}
-	ps := sp.Child("l1-pass", span.Attr{Key: "l1", Value: cache.FormatSize(cfg.L1I.Size)})
-	defer ps.End() // also when the pass panics
-	pass, err := core.RecordL1(ctx, cfg, refs)
+	rec, err := core.NewL1Recorder(cfgs)
 	if err != nil {
-		return nil, err
+		panic(err) // groupByL1 admits only valid direct-mapped L1s
 	}
-	g.pass.Store(pass)
-	return pass, nil
-}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // also stops the generator when the recorder panics
 
-// groupQueue hands a sweep's pending jobs to its workers. A group's jobs
-// wait while one of them records the group's pass; once it is recorded,
-// any worker may replay the rest, since the pass is immutable. A worker
-// takes a job of a group already started, oldest first, before it starts
-// a new group, so at most one pass per worker is held at a time.
-type groupQueue struct {
-	ctx     context.Context
-	mu      sync.Mutex
-	cond    sync.Cond
-	groups  []*l1Group
-	started int         // groups[:started] have handed out a job
-	stop    func() bool // stops waking workers on cancellation
-}
-
-func newGroupQueue(ctx context.Context, groups []*l1Group) *groupQueue {
-	q := &groupQueue{ctx: ctx, groups: groups}
-	q.cond.L = &q.mu
-	// Waiting workers wake up when the run is cancelled.
-	q.stop = context.AfterFunc(ctx, func() {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		q.cond.Broadcast()
-	})
-	return q
-}
-
-// take returns the next job to evaluate and its group. It waits while the
-// only jobs left belong to groups whose pass is being recorded, and
-// reports false once no job is left or ctx is done.
-func (q *groupQueue) take() (job, *l1Group, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.ctx.Err() == nil {
-		recording := false
-		for _, g := range q.groups[:q.started] {
-			if g.next == len(g.jobs) {
-				continue
+	free := make(chan []trace.Ref, chunkBuffers)
+	full := make(chan []trace.Ref, chunkBuffers)
+	var genPanic any
+	gs := sw.Child("generate")
+	go func() {
+		var n uint64 // references generated
+		defer close(full)
+		defer func() {
+			if r := recover(); r != nil {
+				genPanic = fmt.Sprintf("%v\n\ntrace generator goroutine:\n%s", r, debug.Stack())
 			}
-			if g.running > 0 && g.pass.Load() == nil {
-				recording = true
-				continue
+			gs.Annotate("refs", strconv.FormatUint(n, 10))
+			gs.End()
+		}()
+		st := w.Stream(opt.Refs)
+		for made := 0; n < opt.Refs; {
+			var buf []trace.Ref
+			if made < chunkBuffers {
+				buf, made = make([]trace.Ref, min(chunkRefs, opt.Refs)), made+1
+			} else {
+				select {
+				case buf = <-free:
+				case <-ctx.Done():
+					return
+				}
 			}
-			return q.hand(g)
+			buf = buf[:min(uint64(cap(buf)), opt.Refs-n)]
+			k := fill(st, buf)
+			n += uint64(k)
+			if k > 0 {
+				select {
+				case full <- buf[:k]:
+				case <-ctx.Done():
+					return
+				}
+			}
+			if k < len(buf) {
+				return
+			}
 		}
-		if q.started < len(q.groups) {
-			q.started++
-			return q.hand(q.groups[q.started-1])
-		}
-		if !recording {
-			break
-		}
-		q.cond.Wait()
+	}()
+
+	rs := sw.Child("l1-record", span.Attr{Key: "passes", Value: strconv.Itoa(len(cfgs))})
+	var passSpans []*span.Span
+	for _, cfg := range cfgs {
+		passSpans = append(passSpans, rs.Child("l1-pass", span.Attr{Key: "l1", Value: cache.FormatSize(cfg.L1I.Size)}))
 	}
-	return job{}, nil, false
+	defer func() {
+		for _, ps := range passSpans {
+			ps.End()
+		}
+		rs.End()
+	}()
+	var refs []trace.Ref
+	if direct {
+		refs = make([]trace.Ref, 0, min(opt.Refs, keptPrealloc))
+	}
+	for buf := range full {
+		// Record fails only once ctx is done; the generator then stops,
+		// and the chunks it already sent are drained unread.
+		if ctx.Err() == nil {
+			if direct {
+				refs = append(refs, buf...)
+			}
+			_ = rec.Record(ctx, buf)
+		}
+		free <- buf // never blocks: free holds every chunk
+	}
+	if genPanic != nil {
+		panic(genPanic)
+	}
+	if ctx.Err() != nil {
+		return nil
+	}
+	passes := rec.Finish()
+	for _, g := range groups {
+		if g.replay {
+			g.pass, passes = passes[0], passes[1:]
+		}
+	}
+	return refs
 }
 
-func (q *groupQueue) hand(g *l1Group) (job, *l1Group, bool) {
-	j := g.jobs[g.next]
-	g.next++
-	g.running++
-	return j, g, true
-}
-
-// done marks one job of g finished, drops g's pass after its last job,
-// and wakes the workers waiting for a pass.
-func (q *groupQueue) done(g *l1Group) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	g.running--
-	if g.next == len(g.jobs) && g.running == 0 {
-		g.pass.Store(nil)
+// fill reads references from st into buf until buf is full or st ends,
+// and returns how many it read.
+func fill(st trace.Stream, buf []trace.Ref) int {
+	for k := range buf {
+		r, ok := st.Next()
+		if !ok {
+			return k
+		}
+		buf[k] = r
 	}
-	q.cond.Broadcast()
+	return len(buf)
 }

@@ -65,7 +65,9 @@ type Options struct {
 	// Timeout bounds the evaluation of a single configuration under
 	// RunContext (0 = unbounded). A configuration that exceeds it fails
 	// with a ConfigError wrapping context.DeadlineExceeded; the rest of
-	// the sweep continues.
+	// the sweep continues. It does not bound the sweep-level stage that
+	// generates the trace and records the L1 passes before any
+	// configuration starts.
 	Timeout time.Duration
 	// Retries is the number of extra evaluation attempts RunContext makes
 	// for a configuration that failed transiently (panic or
@@ -95,8 +97,9 @@ type Options struct {
 	// nothing. Fingerprint ignores it.
 	Events *obs.EventLog
 	// Trace, when non-nil, receives a span tree of the run under
-	// RunContext and Evaluator: sweep → config → {attempt → simulate,
-	// store-put}, exportable as Chrome trace_event JSON. Nil (the
+	// RunContext and Evaluator: sweep → {generate, l1-record → l1-pass,
+	// config → {attempt → simulate, store-put}}, exportable as Chrome
+	// trace_event JSON. Nil (the
 	// default) costs nothing — span methods degrade to no-ops.
 	// Fingerprint ignores it.
 	Trace *span.Tracer

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strconv"
 	"testing"
 
 	"twolevel/internal/core"
@@ -116,20 +117,14 @@ func TestRunContextSpanTree(t *testing.T) {
 	if len(ix.byName["simulate"]) != total+1 {
 		t.Errorf("trace has %d simulate spans, want %d (one per attempt)", len(ix.byName["simulate"]), total+1)
 	}
-	// Each L1 group records its pass once, under the simulate span of the
-	// attempt that ran it (the injected panic fires before the pass).
+	// The trace stage runs once, under the sweep, before any config: one
+	// generate span that carries the trace length, and one l1-record
+	// span whose children are the passes, one per L1 group.
 	groups := map[int64]bool{}
 	for _, cfg := range Configs(opt) {
 		groups[cfg.L1I.Size] = true
 	}
-	if n := len(ix.byName["l1-pass"]); n != len(groups) {
-		t.Errorf("trace has %d l1-pass spans, want %d (one per L1 group)", n, len(groups))
-	}
-	for _, s := range ix.byName["l1-pass"] {
-		if p, ok := ix.byID[s.Parent]; !ok || p.Name != "simulate" {
-			t.Errorf("l1-pass parent is %q, want simulate", p.Name)
-		}
-	}
+	checkTraceStage(t, ix, sweeps[0].ID, opt.Refs, len(groups))
 
 	// The exported document must be schema-valid Chrome trace JSON with
 	// machine-checkable nesting via span_id/parent_id args.
@@ -183,8 +178,51 @@ func TestRunContextExclusiveL1PassSpans(t *testing.T) {
 	if _, err := RunContext(context.Background(), w, opt); err != nil {
 		t.Fatalf("RunContext: %v", err)
 	}
-	if n := len(indexSpans(tr.Snapshot()).byName["l1-pass"]); n != len(opt.L1Sizes) {
-		t.Errorf("exclusive sweep has %d l1-pass spans, want %d (one per L1 size)", n, len(opt.L1Sizes))
+	ix := indexSpans(tr.Snapshot())
+	if len(ix.byName["sweep"]) != 1 {
+		t.Fatalf("trace has %d sweep spans, want 1", len(ix.byName["sweep"]))
+	}
+	checkTraceStage(t, ix, ix.byName["sweep"][0].ID, opt.Refs, len(opt.L1Sizes))
+}
+
+// checkTraceStage checks the spans of a sweep's trace stage: one
+// generate and one l1-record span under the sweep, ended before the
+// first config span starts, the generate span carrying the trace length,
+// and one l1-pass span per L1 group under l1-record.
+func checkTraceStage(t *testing.T, ix spanIndex, sweep uint64, refs uint64, groups int) {
+	t.Helper()
+	gen, rec := ix.byName["generate"], ix.byName["l1-record"]
+	if len(gen) != 1 || len(rec) != 1 {
+		t.Fatalf("trace has %d generate and %d l1-record spans, want 1 each", len(gen), len(rec))
+	}
+	for _, s := range []span.Data{gen[0], rec[0]} {
+		if s.Parent != sweep {
+			t.Errorf("%s parent = %d, want sweep %d", s.Name, s.Parent, sweep)
+		}
+		for _, c := range ix.byName["config"] {
+			if c.StartNS < s.EndNS {
+				t.Errorf("config %q starts before %s ends", c.Attr("label"), s.Name)
+				break
+			}
+		}
+	}
+	if got, want := gen[0].Attr("refs"), strconv.FormatUint(refs, 10); got != want {
+		t.Errorf("generate refs attr = %q, want %q", got, want)
+	}
+	passes := ix.byName["l1-pass"]
+	if len(passes) != groups {
+		t.Errorf("trace has %d l1-pass spans, want %d (one per L1 group)", len(passes), groups)
+	}
+	for _, s := range passes {
+		if s.Parent != rec[0].ID {
+			t.Errorf("l1-pass %q parent = %d, want l1-record %d", s.Attr("l1"), s.Parent, rec[0].ID)
+		}
+	}
+	for _, s := range ix.byName["simulate"] {
+		if got, want := s.Attr("refs"), strconv.FormatUint(refs, 10); got != want {
+			t.Errorf("simulate refs attr = %q, want %q", got, want)
+			break
+		}
 	}
 }
 
