@@ -7,8 +7,12 @@ all: build
 build:
 	$(GO) build ./...
 
+# vet also fails on any Go file of the module or of the bench module
+# that gofmt would change, listing them.
 vet:
 	$(GO) vet ./...
+	@files=$$(gofmt -l $$(for d in $$($(GO) list -f '{{.Dir}}' ./...) $$($(GO) -C bench list -f '{{.Dir}}' ./...); do echo $$d/*.go; done)); \
+	if [ -n "$$files" ]; then echo "not gofmt-clean (run gofmt -w):"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) test ./...

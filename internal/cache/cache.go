@@ -184,11 +184,7 @@ type Cache struct {
 	valid []bool
 	dirty []bool
 
-	// Replacement state.
-	lastUse []uint64 // LRU timestamps
-	fifoPtr []uint32 // next way to replace per set, FIFO
-	tick    uint64
-	lfsr    uint32
+	repl Replacement
 
 	stats Stats
 
@@ -233,7 +229,7 @@ func TryNew(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	lines := cfg.Lines()
-	c := &Cache{
+	return &Cache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setMask:   uint64(cfg.Sets() - 1),
@@ -241,15 +237,8 @@ func TryNew(cfg Config) (*Cache, error) {
 		tags:      make([]LineAddr, lines),
 		valid:     make([]bool, lines),
 		dirty:     make([]bool, lines),
-		lfsr:      0xACE1, // non-zero LFSR seed
-	}
-	switch cfg.Policy {
-	case LRU:
-		c.lastUse = make([]uint64, lines)
-	case FIFO:
-		c.fifoPtr = make([]uint32, cfg.Sets())
-	}
-	return c, nil
+		repl:      NewReplacement(cfg),
+	}, nil
 }
 
 // Config returns the configuration the cache was built with.
@@ -334,7 +323,7 @@ func (c *Cache) access(a Addr, write bool) (hit bool, v Victim) {
 		if c.observer != nil {
 			c.observer.ObserveAccess(l, true)
 		}
-		c.touch(set, w)
+		c.repl.Touch(set, w)
 		if write {
 			c.dirty[set*c.assoc+w] = true
 		}
@@ -361,7 +350,7 @@ func (c *Cache) Lookup(a Addr) bool {
 		if c.observer != nil {
 			c.observer.ObserveAccess(l, true)
 		}
-		c.touch(set, w)
+		c.repl.Touch(set, w)
 		return true
 	}
 	c.stats.Misses++
@@ -391,7 +380,7 @@ func (c *Cache) InsertLine(l LineAddr) Victim {
 func (c *Cache) InsertLineState(l LineAddr, dirty bool) Victim {
 	set := c.set(l)
 	if w := c.findWay(set, l); w >= 0 {
-		c.touch(set, w)
+		c.repl.Touch(set, w)
 		if dirty {
 			c.dirty[set*c.assoc+w] = true
 		}
@@ -476,14 +465,6 @@ func (c *Cache) VisitLines(fn func(LineAddr)) {
 	}
 }
 
-// touch records a use of (set, way) for the replacement policy.
-func (c *Cache) touch(set, way int) {
-	if c.lastUse != nil {
-		c.tick++
-		c.lastUse[set*c.assoc+way] = c.tick
-	}
-}
-
 // insertState allocates l in set with the given dirty state, choosing a
 // victim way per policy.
 func (c *Cache) insertState(set int, l LineAddr, dirty bool) Victim {
@@ -494,21 +475,16 @@ func (c *Cache) insertState(set int, l LineAddr, dirty bool) Victim {
 			c.tags[base+w] = l
 			c.valid[base+w] = true
 			c.dirty[base+w] = dirty
-			c.touch(set, w)
-			if c.fifoPtr != nil {
-				// FIFO pointer is only meaningful once the set is
-				// full; filling in order keeps it consistent.
-				c.fifoPtr[set] = uint32((w + 1) & (c.assoc - 1))
-			}
+			c.repl.Filled(set, w)
 			return Victim{}
 		}
 	}
-	w := c.victimWay(set)
+	w := c.repl.Victim(set)
 	old := c.tags[base+w]
 	oldDirty := c.dirty[base+w]
 	c.tags[base+w] = l
 	c.dirty[base+w] = dirty
-	c.touch(set, w)
+	c.repl.Touch(set, w)
 	c.mEvictions.Inc()
 	if oldDirty {
 		c.mDirtyWB.Inc()
@@ -516,34 +492,84 @@ func (c *Cache) insertState(set int, l LineAddr, dirty bool) Victim {
 	return Victim{Line: old, Valid: true, Dirty: oldDirty}
 }
 
-// victimWay picks the way to replace in a full set.
-func (c *Cache) victimWay(set int) int {
-	if c.assoc == 1 {
+// Replacement is the replacement state of one cache array: the LRU
+// stamp of every way, the FIFO fill pointer of every set and the random
+// policy's LFSR. Its methods are the one home of the replacement rules.
+// Cache keeps one, and so does any flat copy of a cache's state (the
+// L1-once replay's L2 kernel in internal/core), so a set replaces the
+// same way whichever of them simulates it. Both fill a set's
+// lowest-numbered empty way first, each finding it in its own layout,
+// and ask Victim only when the set is full. The zero value is not
+// usable; call NewReplacement.
+type Replacement struct {
+	assoc  int
+	policy ReplacementPolicy
+	stamps []uint64 // LRU: the tick of each way's last use, set-major
+	fifo   []uint32 // FIFO: the next way each set replaces
+	tick   uint64
+	lfsr   uint32
+}
+
+// NewReplacement returns the state of an empty cache of configuration c,
+// which must be valid.
+func NewReplacement(c Config) Replacement {
+	r := Replacement{assoc: c.Assoc, policy: c.Policy, lfsr: 0xACE1} // non-zero LFSR seed
+	switch c.Policy {
+	case LRU:
+		r.stamps = make([]uint64, c.Lines())
+	case FIFO:
+		r.fifo = make([]uint32, c.Sets())
+	}
+	return r
+}
+
+// Touch records a use of way w of set (a hit, or a fill). Only LRU
+// keeps uses.
+func (r *Replacement) Touch(set, w int) {
+	if r.stamps != nil {
+		r.tick++
+		r.stamps[set*r.assoc+w] = r.tick
+	}
+}
+
+// Filled records a fill of way w of set, which was empty. The FIFO
+// pointer is only meaningful once the set is full; pointing it at the
+// way after the fill keeps it consistent with filling in way order.
+func (r *Replacement) Filled(set, w int) {
+	r.Touch(set, w)
+	if r.fifo != nil {
+		r.fifo[set] = uint32((w + 1) & (r.assoc - 1))
+	}
+}
+
+// Victim picks the way to replace in set, which is full, and steps the
+// policy's state: the oldest stamp under LRU (the first way on a tie),
+// the fill pointer under FIFO, and the next LFSR state, masked to the
+// ways, under Random. A direct-mapped set has no choice and steps
+// nothing. The caller records the fill with Touch.
+func (r *Replacement) Victim(set int) int {
+	if r.assoc == 1 {
 		return 0
 	}
-	switch c.cfg.Policy {
+	switch r.policy {
 	case LRU:
-		base := set * c.assoc
-		w, oldest := 0, c.lastUse[base]
-		for i := 1; i < c.assoc; i++ {
-			if c.lastUse[base+i] < oldest {
-				w, oldest = i, c.lastUse[base+i]
+		s := r.stamps[set*r.assoc : (set+1)*r.assoc]
+		w := 0
+		for i, t := range s {
+			if t < s[w] {
+				w = i
 			}
 		}
 		return w
 	case FIFO:
-		w := int(c.fifoPtr[set])
-		c.fifoPtr[set] = uint32((w + 1) & (c.assoc - 1))
+		w := int(r.fifo[set])
+		r.fifo[set] = uint32((w + 1) & (r.assoc - 1))
 		return w
 	default: // Random
-		return int(c.nextRand()) & (c.assoc - 1)
+		// One step of a 16-bit Fibonacci LFSR (taps 16,14,13,11), the
+		// classic pseudo-random replacement source.
+		b := (r.lfsr ^ r.lfsr>>2 ^ r.lfsr>>3 ^ r.lfsr>>5) & 1
+		r.lfsr = r.lfsr>>1 | b<<15
+		return int(r.lfsr) & (r.assoc - 1)
 	}
-}
-
-// nextRand steps a 16-bit Fibonacci LFSR (taps 16,14,13,11), the classic
-// pseudo-random replacement source.
-func (c *Cache) nextRand() uint32 {
-	b := ((c.lfsr >> 0) ^ (c.lfsr >> 2) ^ (c.lfsr >> 3) ^ (c.lfsr >> 5)) & 1
-	c.lfsr = (c.lfsr >> 1) | (b << 15)
-	return c.lfsr
 }

@@ -225,7 +225,7 @@ func TestFIFOPointerPastSixteenBits(t *testing.T) {
 	for w := range c.tags {
 		c.tags[w], c.valid[w] = LineAddr(w), true
 	}
-	c.fifoPtr[0] = 1<<16 - 1
+	c.repl.fifo[0] = 1<<16 - 1
 	for i := 1<<16 - 1; i <= 1<<16+1; i++ {
 		v := c.InsertLine(LineAddr(ways + i))
 		if !v.Valid || v.Line != LineAddr(i) {

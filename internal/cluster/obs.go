@@ -127,9 +127,9 @@ const (
 	// one journaled lease whose units were stolen back to the ready
 	// queue on grace expiry; EventWorkerReconnected, a worker closing its
 	// circuit breaker after an outage (Total carries the flushed pushes).
-	EventJournalReplayed  = "cluster_journal_replayed"
-	EventOrphanReclaimed  = "cluster_orphan_reclaimed"
-	EventOrphanExpired    = "cluster_orphan_expired"
+	EventJournalReplayed   = "cluster_journal_replayed"
+	EventOrphanReclaimed   = "cluster_orphan_reclaimed"
+	EventOrphanExpired     = "cluster_orphan_expired"
 	EventWorkerReconnected = "cluster_worker_reconnected"
 )
 

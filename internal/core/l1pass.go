@@ -23,8 +23,9 @@ import (
 // dirty bit of a line that moves up, which the replay tracks per L1
 // slot. DESIGN.md "L1-once replay" states the exactness argument.
 
-// ctxCheckInterval is how many references (or miss events) the kernel
-// loops run between checks of their context.
+// ctxCheckInterval is how many references the recorder walks between
+// checks of its context, and the most miss events a replay runs between
+// checks (one per chunk of the pass).
 const ctxCheckInterval = 8192
 
 // ReplayEligible reports whether an L1Pass can stand in for System.Run
@@ -62,14 +63,26 @@ type dmLine struct {
 // counters and the miss stream every L2 below those L1s sees. It is
 // immutable once recorded, so concurrent Replays may share it.
 type L1Pass struct {
-	l1i, l1d  cache.Config
-	st        Stats // reference and L1 counters
-	icache    dmL1  // L1I counters (the lines are dropped after the pass)
-	dcache    dmL1  // L1D counters
-	events    []missEvent
-	instr     []uint64 // bit i set: events[i] missed in the L1I
-	lineShift uint
+	l1i, l1d cache.Config
+	st       Stats // reference and L1 counters
+	icache   dmL1  // L1I counters (the lines are dropped after the pass)
+	dcache   dmL1  // L1D counters
+	chunks   []missChunk
 }
+
+// missChunk is a run of a pass's miss events in trace order. Chunks
+// start at firstChunk events and double up to maxChunk, each allocated
+// at its full length once, so recording copies no event and leaves at
+// most one part-filled chunk.
+type missChunk struct {
+	events []missEvent
+	instr  []uint64 // bit j%64 of word j/64 set: events[j] missed in the L1I
+}
+
+const (
+	firstChunk = 256
+	maxChunk   = ctxCheckInterval
+)
 
 // Refs reports the length of the recorded trace.
 func (p *L1Pass) Refs() uint64 { return p.st.Refs() }
@@ -135,10 +148,7 @@ func NewL1Recorder(cfgs []Config) (*L1Recorder, error) {
 		if cfg.L1I.Assoc != 1 || cfg.L1D.Assoc != 1 {
 			return nil, fmt.Errorf("core: L1 pass needs direct-mapped L1s, got %s and %s", cfg.L1I, cfg.L1D)
 		}
-		p := &L1Pass{
-			l1i: cfg.L1I, l1d: cfg.L1D,
-			lineShift: uint(bits.TrailingZeros(uint(cfg.L1I.LineSize))),
-		}
+		p := &L1Pass{l1i: cfg.L1I, l1d: cfg.L1D}
 		r.passes = append(r.passes, p)
 		r.sides[0] = useCache(r.sides[0], cfg.L1I, p)
 		r.sides[1] = useCache(r.sides[1], cfg.L1D, p)
@@ -233,14 +243,21 @@ func (r *L1Recorder) walk(refs []trace.Ref) {
 
 // record appends one miss event, and whether the L1I missed it.
 func (p *L1Pass) record(ev missEvent, instr bool) {
-	n := len(p.events)
-	if n%64 == 0 {
-		p.instr = append(p.instr, 0)
+	k := len(p.chunks) - 1
+	if k < 0 || len(p.chunks[k].events) == cap(p.chunks[k].events) {
+		n := firstChunk
+		if k >= 0 {
+			n = min(2*cap(p.chunks[k].events), maxChunk)
+		}
+		p.chunks = append(p.chunks, missChunk{events: make([]missEvent, 0, n), instr: make([]uint64, n/64)})
+		k++
 	}
+	c := &p.chunks[k]
 	if instr {
-		p.instr[n/64] |= 1 << (n % 64)
+		j := len(c.events)
+		c.instr[j/64] |= 1 << (j % 64)
 	}
-	p.events = append(p.events, ev)
+	c.events = append(c.events, ev)
 }
 
 // Finish returns the recorded passes, one per configuration given to
@@ -279,16 +296,15 @@ func (r *L1Recorder) Finish() []*L1Pass {
 
 // Replay returns the statistics System.Run would return for cfg over the
 // recorded trace, field for field. cfg must be ReplayEligible and have
-// the pass's L1s. A two-level conventional cfg drives a fresh L2 through
-// the conventional operation order for every miss event: the dirty
-// victim writes back into the L2's copy if there is one (otherwise
-// off-chip), then the missing line is looked up, and filled on a miss.
-// An exclusive cfg takes replayExclusive. A single-level cfg needs no
-// L2: every L1 miss is an off-chip fetch and every dirty victim an
-// off-chip write-back.
+// the pass's L1s. A two-level cfg replays the miss events into a fresh
+// l2Kernel of cfg's L2 (l2kernel.go), through the conventional or the
+// exclusive operation order. A single-level cfg needs no L2: every L1
+// miss is an off-chip fetch and every dirty victim an off-chip
+// write-back.
 //
 // reg, when non-nil, receives the counters System.Instrument would have
-// accumulated. Replay checks ctx every ctxCheckInterval events.
+// accumulated. Replay checks ctx before each chunk of events, so at
+// least every ctxCheckInterval events.
 func (p *L1Pass) Replay(ctx context.Context, cfg Config, reg *obs.Registry) (Stats, error) {
 	if !ReplayEligible(cfg) || cfg.L1I != p.l1i || cfg.L1D != p.l1d {
 		return Stats{}, fmt.Errorf("core: cannot replay %s over an L1 pass of %s and %s", cfg, p.l1i, p.l1d)
@@ -306,40 +322,103 @@ func (p *L1Pass) Replay(ctx context.Context, cfg Config, reg *obs.Registry) (Sta
 		p.instrument(reg, st, [2]uint64{})
 		return st, nil
 	}
-	l2, err := cache.TryNew(cfg.L2)
+	l2 := newL2Kernel(cfg.L2)
+	var upDirtyOut [2]uint64
+	var err error
+	switch {
+	case cfg.Policy == Exclusive:
+		upDirtyOut, err = p.replayExclusive(ctx, l2, &st)
+	case l2.narrow():
+		err = p.replayNarrow(ctx, l2, &st)
+	default:
+		err = p.replayConventional(ctx, l2, &st)
+	}
 	if err != nil {
 		return Stats{}, err
 	}
-	l2.Instrument(reg, "cache_l2")
-	if cfg.Policy == Exclusive {
-		return p.replayExclusive(ctx, l2, reg, st)
-	}
-	for i, ev := range p.events {
-		if i%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return Stats{}, err
-			}
-		}
-		if ev.Victim != ev.Line {
-			if l2.MarkDirtyLine(ev.Victim) {
-				st.WriteBacksToL2++
-			} else {
-				st.WriteBacksOffChip++
-			}
-		}
-		hit, v := l2.Access(cache.Addr(ev.Line << p.lineShift))
-		if hit {
-			st.L2Hits++
-			continue
-		}
-		st.L2Misses++
-		if v.Valid && v.Dirty {
-			st.WriteBacksOffChip++
-		}
-	}
 	st.OffChipFetches = st.L2Misses
-	p.instrument(reg, st, [2]uint64{})
+	reg.Counter("cache_l2_hits_total").Add(st.L2Hits)
+	reg.Counter("cache_l2_misses_total").Add(st.L2Misses)
+	reg.Counter("cache_l2_evictions_total").Add(l2.evictions)
+	reg.Counter("cache_l2_dirty_writebacks_total").Add(l2.dirtyOut)
+	p.instrument(reg, st, upDirtyOut)
 	return st, nil
+}
+
+// replayConventional drives l2 through System.Access's conventional
+// order for every miss event: the dirty victim writes back into the
+// L2's copy if there is one (otherwise off-chip), then the missing line
+// is looked up, and filled on a miss. It serves an L2 of any geometry;
+// replayNarrow is the same loop for the common one.
+func (p *L1Pass) replayConventional(ctx context.Context, l2 *l2Kernel, st *Stats) error {
+	var hits, toL2 uint64
+	for _, c := range p.chunks {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, ev := range c.events {
+			if ev.Victim != ev.Line {
+				if i := l2.find(ev.Victim); i >= 0 {
+					l2.markDirty(i)
+					toL2++
+				}
+			}
+			if i := l2.find(ev.Line); i >= 0 {
+				hits++
+				l2.touch(i)
+			} else {
+				l2.fill(ev.Line, false)
+			}
+		}
+	}
+	p.conventionalStats(st, l2, hits, toL2)
+	return nil
+}
+
+// replayNarrow is replayConventional for a narrow l2 (l2Kernel.narrow),
+// which covers every L2 of the paper's grid. Its probes are one inline
+// match each, with the kernel's slices held in locals, and a fill into
+// an empty way is inline too: a Go function call in this loop costs
+// the loop its registers, so it calls out only to replace a line.
+func (p *L1Pass) replayNarrow(ctx context.Context, l2 *l2Kernel, st *Stats) error {
+	tags, valid, dirty, setMask := l2.tags, l2.valid, l2.dirty, l2.setMask
+	repl := &l2.repl
+	var hits, toL2 uint64
+	for _, c := range p.chunks {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, ev := range c.events {
+			if ev.Victim != ev.Line {
+				base := int(ev.Victim&setMask) << probeShift
+				if m := match(tags, base, ev.Victim); m != 0 {
+					dirty[base>>6] |= m << (base & 63)
+					toL2++
+				}
+			}
+			base := int(ev.Line&setMask) << probeShift
+			if m := match(tags, base, ev.Line); m != 0 {
+				hits++
+				repl.Touch(base>>probeShift, bits.TrailingZeros64(m))
+			} else if e := ^(valid[base>>6] >> (base & 63)) & l2.wayMask; e != 0 {
+				l2.place(base, bits.TrailingZeros64(e), ev.Line)
+			} else {
+				l2.replace(base, ev.Line, false)
+			}
+		}
+	}
+	p.conventionalStats(st, l2, hits, toL2)
+	return nil
+}
+
+// conventionalStats completes st from a conventional replay's L2 hits
+// and write-backs into the L2: every other event missed, and every other
+// dirty L1 victim, like every dirty L2 victim, went off-chip.
+func (p *L1Pass) conventionalStats(st *Stats, l2 *l2Kernel, hits, toL2 uint64) {
+	st.L2Hits = hits
+	st.L2Misses = st.L1Misses() - hits
+	st.WriteBacksToL2 = toL2
+	st.WriteBacksOffChip = p.icache.dirtyVictims + p.dcache.dirtyVictims - toL2 + l2.dirtyOut
 }
 
 // exclusiveSlot is the replay's view of one L1 slot under the exclusive
@@ -356,54 +435,83 @@ type exclusiveSlot struct {
 // moves down. The victim is the line the previous miss in the same L1
 // slot brought in, and it is dirty if it was written in the L1 (the
 // event's Victim) or came up dirty from the L2 (the slot's upDirty bit).
-func (p *L1Pass) replayExclusive(ctx context.Context, l2 *cache.Cache, reg *obs.Registry, st Stats) (Stats, error) {
+// It returns how many of the L1I's and the L1D's victims were dirty only
+// because they came up dirty. A narrow l2 takes inline paths, as in
+// replayNarrow; any other l2 takes the kernel's general methods.
+func (p *L1Pass) replayExclusive(ctx context.Context, l2 *l2Kernel, st *Stats) (upDirtyOut [2]uint64, err error) {
 	islots := make([]exclusiveSlot, p.l1i.Lines())
 	dslots := make([]exclusiveSlot, p.l1d.Lines())
 	imask, dmask := cache.LineAddr(len(islots)-1), cache.LineAddr(len(dslots)-1)
-	setMask := cache.LineAddr(l2.Config().Sets() - 1)
-	var upDirtyOut [2]uint64 // victims dirty only from the L2: L1I, L1D
-	for i, ev := range p.events {
-		if i%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return Stats{}, err
+	tags, valid, setMask, narrow := l2.tags, l2.valid, l2.setMask, l2.narrow()
+	var hits, victims, toL2, swaps uint64
+	for _, c := range p.chunks {
+		if err := ctx.Err(); err != nil {
+			return upDirtyOut, err
+		}
+		for j, ev := range c.events {
+			s, l1 := &dslots[ev.Line&dmask], 1
+			if c.instr[j/64]&(1<<(j%64)) != 0 {
+				s, l1 = &islots[ev.Line&imask], 0
+			}
+			victim, hadVictim := s.line, s.valid
+			written := ev.Victim != ev.Line
+			dirty := written || s.upDirty
+			s.line, s.valid, s.upDirty = ev.Line, true, false
+			hit := -1
+			if narrow {
+				base := int(ev.Line&setMask) << probeShift
+				if m := match(tags, base, ev.Line); m != 0 {
+					hit = base + bits.TrailingZeros64(m)
+				}
+			} else {
+				hit = l2.find(ev.Line)
+			}
+			if hit >= 0 {
+				hits++
+				l2.touch(hit)
+				s.upDirty = l2.invalidate(hit)
+			}
+			if !hadVictim {
+				continue
+			}
+			victims++
+			if dirty {
+				toL2++
+				if !written {
+					upDirtyOut[l1]++
+				}
+			}
+			if hit >= 0 && victim&setMask == ev.Line&setMask {
+				swaps++
+			}
+			i := -1
+			if narrow {
+				base := int(victim&setMask) << probeShift
+				if m := match(tags, base, victim); m != 0 {
+					i = base + bits.TrailingZeros64(m)
+				} else if e := ^(valid[base>>6] >> (base & 63)) & l2.wayMask; e != 0 {
+					if i := l2.place(base, bits.TrailingZeros64(e), victim); dirty {
+						l2.markDirty(i)
+					}
+					continue
+				}
+			} else {
+				i = l2.find(victim)
+			}
+			if i < 0 {
+				l2.fill(victim, dirty)
+			} else if l2.touch(i); dirty {
+				l2.markDirty(i)
 			}
 		}
-		s, l1 := &dslots[ev.Line&dmask], 1
-		if p.instr[i/64]&(1<<(i%64)) != 0 {
-			s, l1 = &islots[ev.Line&imask], 0
-		}
-		victim, hadVictim := s.line, s.valid
-		written := ev.Victim != ev.Line
-		dirty := written || s.upDirty
-		if hadVictim && dirty && !written {
-			upDirtyOut[l1]++
-		}
-		hit := l2.Lookup(cache.Addr(ev.Line << p.lineShift))
-		upDirty := false
-		if hit {
-			st.L2Hits++
-			_, upDirty = l2.InvalidateLineState(ev.Line)
-		} else {
-			st.L2Misses++
-		}
-		*s = exclusiveSlot{line: ev.Line, valid: true, upDirty: upDirty}
-		if !hadVictim {
-			continue
-		}
-		st.VictimsToL2++
-		if dirty {
-			st.WriteBacksToL2++
-		}
-		if hit && victim&setMask == ev.Line&setMask {
-			st.Swaps++
-		}
-		if v := l2.InsertLineState(victim, dirty); v.Valid && v.Dirty {
-			st.WriteBacksOffChip++
-		}
 	}
-	st.OffChipFetches = st.L2Misses
-	p.instrument(reg, st, upDirtyOut)
-	return st, nil
+	st.L2Hits = hits
+	st.L2Misses = st.L1Misses() - hits
+	st.VictimsToL2 = victims
+	st.WriteBacksToL2 = toL2
+	st.Swaps = swaps
+	st.WriteBacksOffChip = l2.dirtyOut
+	return upDirtyOut, nil
 }
 
 // instrument adds one replayed hierarchy's L1 and hierarchy-level counts

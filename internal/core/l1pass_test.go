@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"twolevel/internal/cache"
@@ -170,21 +171,153 @@ func TestL1PassReplayOracle(t *testing.T) {
 	t.Logf("exclusive totals over %d cases: %+v; %d victims dirty only from the L2", cases[Exclusive], sum[Exclusive], upDirty)
 }
 
+// widthCases is how many cases TestL1PassReplayWidthOracle checks.
+const widthCases = 1500
+
+// randomWidthCase draws a case with an L2 of any width: L1s and a trace
+// as randomCase draws them, and an L2 of 1–256 ways in at most 512 lines
+// (one set, a fully associative L2, in about a quarter of the cases)
+// under any replacement policy and either hierarchy policy.
+func randomWidthCase(rng *rand.Rand) (Config, []trace.Ref) {
+	line := 1 << rng.IntN(6)
+	cfg := randomConfig(rng, line)
+	wayLog := rng.IntN(9)
+	sets := 1 << rng.IntN(min(4, 10-wayLog))
+	cfg.L2 = cache.Config{
+		Size:     int64(sets << wayLog * line),
+		LineSize: line,
+		Assoc:    1 << wayLog,
+		Policy:   cache.ReplacementPolicy(rng.IntN(3)),
+	}
+	cfg.Policy = Policy(rng.IntN(2))
+	return cfg, randomTrace(rng, line)
+}
+
+// replayPath names the path a replay into an L2 of cfg takes: the
+// narrow kernel's one-match probe, by ways, or the general probe.
+func replayPath(cfg cache.Config) string {
+	if newL2Kernel(cfg).narrow() {
+		return fmt.Sprintf("%d-way", cfg.Assoc)
+	}
+	if cfg.Sets() == 1 {
+		return "fully associative"
+	}
+	return "wide"
+}
+
+// TestL1PassReplayWidthOracle extends TestL1PassReplayOracle to L2s of
+// up to 256 ways and to fully associative L2s: a seeded table on which
+// the pass and replay, System.Run and the naive reference simulator must
+// agree on every counter. The table must take every path of the L2
+// kernel (each narrow width, sets wider than one probe window, and one
+// set of any width) under both policies and every replacement policy,
+// with L2 hits and evictions on each.
+func TestL1PassReplayWidthOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 1994))
+	type key struct {
+		path   string
+		policy Policy
+		repl   cache.ReplacementPolicy
+	}
+	hits, evicted := map[key]uint64{}, map[key]uint64{}
+	for i := 0; i < widthCases; i++ {
+		cfg, refs := randomWidthCase(rng)
+		st, ref, err := checkThreeWay(cfg, refs, nil)
+		if err != nil {
+			t.Fatalf("case %d, %s (L1I %s, L1D %s, L2 %s), %d refs: %v", i, cfg, cfg.L1I, cfg.L1D, cfg.L2, len(refs), err)
+		}
+		k := key{replayPath(cfg.L2), cfg.Policy, cfg.L2.Policy}
+		hits[k] += st.L2Hits
+		evicted[k] += ref.l2.evicted
+	}
+	for _, path := range []string{"1-way", "2-way", "4-way", "wide", "fully associative"} {
+		for _, policy := range []Policy{Conventional, Exclusive} {
+			for _, repl := range []cache.ReplacementPolicy{cache.Random, cache.LRU, cache.FIFO} {
+				if k := (key{path, policy, repl}); hits[k] == 0 || evicted[k] == 0 {
+					t.Errorf("%s %s L2s under %s replacement: %d hits, %d evictions", path, policy, repl, hits[k], evicted[k])
+				}
+			}
+		}
+	}
+}
+
+// TestL1PassReplayConcurrent replays one shared pass from several
+// goroutines at once, each into L2s of its own geometry and policy, and
+// requires every result to equal System.Run's. Under the race detector
+// it also checks that a replay writes nothing the pass shares.
+func TestL1PassReplayConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 1994))
+	const line = 16
+	var refs []trace.Ref
+	for len(refs) < 5000 {
+		refs = append(refs, randomTrace(rng, line)...)
+	}
+	l1 := cache.Config{Size: 32 * line, LineSize: line, Assoc: 1}
+	pass, err := RecordL1(context.Background(), Config{L1I: l1, L1D: l1}, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []Config
+	for _, ways := range []int{1, 2, 4, 8, 64} {
+		for _, policy := range []Policy{Conventional, Exclusive} {
+			cfgs = append(cfgs, Config{
+				L1I: l1, L1D: l1, Policy: policy,
+				L2: cache.Config{Size: 256 * line, LineSize: line, Assoc: ways, Policy: cache.ReplacementPolicy(ways % 3)},
+			})
+		}
+	}
+	want := make([]Stats, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i] = NewSystem(cfg).Run(trace.NewSliceStream(refs))
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(cfgs))
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				if got, err := pass.Replay(context.Background(), cfg, nil); err != nil || got != want[i] {
+					errs[i] = fmt.Errorf("%s (L2 %s): Replay %+v (err %v)\n System.Run %+v", cfg, cfg.L2, got, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // FuzzL1PassReplay is the fuzzing form of TestL1PassReplayOracle. The
 // geometry comes from the small integers (policy picks the L2
 // replacement policy modulo 3 and the hierarchy policy, conventional or
 // exclusive, from the rest) and the trace from data, three bytes per
 // reference: a kind byte whose high bits pick a high address region, and
-// a 16-bit offset.
+// a 16-bit offset. A wayLog below 128 gives 1–8 ways; with its top bit
+// set it gives 16–256, so that the kernel's general probe is fuzzed too
+// (with l2Log%9 == 1, a fully associative L2).
 func FuzzL1PassReplay(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(6), uint8(2), uint8(0), []byte("\x00\x00\x10\x01\x00\x20\x02\x10\x00\x00\x00\x10"))
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), []byte("\x02\x01\x00\x02\x02\x00\x02\x01\x00"))
 	f.Add(uint8(7), uint8(5), uint8(3), uint8(3), uint8(2), []byte("\xfe\xff\xff\x02\x00\x00\xfe\xff\xff"))
 	f.Add(uint8(0), uint8(0), uint8(2), uint8(1), uint8(5), []byte("\x02\x00\x00\x01\x01\x00\x01\x00\x00\x01\x01\x00\x01\x02\x00"))
 	f.Add(uint8(1), uint8(4), uint8(4), uint8(2), uint8(4), []byte("\x00\x00\x10\x02\x00\x10\x00\x00\x20\x01\x00\x10\x00\x00\x10"))
+	// Wide L2s of one-byte lines below one-line L1s: 2 sets of 16 ways
+	// under LRU, a fully associative 256-way FIFO L2 under the exclusive
+	// policy, and 2 sets of 64 random ways under the exclusive policy.
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(130), uint8(1), wideSeed())
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(129), uint8(5), wideSeed())
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(132), uint8(3), wideSeed())
 	f.Fuzz(func(t *testing.T, l1Log, lineLog, l2Log, wayLog, policy uint8, data []byte) {
 		line := 1 << (lineLog % 6)
 		assoc := 1 << (wayLog % 4)
+		if wayLog >= 128 {
+			assoc = 16 << (wayLog % 5)
+		}
 		cfg := Config{
 			L1I: cache.Config{Size: int64(line << (l1Log % 8)), LineSize: line, Assoc: 1},
 			L1D: cache.Config{Size: int64(line << (l1Log % 8)), LineSize: line, Assoc: 1},
@@ -208,6 +341,25 @@ func FuzzL1PassReplay(f *testing.F) {
 			t.Fatalf("%s (L1 %s, L2 %s), %d refs: %v", cfg, cfg.L1I, cfg.L2, len(refs), err)
 		}
 	})
+}
+
+// wideSeed is the trace of the fuzz seeds with wide L2s, in their three
+// bytes per reference: 40 lines of data, every third one written, then
+// ten of them again and two instruction fetches. With one-byte lines an
+// L2 of 32 lines or fewer both hits and evicts on it.
+func wideSeed() []byte {
+	var b []byte
+	for i := 0; i < 40; i++ {
+		kind := trace.Data
+		if i%3 == 0 {
+			kind = trace.Write
+		}
+		b = append(b, byte(kind), byte(i), 0)
+	}
+	for i := 0; i < 30; i += 3 {
+		b = append(b, byte(trace.Data), byte(i), 0)
+	}
+	return append(b, byte(trace.Instr), 5, 0, byte(trace.Instr), 41, 0)
 }
 
 // recordCases is how many recordings TestL1RecordOracle checks.
@@ -291,13 +443,19 @@ func TestL1RecordOracle(t *testing.T) {
 // FuzzL1Record is the fuzzing form of TestL1RecordOracle. Each five
 // bytes of geo draw one of up to 9 geometries: the line size, the L1I
 // and L1D sizes, the L2 size (0 for none), and the L2's ways, replacement
-// policy and hierarchy policy. The trace comes from data, three bytes per
-// reference: a kind byte whose high bits set the top bits of the address,
-// and a 16-bit offset. The walk is fed in chunks of 1–8 references.
+// policy and hierarchy policy. The ways are 1–8, or 16–256 when the
+// fifth byte has its top bit set. The trace comes from data, three bytes
+// per reference: a kind byte whose high bits set the top bits of the
+// address, and a 16-bit offset. The walk is fed in chunks of 1–8
+// references.
 func FuzzL1Record(f *testing.F) {
 	f.Add([]byte("\x04\x00\x00\x02\x01"), []byte("\x00\x00\x10\x01\x00\x20\x02\x10\x00\x00\x00\x10"))
 	f.Add([]byte("\x00\x00\x01\x03\x00\x00\x02\x02\x04\x0d\x00\x01\x00\x00\x00"), []byte("\x02\x01\x00\x02\x02\x00\x02\x01\x00\xfe\xff\xff"))
 	f.Add([]byte("\x01\x03\x03\x05\x06\x02\x03\x03\x05\x06\x01\x05\x07\x00\x00\x03\x00\x00\x08\x17"), []byte("\xfe\xff\xff\x02\x00\x00\xfe\xff\xff\x03\x10\x00\x02\x10\x00"))
+	// Wide L2s of one-byte lines beside a narrow one, in one walk: a
+	// fully associative 16-way L2 under LRU, 2 sets of 32 FIFO ways under
+	// the exclusive policy, and a direct-mapped L2 of 4 lines.
+	f.Add([]byte("\x00\x00\x00\x01\x96\x00\x01\x01\x02\x8d\x00\x00\x01\x03\x00"), wideSeed())
 	f.Fuzz(func(t *testing.T, geo, data []byte) {
 		var cfgs []Config
 		for ; len(geo) >= 5 && len(cfgs) < 9; geo = geo[5:] {
@@ -308,6 +466,9 @@ func FuzzL1Record(f *testing.F) {
 			}
 			if geo[3]%9 != 0 {
 				assoc := 1 << (geo[4] % 4)
+				if geo[4] >= 128 {
+					assoc = 16 << (geo[4] % 5)
+				}
 				cfg.L2 = cache.Config{
 					Size:     int64(assoc * line << (geo[3]%9 - 1)),
 					LineSize: line, Assoc: assoc,
