@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short race cover fuzz bench-smoke staticcheck serve-smoke loadgen-smoke explain-smoke chaos-smoke cluster-smoke failover-smoke fast-smoke ci clean
+.PHONY: all build vet test test-short race cover fuzz bench-smoke staticcheck serve-smoke loadgen-smoke explain-smoke chaos-smoke fast-smoke ci clean
 
 all: build
 
@@ -36,21 +36,18 @@ cover:
 # L1-once differential oracles in internal/core (one geometry, and a set
 # of geometries recorded in one walk), the sweep document
 # decoder, the result store's segment replay, the reuse-distance
-# profile (twolevel-rdh/1) decoder, the cluster journal's replay, the
-# cluster wire units and the trace decoders. A new Fuzz* target needs a
-# line here. The store's, the profile's, the journal's and the work
-# units' seeds are whole documents of several hundred bytes to a few
-# KB, and at the default 60 s budget minimizing one new input that size
-# can take the whole 30 s, so their minimization is capped at 5 s; so is
-# the one-walk recorder's, whose inputs replay up to 9 geometries each.
+# profile (twolevel-rdh/1) decoder and the trace decoders. A new Fuzz*
+# target needs a line here. The store's and the profile's seeds are
+# whole documents of several hundred bytes to a few KB, and at the
+# default 60 s budget minimizing one new input that size can take the
+# whole 30 s, so their minimization is capped at 5 s; so is the one-walk
+# recorder's, whose inputs replay up to 9 geometries each.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzL1PassReplay$$' -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzL1Record$$' -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzLoadJSON$$' -fuzztime 30s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDiskStoreReplay$$' -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/model -run '^$$' -fuzz '^FuzzLoadProfile$$' -fuzztime 30s -fuzzminimizetime 5s
-	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 30s -fuzzminimizetime 5s
-	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzWorkUnit$$' -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTextReader$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBinaryReader$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzGeneratorParams$$' -fuzztime 30s
@@ -85,24 +82,6 @@ loadgen-smoke:
 # nonzero exit on an expired drain deadline. Requires curl and jq.
 chaos-smoke:
 	bash scripts/chaos_smoke.sh
-
-# cluster-smoke proves the distributed sweep cluster from outside the
-# processes: a coordinator plus two worker processes run a sweep, one
-# worker is killed -9 mid-job, and the final result document must be
-# byte-identical to a standalone run with zero lost and zero
-# double-counted evaluations. Requires curl and jq.
-cluster-smoke:
-	bash scripts/cluster_smoke.sh
-
-# failover-smoke proves coordinator crash-tolerance from outside the
-# processes: a journaled coordinator plus two workers run a sweep, the
-# COORDINATOR is killed -9 mid-job and restarted against the same
-# journal and store directories, and the final result document must be
-# byte-identical to a standalone run with zero lost and zero
-# re-evaluated points and at least one orphaned lease reconciled.
-# Requires curl and jq.
-failover-smoke:
-	bash scripts/failover_smoke.sh
 
 # fast-smoke gates the analytical fast tier: cmd/sweep -accuracy runs
 # both tiers over all seven workloads at the default trace length and

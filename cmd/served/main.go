@@ -20,8 +20,7 @@
 //	GET    /metrics, /progress, /debug/pprof/  observability
 //	                             (/metrics serves JSON by default and the
 //	                             Prometheus text format under content
-//	                             negotiation or ?format=prometheus; a
-//	                             coordinator scrape federates the fleet)
+//	                             negotiation or ?format=prometheus)
 //	GET    /healthz              liveness
 //	GET    /readyz               readiness (503 once the drain begins or
 //	                             the durable store is poisoned)
@@ -34,32 +33,8 @@
 // rate) — the repo's own two-level hierarchy, applied to its serving
 // plane.
 //
-// -role selects the node's place in a cluster (see internal/cluster):
-//
-//	standalone   (default) today's single-node service: the local
-//	             worker pool evaluates everything. No cluster endpoints
-//	             are mounted; behavior is exactly the single-node serve.
-//	coordinator  the same job API, but evaluations are leased to remote
-//	             workers over POST /cluster/v1/{register,heartbeat,
-//	             lease,complete}. Leases are renewed by heartbeats; a
-//	             silent worker's points are stolen and re-leased, and
-//	             duplicate completions land as content-addressed no-ops,
-//	             so results match standalone byte-for-byte. GET
-//	             /cluster/v1/status reports workers, leases, fleet
-//	             latency quantiles, and -slo verdicts; worker heartbeats
-//	             federate metrics and completion pushes carry worker
-//	             spans, stitched under each job's trace. With
-//	             -cluster-journal DIR the coordinator itself is
-//	             crash-tolerant: cluster state changes are journaled and
-//	             a restarted coordinator replays them atop the durable
-//	             store, holds /readyz at 503 "journal-replaying" until
-//	             orphaned leases reconcile with re-registering workers
-//	             (or -orphan-grace lapses), and finishes the sweep with
-//	             zero lost and zero re-evaluated points.
-//	worker       no job API: registers with -coordinator, heartbeats,
-//	             pulls leases, evaluates, pushes results. Serves only
-//	             the observability mux locally, with /readyz answering
-//	             200 once registered with live lease loops.
+// -slo p99:evaluate:500ms,p50:job:2s adds slo_burn/slo_pass verdicts
+// over the node's own latency histograms to every Prometheus scrape.
 //
 // SIGINT/SIGTERM drains gracefully: /readyz flips to 503, new jobs are
 // refused, running jobs get -drain-timeout to finish, the final metrics
@@ -71,8 +46,6 @@
 //
 //	served -listen :8080 -store-dir /var/lib/twolevel
 //	served -listen 127.0.0.1:0 -workers 8 -events served.jsonl
-//	served -role coordinator -listen :8080 -lease-ttl 15s
-//	served -role worker -coordinator http://head:8080 -workers 4
 package main
 
 import (
@@ -85,7 +58,6 @@ import (
 	"syscall"
 	"time"
 
-	"twolevel/internal/cluster"
 	"twolevel/internal/obs"
 	"twolevel/internal/obs/span"
 	"twolevel/internal/service"
@@ -95,9 +67,8 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		role       = flag.String("role", "standalone", "node role: standalone, coordinator, or worker")
 		listen     = flag.String("listen", ":8080", "HTTP listen address (host:0 picks a free port)")
-		workers    = flag.Int("workers", 0, "evaluation worker-pool size, or lease-loop concurrency for -role worker (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "evaluation worker-pool size (0 = GOMAXPROCS)")
 		storeCap   = flag.Int("store-cap", 0, "maximum memoized points for the in-memory store (0 = unbounded)")
 		storeDir   = flag.String("store-dir", "", "durable result-store directory (replayed at boot; empty = in-memory only)")
 		hotCache   = flag.Int("hot-cache", 0, "hot in-memory LRU tier over the durable store, in points (requires -store-dir; 0 = off)")
@@ -110,36 +81,13 @@ func run() int {
 		metricsOut = flag.String("metrics", "", "write the final metrics snapshot as JSON to this file")
 		eventsOut  = flag.String("events", "", "append the job/run event journal (JSONL) to this file")
 		traceOut   = flag.String("trace", "", "write the service span trace (Chrome trace_event JSON) to this file at shutdown")
-
-		sloSpec = flag.String("slo", "", "latency objectives evaluated on Prometheus scrapes and GET /cluster/v1/status, e.g. p99:evaluate:500ms,p50:job:2s")
-
-		coordURL    = flag.String("coordinator", "", "coordinator base URL, e.g. http://head:8080 (-role worker)")
-		workerID    = flag.String("worker-id", "", "stable worker identity (-role worker; default host-pid)")
-		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "no-contact deadline before a worker is declared dead and its leases stolen (-role coordinator)")
-		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat interval assigned to workers (-role coordinator; 0 = lease-ttl/4)")
-		leasePoints = flag.Int("lease-points", 0, "maximum evaluation points per lease (-role coordinator: cap, default 8; -role worker: points requested per lease)")
-
-		journalDir  = flag.String("cluster-journal", "", "cluster-state journal directory (-role coordinator): admissions, leases, and completions are journaled and replayed on restart, so a killed coordinator resumes its sweep with zero lost or re-evaluated points")
-		orphanGrace = flag.Duration("orphan-grace", 0, "how long journal-replayed orphaned leases wait for their worker to re-register before being stolen (-role coordinator; 0 = 2×lease-ttl)")
+		sloSpec    = flag.String("slo", "", "latency objectives evaluated on Prometheus scrapes, e.g. p99:evaluate:500ms,p50:job:2s")
 	)
 	flag.Parse()
 
 	slos, err := obs.ParseSLOs(*sloSpec)
 	if err != nil {
 		return fail(err)
-	}
-
-	switch *role {
-	case "standalone", "coordinator":
-		// fall through to the serving path below
-	case "worker":
-		return runWorker(workerOpts{
-			listen: *listen, coordinator: *coordURL, id: *workerID,
-			concurrency: *workers, leasePoints: *leasePoints,
-			metricsOut: *metricsOut, eventsOut: *eventsOut,
-		})
-	default:
-		return fail(fmt.Errorf("unknown -role %q (standalone, coordinator, or worker)", *role))
 	}
 
 	reg := obs.NewRegistry()
@@ -179,102 +127,39 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "served: hot tier enabled (%d points, LRU) over %s\n", *hotCache, *storeDir)
 	}
 
-	// The coordinator's cluster-state journal opens (and replays) before
-	// the manager exists, because the manager's admission/terminal hooks
-	// write to it from the first submission on.
-	var journal *cluster.Journal
-	if *journalDir != "" {
-		if *role != "coordinator" {
-			return fail(fmt.Errorf("-cluster-journal requires -role coordinator"))
-		}
-		var err error
-		if journal, err = cluster.OpenJournal(*journalDir, cluster.JournalOptions{Metrics: reg}); err != nil {
-			return fail(err)
-		}
-		rep := journal.Replayed()
-		if rep.Records > 0 || rep.TornRepaired > 0 || rep.CorruptDropped > 0 {
-			fmt.Fprintf(os.Stderr, "served: cluster journal %s replayed %d records (%d live jobs, %d in-flight leases",
-				*journalDir, rep.Records, len(rep.Jobs), len(rep.Leases))
-			if rep.TornRepaired > 0 || rep.CorruptDropped > 0 {
-				fmt.Fprintf(os.Stderr, "; repaired %d torn, dropped %d corrupt", rep.TornRepaired, rep.CorruptDropped)
-			}
-			fmt.Fprintln(os.Stderr, ")")
-		}
-	}
-
 	// The manager traces every job regardless (GET /v1/jobs/{id}/trace
 	// serves per-job subtrees live); -trace additionally persists the
 	// whole accumulated tree at shutdown.
 	tr := span.NewTracer()
-	cfg := service.Config{
-		Workers:           *workers,
-		ExternalExecution: *role == "coordinator",
-		Store:             store,
-		Metrics:           reg,
-		Events:            elog,
-		Trace:             tr,
-		MaxActiveJobs:     *maxActive,
-		MaxQueue:          *maxQueue,
-		MaxTimeout:        *maxTimeout,
-		MaxBodyBytes:      *maxBody,
-		StreamHeartbeat:   *sseHB,
-	}
-	if journal != nil {
-		cfg.OnJobAdmitted = func(id string, req service.JobRequest) { journal.RecordAdmission(id, req) }
-		cfg.OnJobTerminal = func(id string, state service.State) { journal.RecordJobEnd(id, string(state)) }
-	}
-	mgr := service.New(cfg)
+	mgr := service.New(service.Config{
+		Workers:         *workers,
+		Store:           store,
+		Metrics:         reg,
+		Events:          elog,
+		Trace:           tr,
+		MaxActiveJobs:   *maxActive,
+		MaxQueue:        *maxQueue,
+		MaxTimeout:      *maxTimeout,
+		MaxBodyBytes:    *maxBody,
+		StreamHeartbeat: *sseHB,
+	})
 
 	// One mux serves the job API and the observability endpoints; the
 	// obs mux holds "/" so /metrics, /debug/pprof, and the index work
-	// exactly as they do under cmd/sweep -listen. The job API (and the
-	// cluster protocol below) run behind the latency middleware, feeding
-	// the per-endpoint http_request_seconds_* histograms the SLO layer
-	// summarizes.
+	// exactly as they do under cmd/sweep -listen. The job API runs behind
+	// the latency middleware, feeding the per-endpoint
+	// http_request_seconds_* histograms the SLO layer summarizes.
 	root := http.NewServeMux()
 	api := obs.InstrumentHTTP(reg, service.NewHandler(mgr))
 	root.Handle("/v1/", api)
 	root.Handle("/healthz", api)
 	root.Handle("/readyz", api)
 
-	// The coordinator role mounts the worker protocol next to the job
-	// API; standalone does not, so its HTTP surface is unchanged.
-	var coord *cluster.Coordinator
-	if *role == "coordinator" {
-		coord = cluster.NewCoordinator(cluster.CoordinatorConfig{
-			Manager:        mgr,
-			LeaseTTL:       *leaseTTL,
-			Heartbeat:      *heartbeat,
-			MaxLeasePoints: *leasePoints,
-			Journal:        journal,
-			OrphanGrace:    *orphanGrace,
-			Metrics:        reg,
-			Events:         elog,
-			SLOs:           slos,
-		})
-		root.Handle("/cluster/v1/", obs.InstrumentHTTP(reg, coord.Handler()))
-		if journal != nil {
-			// /readyz answers 503 "journal-replaying" until the replayed
-			// orphan leases reconcile (workers re-register or the grace
-			// lapses), and degrades if the journal stops persisting.
-			mgr.AddReadyCheck("journal-replaying", coord.RecoveryErr)
-			mgr.AddReadyCheck("journal-poisoned", journal.Err)
-			if st := coord.Stats(); st.PointsOrphaned > 0 || st.PointsReady > 0 {
-				fmt.Fprintf(os.Stderr, "served: recovered %d pending points (%d orphaned awaiting their workers, %d ready to lease)\n",
-					st.PointsPending, st.PointsOrphaned, st.PointsReady)
-			}
-		}
-	}
-	// A coordinator's Prometheus scrape federates the fleet (per-worker
-	// series, cluster_agg_* rollups, SLO verdicts); a standalone node
-	// with -slo still gets verdicts, evaluated over its own registry.
+	// With -slo, every Prometheus scrape also carries the verdicts,
+	// evaluated over the node's own registry.
 	root.Handle("/", obs.NewMuxOptions(reg, obs.MuxOptions{PromExtra: func(pw *obs.PromWriter) {
-		if coord != nil {
-			coord.WriteProm(pw)
-			return
-		}
 		if len(slos) > 0 {
-			obs.WriteSLOVerdicts(pw, obs.EvalSLOs(slos, reg.Snapshot(), cluster.SLOAliases))
+			obs.WriteSLOVerdicts(pw, obs.EvalSLOs(slos, reg.Snapshot(), obs.SLOAliases))
 		}
 	}}))
 
@@ -282,12 +167,7 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	switch *role {
-	case "coordinator":
-		fmt.Fprintf(os.Stderr, "served: coordinator listening on http://%s (POST /v1/jobs; workers join via /cluster/v1/register)\n", srv.Addr())
-	default:
-		fmt.Fprintf(os.Stderr, "served: listening on http://%s (POST /v1/jobs, GET /v1/envelope, /metrics)\n", srv.Addr())
-	}
+	fmt.Fprintf(os.Stderr, "served: listening on http://%s (POST /v1/jobs, GET /v1/envelope, /metrics)\n", srv.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -300,13 +180,6 @@ func run() int {
 	defer cancel()
 	if err := mgr.Shutdown(drainCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "served: drain cut short, running jobs cancelled: %v\n", err)
-		code = 1
-	}
-	if coord != nil {
-		coord.Close()
-	}
-	if err := journal.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "served: closing cluster journal: %v\n", err)
 		code = 1
 	}
 	if err := srv.Shutdown(drainCtx); err != nil {
@@ -336,81 +209,6 @@ func run() int {
 		}
 	}
 	fmt.Fprintln(os.Stderr, "served: bye")
-	return code
-}
-
-type workerOpts struct {
-	listen, coordinator, id string
-	concurrency             int
-	leasePoints             int
-	metricsOut, eventsOut   string
-}
-
-// runWorker is the -role worker body: no job API, just the cluster
-// worker loop plus a local observability mux.
-func runWorker(o workerOpts) int {
-	if o.coordinator == "" {
-		return fail(fmt.Errorf("-role worker requires -coordinator URL"))
-	}
-	reg := obs.NewRegistry()
-	obs.EnableRuntimeMetrics(reg)
-	var elog *obs.EventLog
-	if o.eventsOut != "" {
-		var err error
-		if elog, err = obs.OpenEventLogFile(o.eventsOut); err != nil {
-			return fail(err)
-		}
-	}
-
-	w := cluster.NewWorker(cluster.WorkerConfig{
-		Coordinator:    o.coordinator,
-		ID:             o.id,
-		Concurrency:    o.concurrency,
-		MaxLeasePoints: o.leasePoints,
-		Metrics:        reg,
-		Events:         elog,
-	})
-
-	// The worker's mux exposes /readyz backed by Worker.Ready — so the
-	// smoke script (and any orchestrator) waits for registration and live
-	// lease loops instead of sleeping — with the failover state (circuit
-	// breaker, buffered pushes, reconnect count) merged into the body.
-	srv, err := obs.ServeHandler(o.listen, obs.NewMuxOptions(reg, obs.MuxOptions{
-		Ready: w.Ready,
-		ReadyDetail: func() map[string]any {
-			return map[string]any{"failover": w.Failover()}
-		},
-	}))
-	if err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "served: worker %s joining %s (metrics on http://%s)\n", w.ID(), o.coordinator, srv.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	code := 0
-	if err := w.Run(ctx); err != nil && ctx.Err() == nil {
-		fmt.Fprintf(os.Stderr, "served: worker: %v\n", err)
-		code = 1
-	}
-	stop()
-
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "served: http shutdown: %v\n", err)
-	}
-	if err := elog.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "served: closing event journal: %v\n", err)
-	}
-	if o.metricsOut != "" {
-		if err := obs.WriteSnapshotFile(o.metricsOut, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "served: writing metrics snapshot: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "served: metrics snapshot saved to %s\n", o.metricsOut)
-		}
-	}
-	fmt.Fprintln(os.Stderr, "served: worker bye")
 	return code
 }
 

@@ -187,8 +187,8 @@ func TestDeterminism(t *testing.T) {
 // TestConcurrentHitsKeepExactOrdinals: many goroutines hammering one
 // site concurrently must still observe race-free ordinal accounting —
 // exactly Hits = G×H total hits, exactly Times firings for an
-// After/Times rule, and never more. This is the contract the cluster
-// relies on when parallel lease loops share an injector; run under
+// After/Times rule, and never more. This is the contract the service's
+// worker pool relies on when its workers share an injector; run under
 // -race it also proves the locking.
 func TestConcurrentHitsKeepExactOrdinals(t *testing.T) {
 	const (

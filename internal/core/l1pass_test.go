@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"twolevel/internal/cache"
@@ -129,32 +131,70 @@ func checkThreeWay(cfg Config, refs []trace.Ref, pass *L1Pass) (Stats, *refHiera
 // pass and replay, System.Run and the naive reference simulator must
 // agree on every counter. It runs until it has checked differentialCases
 // two-level hierarchies under each of the conventional and exclusive
-// policies.
+// policies. The cases are drawn in order on one goroutine and checked
+// on GOMAXPROCS goroutines.
 func TestL1PassReplayOracle(t *testing.T) {
+	type oracleCase struct {
+		i    int
+		cfg  Config
+		refs []trace.Ref
+	}
 	rng := rand.New(rand.NewPCG(12, 1994))
-	var sum [2]Stats
 	var cases [2]int
-	var upDirty uint64 // victims dirty only because they came up dirty
-	for i := 0; cases[Conventional] < differentialCases || cases[Exclusive] < differentialCases; i++ {
-		cfg, refs := randomCase(rng)
-		st, ref, err := checkThreeWay(cfg, refs, nil)
-		if err != nil {
-			t.Fatalf("case %d, %s (L1I %s, L1D %s, L2 %s), %d refs: %v", i, cfg, cfg.L1I, cfg.L1D, cfg.L2, len(refs), err)
+	todo := make(chan oracleCase, 64)
+	go func() {
+		defer close(todo)
+		for i := 0; cases[Conventional] < differentialCases || cases[Exclusive] < differentialCases; i++ {
+			cfg, refs := randomCase(rng)
+			if cfg.TwoLevel() {
+				cases[cfg.Policy]++
+			}
+			todo <- oracleCase{i, cfg, refs}
 		}
-		if !cfg.TwoLevel() {
-			continue
-		}
-		cases[cfg.Policy]++
-		s := &sum[cfg.Policy]
-		s.L1IHits += st.L1IHits
-		s.L1DHits += st.L1DHits
-		s.L2Hits += st.L2Hits
-		s.L2Misses += st.L2Misses
-		s.WriteBacksToL2 += st.WriteBacksToL2
-		s.WriteBacksOffChip += st.WriteBacksOffChip
-		s.Swaps += st.Swaps
-		s.VictimsToL2 += st.VictimsToL2
-		upDirty += ref.l1i.upDirtyOut + ref.l1d.upDirtyOut
+	}()
+	var (
+		mu      sync.Mutex
+		sum     [2]Stats
+		upDirty uint64 // victims dirty only because they came up dirty
+		failed  atomic.Bool
+		wg      sync.WaitGroup
+	)
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range todo {
+				if failed.Load() {
+					continue // drain, so the drawing goroutine ends
+				}
+				cfg := c.cfg
+				st, ref, err := checkThreeWay(cfg, c.refs, nil)
+				if err != nil {
+					failed.Store(true)
+					t.Errorf("case %d, %s (L1I %s, L1D %s, L2 %s), %d refs: %v", c.i, cfg, cfg.L1I, cfg.L1D, cfg.L2, len(c.refs), err)
+					continue
+				}
+				if !cfg.TwoLevel() {
+					continue
+				}
+				mu.Lock()
+				s := &sum[cfg.Policy]
+				s.L1IHits += st.L1IHits
+				s.L1DHits += st.L1DHits
+				s.L2Hits += st.L2Hits
+				s.L2Misses += st.L2Misses
+				s.WriteBacksToL2 += st.WriteBacksToL2
+				s.WriteBacksOffChip += st.WriteBacksOffChip
+				s.Swaps += st.Swaps
+				s.VictimsToL2 += st.VictimsToL2
+				upDirty += ref.l1i.upDirtyOut + ref.l1d.upDirtyOut
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
 	// A table that never reaches a path proves nothing about it.
 	for _, p := range []Policy{Conventional, Exclusive} {

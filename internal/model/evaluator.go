@@ -59,9 +59,6 @@ func NewEvaluatorWith(profiles *Cache, w spec.Workload, opt sweep.Options) *Eval
 // Workload reports the workload the evaluator predicts for.
 func (e *Evaluator) Workload() spec.Workload { return e.w }
 
-// Options reports the evaluator's defaulted option set.
-func (e *Evaluator) Options() sweep.Options { return e.opt }
-
 // Profile returns the evaluator's reuse-distance profile, collecting
 // it on first use. The collection pass is traced as a "model-profile"
 // span and counted by MetricProfilePasses; cache hits cost neither.

@@ -36,11 +36,6 @@ type Event struct {
 	// Job identifies the owning service job on job/task lifecycle events
 	// (internal/service); empty for plain sweep events.
 	Job string `json:"job,omitempty"`
-	// Worker identifies the cluster worker on cluster lifecycle events
-	// (internal/cluster); empty elsewhere.
-	Worker string `json:"worker,omitempty"`
-	// Lease identifies the work lease on cluster lease events.
-	Lease string `json:"lease,omitempty"`
 	// Attempt is the 1-based retry attempt on config_retry events.
 	Attempt int    `json:"attempt,omitempty"`
 	Err     string `json:"err,omitempty"`

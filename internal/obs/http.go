@@ -21,19 +21,9 @@ type MuxOptions struct {
 	// Summary, when non-nil, is served as JSON on /progress.
 	Summary func() any
 	// PromExtra, when non-nil, appends extra series to a Prometheus
-	// /metrics scrape after the registry's own — the federation hook
-	// (per-worker labeled series, cluster_agg_* rollups, SLO verdicts).
+	// /metrics scrape after the registry's own (cmd/served's -slo
+	// verdicts).
 	PromExtra func(*PromWriter)
-	// Ready, when non-nil, mounts /readyz (and /healthz): nil means
-	// ready (200), an error means not ready (503 with the reason).
-	// Worker nodes use this so orchestration waits on readiness instead
-	// of sleeping.
-	Ready func() error
-	// ReadyDetail, when non-nil, merges extra keys into the /readyz JSON
-	// body (both 200 and 503) — cluster workers surface their failover
-	// state (circuit breaker, buffered pushes) through it. "status" and
-	// "error" stay reserved.
-	ReadyDetail func() map[string]any
 }
 
 // NewMux builds the observability mux:
@@ -49,8 +39,8 @@ func NewMux(reg *Registry, summary func() any) *http.ServeMux {
 	return NewMuxOptions(reg, MuxOptions{Summary: summary})
 }
 
-// NewMuxOptions builds the observability mux with extensions: the
-// federated Prometheus scrape hook and a readiness probe.
+// NewMuxOptions builds the observability mux with extensions: a
+// progress summary and extra Prometheus series.
 func NewMuxOptions(reg *Registry, o MuxOptions) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -81,30 +71,6 @@ func NewMuxOptions(reg *Registry, o MuxOptions) *http.ServeMux {
 			writeJSON(w, o.Summary())
 		})
 	}
-	if o.Ready != nil {
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			writeJSON(w, map[string]string{"status": "ok"})
-		})
-		mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-			doc := map[string]any{}
-			if o.ReadyDetail != nil {
-				for k, v := range o.ReadyDetail() {
-					doc[k] = v
-				}
-			}
-			if err := o.Ready(); err != nil {
-				doc["status"] = "unready"
-				doc["error"] = err.Error()
-				b, _ := json.MarshalIndent(doc, "", "  ")
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusServiceUnavailable)
-				w.Write(append(b, '\n')) //nolint:errcheck // best-effort body
-				return
-			}
-			doc["status"] = "ready"
-			writeJSON(w, doc)
-		})
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -120,9 +86,6 @@ func NewMuxOptions(reg *Registry, o MuxOptions) *http.ServeMux {
 		fmt.Fprintln(w, "  /metrics       metric snapshot (JSON; Prometheus text via Accept or ?format=prometheus)")
 		if o.Summary != nil {
 			fmt.Fprintln(w, "  /progress      run progress and ETA (JSON)")
-		}
-		if o.Ready != nil {
-			fmt.Fprintln(w, "  /readyz        readiness probe")
 		}
 		fmt.Fprintln(w, "  /debug/pprof/  profiling")
 	})

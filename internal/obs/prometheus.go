@@ -3,10 +3,9 @@ package obs
 // This file renders registry snapshots in the Prometheus text exposition
 // format (text/plain; version=0.0.4): one line per sample, HELP-less but
 // TYPE-annotated families, histograms expanded into the cumulative
-// _bucket/_sum/_count series Prometheus expects. The writer is the
-// federation seam: internal/cluster appends per-worker labeled series
-// and cluster_agg_* rollups to the same scrape through PromWriter, so
-// one coordinator scrape carries the whole fleet.
+// _bucket/_sum/_count series Prometheus expects. Callers append their
+// own series to a scrape through PromWriter (cmd/served adds its -slo
+// verdicts that way).
 //
 // Registry names are free-form; PromName maps them onto the metric-name
 // grammar ([a-zA-Z_:][a-zA-Z0-9_:]*) by rewriting every illegal rune to
@@ -66,7 +65,7 @@ var promEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // PromWriter streams one text-format exposition. It tracks which
 // families have had their TYPE line emitted so multiple label sets of
-// one family (per-worker federation series) share a single header, and
+// one family share a single header, and
 // latches the first write error so callers can chain emissions and
 // check once.
 type PromWriter struct {

@@ -246,28 +246,3 @@ func TestMuxContentNegotiation(t *testing.T) {
 		t.Errorf("format=json did not force JSON")
 	}
 }
-
-func TestMuxReadyz(t *testing.T) {
-	var err error
-	mux := NewMuxOptions(NewRegistry(), MuxOptions{Ready: func() error { return err }})
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "ready") {
-		t.Errorf("ready probe = %d %s", rec.Code, rec.Body.String())
-	}
-	err = errString("not registered")
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
-	if rec.Code != 503 || !strings.Contains(rec.Body.String(), "not registered") {
-		t.Errorf("unready probe = %d %s", rec.Code, rec.Body.String())
-	}
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 200 {
-		t.Errorf("healthz = %d", rec.Code)
-	}
-}
-
-type errString string
-
-func (e errString) Error() string { return string(e) }

@@ -365,63 +365,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// MergeInto adds src's instruments into dst: counters and gauges sum,
-// histograms merge bucket-wise when their bounds agree (Count and Sum
-// always accumulate; mismatched bounds keep dst's buckets, so a rollup
-// over heterogeneous nodes degrades to count/sum rather than inventing
-// boundaries). Instruments only in src are copied. This is the
-// aggregation primitive behind the cluster's federated cluster_agg_*
-// rollups.
-func MergeInto(dst *Snapshot, src Snapshot) {
-	if dst.Counters == nil {
-		dst.Counters = map[string]uint64{}
-	}
-	if dst.Gauges == nil {
-		dst.Gauges = map[string]int64{}
-	}
-	if dst.Histograms == nil {
-		dst.Histograms = map[string]HistogramSnapshot{}
-	}
-	for name, v := range src.Counters {
-		dst.Counters[name] += v
-	}
-	for name, v := range src.Gauges {
-		dst.Gauges[name] += v
-	}
-	for name, sh := range src.Histograms {
-		dh, ok := dst.Histograms[name]
-		if !ok {
-			cp := HistogramSnapshot{
-				Bounds: append([]float64(nil), sh.Bounds...),
-				Counts: append([]uint64(nil), sh.Counts...),
-				Count:  sh.Count,
-				Sum:    sh.Sum,
-			}
-			cp.bucketize()
-			dst.Histograms[name] = cp
-			continue
-		}
-		dh.Count += sh.Count
-		dh.Sum += sh.Sum
-		if len(dh.Bounds) == len(sh.Bounds) && len(dh.Counts) == len(sh.Counts) {
-			same := true
-			for i := range dh.Bounds {
-				if dh.Bounds[i] != sh.Bounds[i] {
-					same = false
-					break
-				}
-			}
-			if same {
-				for i := range dh.Counts {
-					dh.Counts[i] += sh.Counts[i]
-				}
-			}
-		}
-		dh.bucketize()
-		dst.Histograms[name] = dh
-	}
-}
-
 // WriteSnapshot serializes the registry's snapshot as indented JSON.
 func WriteSnapshot(w io.Writer, r *Registry) error {
 	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")

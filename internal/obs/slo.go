@@ -3,10 +3,9 @@ package obs
 // This file is the SLO layer: a parsed latency objective list
 // ("p99:evaluate:500ms,p50:job:2s"), streaming quantile estimates
 // derived from the registry's fixed-bucket histograms, and pass/fail
-// verdicts that surface both as slo_burn/slo_pass series on a
-// Prometheus scrape and as JSON in cluster status documents. Objectives
-// are evaluated against a Snapshot, so the same spec works on a local
-// registry, a federated cluster_agg rollup, or any merge of the two.
+// verdicts that surface as slo_burn/slo_pass series on a Prometheus
+// scrape and in loadgen reports. Objectives are evaluated against a
+// Snapshot of a registry.
 
 import (
 	"fmt"
@@ -86,6 +85,14 @@ type SLOVerdict struct {
 	Count uint64 `json:"count"`
 }
 
+// SLOAliases maps the friendly phase names accepted in -slo specs onto
+// the histograms that measure them, so operators write p99:evaluate:…
+// without memorizing registry names.
+var SLOAliases = map[string]string{
+	"evaluate": "sweep_config_seconds",
+	"job":      "service_job_seconds",
+}
+
 // EvalSLOs evaluates every objective against the snapshot. aliases maps
 // friendly phase names to histogram names (a metric not in the table is
 // looked up verbatim); a missing histogram yields a vacuous pass with
@@ -129,33 +136,4 @@ func WriteSLOVerdicts(pw *PromWriter, verdicts []SLOVerdict) {
 		}
 		pw.Gauge("slo_pass", labels, pass)
 	}
-}
-
-// QuantileSummary is the p50/p95/p99 rollup of one histogram, the
-// latency block of status documents.
-type QuantileSummary struct {
-	Count uint64  `json:"count"`
-	MeanS float64 `json:"mean_s"`
-	P50S  float64 `json:"p50_s"`
-	P95S  float64 `json:"p95_s"`
-	P99S  float64 `json:"p99_s"`
-}
-
-// Quantiles summarizes every histogram in the snapshot whose name
-// passes keep (nil keeps all) and that has at least one observation.
-func Quantiles(s Snapshot, keep func(name string) bool) map[string]QuantileSummary {
-	out := make(map[string]QuantileSummary)
-	for name, h := range s.Histograms {
-		if h.Count == 0 || (keep != nil && !keep(name)) {
-			continue
-		}
-		out[name] = QuantileSummary{
-			Count: h.Count,
-			MeanS: h.Mean(),
-			P50S:  h.Quantile(0.50),
-			P95S:  h.Quantile(0.95),
-			P99S:  h.Quantile(0.99),
-		}
-	}
-	return out
 }

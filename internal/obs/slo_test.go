@@ -127,68 +127,3 @@ func TestHistogramQuantileTable(t *testing.T) {
 		}
 	}
 }
-
-func TestMergeInto(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("c").Add(2)
-	a.Gauge("g").Set(3)
-	a.Histogram("h", []float64{1, 2}).Observe(0.5)
-	a.Histogram("only_a", []float64{1}).Observe(0.1)
-
-	b := NewRegistry()
-	b.Counter("c").Add(5)
-	b.Gauge("g").Set(-1)
-	b.Histogram("h", []float64{1, 2}).Observe(1.5)
-	b.Histogram("h_mismatch", []float64{9}).Observe(0.3)
-
-	var agg Snapshot
-	MergeInto(&agg, a.Snapshot())
-	MergeInto(&agg, b.Snapshot())
-
-	if agg.Counters["c"] != 7 {
-		t.Errorf("counter merged to %d, want 7", agg.Counters["c"])
-	}
-	if agg.Gauges["g"] != 2 {
-		t.Errorf("gauge merged to %d, want 2", agg.Gauges["g"])
-	}
-	h := agg.Histograms["h"]
-	if h.Count != 2 || h.Sum != 2 {
-		t.Errorf("histogram merged to count=%d sum=%g, want 2, 2", h.Count, h.Sum)
-	}
-	if want := []uint64{1, 1, 0}; len(h.Counts) != 3 || h.Counts[0] != want[0] || h.Counts[1] != want[1] {
-		t.Errorf("histogram buckets = %v, want %v", h.Counts, want)
-	}
-	if len(h.Buckets) != 3 {
-		t.Errorf("merged histogram lost its explicit buckets: %v", h.Buckets)
-	}
-	if agg.Histograms["only_a"].Count != 1 {
-		t.Errorf("histogram only in one source not copied")
-	}
-
-	// A second merge of mismatched bounds accumulates count/sum but
-	// leaves the first source's buckets alone.
-	c := NewRegistry()
-	c.Histogram("h_mismatch", []float64{1, 2, 3}).Observe(0.7)
-	MergeInto(&agg, c.Snapshot())
-	hm := agg.Histograms["h_mismatch"]
-	if hm.Count != 2 || len(hm.Bounds) != 1 {
-		t.Errorf("mismatched merge: count=%d bounds=%v, want count 2 with original bounds", hm.Count, hm.Bounds)
-	}
-}
-
-func TestQuantilesKeepFilter(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("a_seconds", []float64{1}).Observe(0.5)
-	r.Histogram("b_bytes", []float64{1}).Observe(0.5)
-	r.Histogram("empty_seconds", []float64{1})
-	qs := Quantiles(r.Snapshot(), func(name string) bool {
-		return strings.HasSuffix(name, "_seconds")
-	})
-	if len(qs) != 1 {
-		t.Fatalf("kept %d histograms, want 1 (got %v)", len(qs), qs)
-	}
-	s := qs["a_seconds"]
-	if s.Count != 1 || s.P50S <= 0 || s.P99S < s.P50S {
-		t.Errorf("summary = %+v", s)
-	}
-}

@@ -716,8 +716,8 @@ func TestDiskStoreReadsFormatFixture(t *testing.T) {
 
 // TestDiskStoreOpenRemovesCompactionTemps: a compaction temp file left
 // by a crash before its rename is deleted at open, the replayed state is
-// unchanged, and a temp file of another log sharing the directory (the
-// cluster journal's) is left alone.
+// unchanged, and a temp file of another log sharing the directory is
+// left alone.
 func TestDiskStoreOpenRemovesCompactionTemps(t *testing.T) {
 	dir := t.TempDir()
 	keys, points := diskTestData(t)

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -10,14 +9,6 @@ import (
 	"twolevel/internal/obs"
 	"twolevel/internal/sweep"
 )
-
-// expiredCtx gives NextTask non-blocking semantics: queued work is
-// handed out, an empty queue returns immediately.
-func expiredCtx() context.Context {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	return ctx
-}
 
 // waitApprox polls until the job advertises at least n approximate
 // points (the predictor is fast but asynchronous).
@@ -36,14 +27,14 @@ func waitApprox(t *testing.T, j *Job, n int) {
 }
 
 // TestFastJobApproxThenRefine drives the two-tier contract end to end
-// under external execution (no local workers), which makes the
-// fast→exact handoff fully deterministic: the predictor serves every
-// point approximately while the exact queue sits untouched, then each
-// manually-completed exact evaluation refines its stand-in away, and
+// on a manager with no workers, which makes the fast→exact handoff fully
+// deterministic: the predictor serves every point approximately while
+// the exact queue sits untouched, then each exact evaluation the test
+// runs by hand refines its stand-in away, and
 // the terminal document is byte-identical to an exact-mode job's.
 func TestFastJobApproxThenRefine(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := New(Config{ExternalExecution: true, Metrics: reg})
+	m := idleManager(Config{Metrics: reg})
 	defer m.Close()
 
 	opt := smallOptions()
@@ -74,13 +65,7 @@ func TestFastJobApproxThenRefine(t *testing.T) {
 
 	// Drain the exact tier by hand; every completion must refine one
 	// approximation away.
-	for {
-		et, ok := m.NextTask(expiredCtx())
-		if !ok {
-			break
-		}
-		p, err := et.t.eval.Evaluate(et.Context(), et.Config())
-		m.Complete(et, p, err)
+	for runQueued(m) {
 	}
 	waitJob(t, j)
 	st := j.Status()
@@ -123,7 +108,7 @@ func TestFastJobApproxThenRefine(t *testing.T) {
 // the store hit/miss counters of an identical follow-up submission.
 func TestFastJobCancelMidRefinement(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := New(Config{ExternalExecution: true, Metrics: reg})
+	m := idleManager(Config{Metrics: reg})
 	defer m.Close()
 	base := runtime.NumGoroutine()
 
@@ -136,12 +121,9 @@ func TestFastJobCancelMidRefinement(t *testing.T) {
 	waitApprox(t, j, 1)
 
 	// Refine exactly one evaluation, then cancel with the rest pending.
-	et, ok := m.NextTask(expiredCtx())
-	if !ok {
+	if !runQueued(m) {
 		t.Fatal("no exact task queued")
 	}
-	p, err := et.t.eval.Evaluate(et.Context(), et.Config())
-	m.Complete(et, p, err)
 	if !j.Cancel() {
 		t.Fatal("Cancel did not transition the job")
 	}

@@ -386,15 +386,6 @@ func NewHandler(m *Manager) http.Handler {
 			})
 			return
 		}
-		if status, err := m.readyProbe(); err != nil {
-			// An extra gate (AddReadyCheck) holds the node unready — e.g.
-			// a restarted coordinator still reconciling journal-replayed
-			// orphan leases answers "journal-replaying" here.
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-				"status": status, "error": err.Error(),
-			})
-			return
-		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	return mux

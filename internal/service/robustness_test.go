@@ -21,9 +21,9 @@ import (
 // with the backlog per worker, is deterministic for one fingerprint,
 // and spreads distinct fingerprints across the window.
 func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
-	// External execution with no coordinator: the queue only grows, so
-	// depth is fully under test control.
-	m := New(Config{ExternalExecution: true})
+	// No workers: the queue only grows, so depth is fully under test
+	// control.
+	m := idleManager(Config{})
 	defer m.Close()
 
 	if got := m.retryAfter("any"); got != 1 {

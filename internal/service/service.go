@@ -25,7 +25,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,26 +99,6 @@ type Config struct {
 	// exercise the service's retry, failure, and deadline paths with real
 	// injected faults. Nil costs nothing.
 	Chaos *chaos.Injector
-
-	// ExternalExecution, when true, starts no local worker pool: queued
-	// evaluations are executed by an external scheduler —
-	// internal/cluster's coordinator leasing them to remote workers —
-	// via NextTask / Requeue / Complete (external.go). Everything else
-	// (memoization, coalescing, admission, job lifecycle) is unchanged,
-	// so jobs cannot tell where their evaluations ran.
-	ExternalExecution bool
-
-	// OnJobAdmitted, when non-nil, observes every successful Submit with
-	// the job's id and the request as submitted — the durability hook
-	// the cluster journal uses to make jobs survive a coordinator
-	// restart. It runs under the manager lock and must not call back
-	// into the manager. Rehydrated jobs do not re-fire it.
-	OnJobAdmitted func(id string, req JobRequest)
-	// OnJobTerminal, when non-nil, observes every terminal transition
-	// (done, failed, cancelled, deadline-exceeded) with the job's id and
-	// final state. It runs under the job lock and must not call back
-	// into the job or manager. Rehydrated jobs fire it like any other.
-	OnJobTerminal func(id string, state State)
 }
 
 // JobRequest names the work of one job: every configuration of the
@@ -176,21 +155,13 @@ type Manager struct {
 	maxTimeout time.Duration
 	maxBody    int64
 	heartbeat  time.Duration
-	// workersN is the local pool size (0 under external execution);
-	// retryAfter scales its backoff hint by it.
+	// workersN is the pool size; retryAfter scales its hint by it.
 	workersN int
 	// active counts non-terminal jobs for admission. It is atomic, not
 	// m.mu-guarded, because the terminal transition (closeLocked) runs
 	// under j.mu — sometimes while Submit already holds m.mu — and the
 	// lock order is strictly m.mu before j.mu.
 	active atomic.Int64
-
-	// onAdmitted/onTerminal are the Config durability hooks; readyChecks
-	// are the extra /readyz gates (AddReadyCheck), append-only under
-	// m.mu.
-	onAdmitted  func(id string, req JobRequest)
-	onTerminal  func(id string, state State)
-	readyChecks []readyCheck
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signals queue pushes and draining
@@ -265,9 +236,12 @@ func New(cfg Config) *Manager {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.ExternalExecution {
-		cfg.Workers = 0
-	}
+	return newManager(cfg)
+}
+
+// newManager builds a manager with a pool of exactly cfg.Workers
+// workers. With none, queued evaluations wait until a test runs them.
+func newManager(cfg Config) *Manager {
 	if cfg.Store == nil {
 		cfg.Store = NewStore(0)
 	}
@@ -301,8 +275,6 @@ func New(cfg Config) *Manager {
 		maxBody:    cfg.MaxBodyBytes,
 		heartbeat:  cfg.StreamHeartbeat,
 		workersN:   cfg.Workers,
-		onAdmitted: cfg.OnJobAdmitted,
-		onTerminal: cfg.OnJobTerminal,
 		profiles:   model.NewCache(),
 		inflight:   make(map[string]*task),
 		jobs:       make(map[string]*Job),
@@ -375,39 +347,6 @@ func (m *Manager) Ready() bool {
 	return !m.closed
 }
 
-// readyCheck is one extra /readyz gate: while check returns non-nil the
-// probe answers 503 with status as the document's status token.
-type readyCheck struct {
-	status string
-	check  func() error
-}
-
-// AddReadyCheck registers an extra /readyz gate, evaluated after the
-// built-in drain and store-poisoning checks. cmd/served uses it to hold
-// a restarted coordinator unready ("journal-replaying") until journal
-// replay and orphan-lease reconciliation complete, and to surface a
-// poisoned cluster journal — so load balancers and smoke scripts never
-// race a half-rebuilt lease table.
-func (m *Manager) AddReadyCheck(status string, check func() error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.readyChecks = append(m.readyChecks, readyCheck{status: status, check: check})
-}
-
-// readyProbe runs the registered ready checks, returning the failing
-// check's status token and error ("" and nil when all pass).
-func (m *Manager) readyProbe() (string, error) {
-	m.mu.Lock()
-	checks := m.readyChecks
-	m.mu.Unlock()
-	for _, c := range checks {
-		if err := c.check(); err != nil {
-			return c.status, err
-		}
-	}
-	return "", nil
-}
-
 // WriteTrace exports the whole service trace — every job's span tree —
 // as one Chrome trace_event JSON document (cmd/served -trace).
 func (m *Manager) WriteTrace(w io.Writer) error { return m.tracer.Export(w) }
@@ -417,27 +356,6 @@ func (m *Manager) WriteTrace(w io.Writer) error { return m.tracer.Export(w) }
 // the store complete instantly; evaluations identical to one already in
 // flight for another job coalesce onto it.
 func (m *Manager) Submit(req JobRequest) (*Job, error) {
-	return m.submit(req, "")
-}
-
-// Rehydrate re-submits a journaled job under its original id — the
-// coordinator-restart recovery path. It differs from Submit in exactly
-// the ways a replayed admission must: the forced id (bumping the
-// manager's sequence so fresh jobs never collide), no admission-control
-// shed (the job was already admitted once), and no OnJobAdmitted
-// re-fire (the journal already holds it). Everything else is a normal
-// submission: points already in the store land as store hits, so a
-// rehydrated job re-evaluates only what had not completed at the crash.
-func (m *Manager) Rehydrate(id string, req JobRequest) (*Job, error) {
-	if id == "" {
-		return nil, fmt.Errorf("service: rehydrate without a job id")
-	}
-	return m.submit(req, id)
-}
-
-// submit is the shared body of Submit and Rehydrate; a non-empty
-// rehydrateID selects the recovery semantics.
-func (m *Manager) submit(req JobRequest, rehydrateID string) (*Job, error) {
 	if len(req.Workloads) == 0 {
 		return nil, fmt.Errorf("service: job names no workloads")
 	}
@@ -479,28 +397,15 @@ func (m *Manager) submit(req JobRequest, rehydrateID string) (*Job, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
-	id := rehydrateID
-	if id == "" {
-		if (m.maxActive > 0 && int(m.active.Load()) >= m.maxActive) ||
-			(m.maxQueue > 0 && len(m.queue) >= m.maxQueue) {
-			m.met.jobsShed.Inc()
-			m.events.Emit(obs.Event{Type: EventJobShed, Fingerprint: opt.Fingerprint()})
-			return nil, ErrOverloaded
-		}
-		m.seq++
-		id = fmt.Sprintf("j%d", m.seq)
-	} else {
-		if _, exists := m.jobs[id]; exists {
-			return nil, fmt.Errorf("service: job %s already exists", id)
-		}
-		// The sequence floor moves past every rehydrated id, so fresh
-		// submissions never collide with recovered jobs.
-		if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n > m.seq {
-			m.seq = n
-		}
+	if (m.maxActive > 0 && int(m.active.Load()) >= m.maxActive) ||
+		(m.maxQueue > 0 && len(m.queue) >= m.maxQueue) {
+		m.met.jobsShed.Inc()
+		m.events.Emit(obs.Event{Type: EventJobShed, Fingerprint: opt.Fingerprint()})
+		return nil, ErrOverloaded
 	}
+	m.seq++
 	j := &Job{
-		id:          id,
+		id:          fmt.Sprintf("j%d", m.seq),
 		m:           m,
 		workloads:   append([]string(nil), req.Workloads...),
 		fingerprint: opt.Fingerprint(),
@@ -527,11 +432,6 @@ func (m *Manager) submit(req JobRequest, rehydrateID string) (*Job, error) {
 		Type: EventJobSubmitted, Job: j.id,
 		Fingerprint: j.fingerprint, Total: j.total,
 	})
-	// The admission hook fires before any evaluation bookkeeping, so a
-	// fully-cached job journals its admission before its terminal state.
-	if rehydrateID == "" && m.onAdmitted != nil {
-		m.onAdmitted(j.id, req)
-	}
 
 	var enqueued int
 	var fastWork []fastItem
@@ -681,6 +581,38 @@ func (m *Manager) runTask(t *task) {
 	}
 	p, err := t.eval.Evaluate(t.ctx, t.cfg)
 	m.completeTask(t, p, err)
+}
+
+// completeTask is runTask's completion tail: it stores a successful
+// point, retires the task and delivers the result to every waiting job.
+func (m *Manager) completeTask(t *task, p sweep.Point, err error) {
+	m.mu.Lock()
+	if err == nil {
+		m.store.Put(t.key, p)
+		m.met.storeSize.Set(int64(m.store.Len()))
+	}
+	// A cancelled task may have been superseded in the in-flight table by
+	// a fresh one for the same key; only remove our own entry.
+	if m.inflight[t.key] == t {
+		delete(m.inflight, t.key)
+	}
+	m.mu.Unlock()
+	m.updateStoreHealth()
+
+	waiters := t.takeWaiters()
+	switch {
+	case err == nil:
+		m.met.tasksDone.Inc()
+	case t.ctx.Err() != nil && len(waiters) == 0:
+		// Aborted because the last waiter was cancelled mid-evaluation;
+		// nobody is owed a delivery.
+		return
+	default:
+		m.met.tasksFailed.Inc()
+	}
+	for _, j := range waiters {
+		j.deliver(t, p, err)
+	}
 }
 
 // Shutdown drains the manager gracefully: new submissions are refused
@@ -892,9 +824,6 @@ func (j *Job) closeLocked(event string) {
 	j.root.Annotate("state", string(j.state))
 	j.root.Annotate("done", fmt.Sprintf("%d/%d", j.done, j.total))
 	j.root.End()
-	if j.m.onTerminal != nil {
-		j.m.onTerminal(j.id, j.state)
-	}
 	j.finished = time.Now()
 	close(j.doneCh)
 	j.m.activeJobs.Done()

@@ -28,6 +28,29 @@ func smallOptions() sweep.Options {
 	}
 }
 
+// idleManager builds a manager with no workers: its jobs' evaluations
+// stay queued until the test runs them with runQueued.
+func idleManager(cfg Config) *Manager {
+	cfg.Workers = 0
+	return newManager(cfg)
+}
+
+// runQueued runs the evaluation at the head of m's queue as a pool
+// worker would, reporting false when the queue is empty.
+func runQueued(m *Manager) bool {
+	m.mu.Lock()
+	if len(m.queue) == 0 {
+		m.mu.Unlock()
+		return false
+	}
+	t := m.queue[0]
+	m.queue = m.queue[1:]
+	m.mu.Unlock()
+	m.met.queueDepth.Add(-1)
+	m.runTask(t)
+	return true
+}
+
 // waitJob fails the test if the job does not finish within the deadline.
 func waitJob(t *testing.T, j *Job) {
 	t.Helper()

@@ -189,9 +189,9 @@ func TestSSEUnknownJob(t *testing.T) {
 
 func TestSSEHeartbeatAndCancel(t *testing.T) {
 	reg := obs.NewRegistry()
-	// External execution: no local workers pull tasks, so the job idles
-	// and the stream has nothing to say but heartbeats.
-	m := New(Config{ExternalExecution: true, Metrics: reg, StreamHeartbeat: 30 * time.Millisecond})
+	// No workers pull tasks, so the job idles and the stream has nothing
+	// to say but heartbeats.
+	m := idleManager(Config{Metrics: reg, StreamHeartbeat: 30 * time.Millisecond})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 	defer m.Close()
@@ -240,7 +240,7 @@ func TestSSEHeartbeatAndCancel(t *testing.T) {
 
 func TestSSEClientDisconnect(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := New(Config{ExternalExecution: true, Metrics: reg})
+	m := idleManager(Config{Metrics: reg})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 	defer m.Close()
@@ -265,7 +265,7 @@ func TestSSEClientDisconnect(t *testing.T) {
 
 func TestSSEDrainWithOpenStreams(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := New(Config{ExternalExecution: true, Metrics: reg})
+	m := idleManager(Config{Metrics: reg})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 

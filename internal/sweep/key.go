@@ -78,8 +78,6 @@ func configKey(cfg core.Config) string {
 type PointEvaluator interface {
 	// Workload reports the workload the evaluator replays.
 	Workload() spec.Workload
-	// Options reports the evaluator's defaulted option set.
-	Options() Options
 	// Evaluate prices one configuration. Points carry the workload name
 	// and the producing tier in Point.Evaluator.
 	Evaluate(ctx context.Context, cfg core.Config) (Point, error)
@@ -116,12 +114,6 @@ func NewEvaluator(w spec.Workload, opt Options) *Evaluator {
 
 // Workload reports the workload the evaluator replays.
 func (e *Evaluator) Workload() spec.Workload { return e.w }
-
-// Options reports the evaluator's defaulted option set. Cluster
-// coordinators serialize the result-determining subset of these to
-// remote workers, which rebuild an equivalent evaluator; Key computed
-// from the returned options matches Key computed from the originals.
-func (e *Evaluator) Options() Options { return e.opt }
 
 // Evaluate runs one configuration with RunContext's per-configuration
 // hardening and returns the priced point. Failures arrive as

@@ -98,6 +98,49 @@ func TestRunContextMetricsMatchDirectPath(t *testing.T) {
 	}
 }
 
+// TestConcurrentEvaluateCountersMatchSerial checks that concurrent
+// Evaluate calls sharing one registry leave every counter at the total
+// that evaluating the same configurations one at a time leaves.
+func TestConcurrentEvaluateCountersMatchSerial(t *testing.T) {
+	w := testWorkload(t)
+	for _, pol := range []core.Policy{core.Conventional, core.Exclusive, core.Inclusive} {
+		opt := l1OnceOpt()
+		opt.Policy = pol
+		cfgs := Configs(opt)
+
+		opt.Metrics = obs.NewRegistry()
+		serial := NewEvaluator(w, opt)
+		for _, cfg := range cfgs {
+			if _, err := serial.Evaluate(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := opt.Metrics.Snapshot().Counters
+
+		opt.Metrics = obs.NewRegistry()
+		conc := NewEvaluator(w, opt)
+		var wg sync.WaitGroup
+		for _, cfg := range cfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := conc.Evaluate(context.Background(), cfg); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		got := opt.Metrics.Snapshot().Counters
+
+		if want["cache_l1d_misses_total"] == 0 || want["core_offchip_fetches_total"] == 0 {
+			t.Fatalf("%s: serial run counted no misses: %v", pol, want)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: concurrent counters\n%v\nserial\n%v", pol, got, want)
+		}
+	}
+}
+
 func hasCounter(r *obs.Registry, name string) bool {
 	_, ok := r.Snapshot().Counters[name]
 	return ok

@@ -90,7 +90,7 @@ func TestLoadJSONErrors(t *testing.T) {
 }
 
 // TestUnmarshalPointJSONValidates checks that the single-point decoder
-// the durable store and the cluster wire use rejects what LoadJSON does.
+// the durable store uses rejects what LoadJSON does.
 func TestUnmarshalPointJSONValidates(t *testing.T) {
 	good := `{"label":"4:16","l1_kb":4,"l2_kb":16,"l2_assoc":4,"area_rbe":100,"tpi_ns":9,"l1_cycle_ns":2.5,"l2_cycle_ns":5,"offchip_ns":50,"issue_rate":1,"stats":{}}`
 	if _, err := UnmarshalPointJSON([]byte(good)); err != nil {

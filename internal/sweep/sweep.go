@@ -337,9 +337,20 @@ func evaluateStream(ctx context.Context, st trace.Stream, cfg core.Config, opt O
 		if err != nil {
 			return core.Stats{}, err
 		}
-		sys.Instrument(opt.Metrics)
+		// The hierarchy counts into a registry of its own, added to
+		// opt.Metrics once the run ends: counting every reference into
+		// counters that concurrent evaluations share would have them
+		// contend for the counters' cache lines.
+		var local *obs.Registry
+		if opt.Metrics != nil {
+			local = obs.NewRegistry()
+		}
+		sys.Instrument(local)
 		cs := &ctxStream{st: st, ctx: ctx}
 		stats := sys.Run(cs)
+		for name, v := range local.Snapshot().Counters {
+			opt.Metrics.Counter(name).Add(v)
+		}
 		return stats, cs.err
 	})
 }

@@ -1,7 +1,7 @@
-// Package wal is the write-ahead log format and crash mechanics shared
-// by the durable result store (internal/service) and the cluster
-// journal (internal/cluster). It owns no policy: what a torn tail
-// means, when to compact and how to fold records stay with the caller.
+// Package wal is the write-ahead log format and crash mechanics of the
+// durable result store (internal/service). It owns no policy: what a
+// torn tail means, when to compact and how to fold records stay with
+// the caller.
 //
 // A log is a JSON header line naming its format, then one framed record
 // per line:

@@ -38,7 +38,6 @@ import (
 	"twolevel/internal/area"
 	"twolevel/internal/cache"
 	"twolevel/internal/chaos"
-	"twolevel/internal/cluster"
 	"twolevel/internal/core"
 	"twolevel/internal/figures"
 	"twolevel/internal/loadgen"
@@ -594,44 +593,6 @@ type ChaosRule = chaos.Rule
 // NewChaosInjector builds a fault injector whose decisions all derive
 // from seed.
 func NewChaosInjector(seed int64) *ChaosInjector { return chaos.New(seed) }
-
-// ---- Distributed sweep cluster ----
-
-// ClusterCoordinator distributes a JobService's evaluation plane
-// across worker nodes: it leases (workload, configuration) points to
-// registered workers over HTTP, steals the leases of workers that stop
-// heartbeating, and accepts completions idempotently (a zombie worker's
-// late push is a content-addressed no-op). The JobService must run with
-// JobServiceConfig.ExternalExecution set. Results are byte-identical to
-// a single-node run — see cmd/served -role and `make cluster-smoke`.
-type ClusterCoordinator = cluster.Coordinator
-
-// ClusterCoordinatorConfig parameterizes a ClusterCoordinator (lease
-// TTL, heartbeat interval, points per lease, observability hooks).
-type ClusterCoordinatorConfig = cluster.CoordinatorConfig
-
-// ClusterWorker is one cluster evaluation node: it registers with a
-// coordinator, heartbeats, pulls leases, evaluates them through the
-// hardened sweep evaluator, and pushes results back with retry.
-type ClusterWorker = cluster.Worker
-
-// ClusterWorkerConfig parameterizes a ClusterWorker.
-type ClusterWorkerConfig = cluster.WorkerConfig
-
-// ClusterStats is a point-in-time snapshot of a coordinator's
-// scheduling state.
-type ClusterStats = cluster.Stats
-
-// NewClusterCoordinator builds a coordinator over an
-// external-execution JobService and starts its lease reaper. Mount
-// Handler() at /cluster/v1/ next to the job API.
-func NewClusterCoordinator(cfg ClusterCoordinatorConfig) *ClusterCoordinator {
-	return cluster.NewCoordinator(cfg)
-}
-
-// NewClusterWorker builds a cluster worker; Run drives it until the
-// context is cancelled.
-func NewClusterWorker(cfg ClusterWorkerConfig) *ClusterWorker { return cluster.NewWorker(cfg) }
 
 // EvaluatePoint simulates and prices a single configuration.
 func EvaluatePoint(w Workload, cfg Hierarchy, opt SweepOptions) Point {
