@@ -36,12 +36,14 @@ cover:
 # L1-once differential oracles in internal/core (one geometry, and a set
 # of geometries recorded in one walk), the sweep document
 # decoder, the result store's segment replay, the reuse-distance
-# profile (twolevel-rdh/1) decoder and the trace decoders. A new Fuzz*
-# target needs a line here. The store's and the profile's seeds are
+# profile (twolevel-rdh/1) decoder, the trace decoders, the generator's
+# parameter validation and the packed stack-distance kernel against a
+# naive set. A new Fuzz* target needs a line here. The store's and the profile's seeds are
 # whole documents of several hundred bytes to a few KB, and at the
 # default 60 s budget minimizing one new input that size can take the
 # whole 30 s, so their minimization is capped at 5 s; so is the one-walk
-# recorder's, whose inputs replay up to 9 geometries each.
+# recorder's, whose inputs replay up to 9 geometries each, and the stack
+# kernel's, whose naive checks are linear in the set's size.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzL1PassReplay$$' -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzL1Record$$' -fuzztime 30s -fuzzminimizetime 5s
@@ -51,6 +53,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTextReader$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBinaryReader$$' -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzGeneratorParams$$' -fuzztime 30s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzStackKernel$$' -fuzztime 30s -fuzzminimizetime 5s
 
 # bench-smoke runs the benchmark module's own tests (bench/ is a module
 # of its own, so `go test ./...` at the root skips it): every workload

@@ -11,11 +11,10 @@ import (
 	"twolevel/internal/sweep"
 )
 
-// Evaluator is the fast evaluation tier behind the same
-// sweep.PointEvaluator contract the exact sweep.Evaluator satisfies:
-// repeated evaluations of one workload under one option set, each
-// returning a priced point — here predicted from the workload's
-// reuse-distance profile instead of simulated. The profile is
+// Evaluator is the fast evaluation tier, the analytical counterpart of
+// the exact sweep.Evaluator: repeated evaluations of one workload under
+// one option set, each returning a priced point — here predicted from
+// the workload's reuse-distance profile instead of simulated. The profile is
 // collected once, on first use (or fetched from a shared Cache), and
 // every configuration after that costs O(buckets).
 //
@@ -29,8 +28,6 @@ type Evaluator struct {
 	passes      *obs.Counter
 	passRefs    *obs.Counter
 }
-
-var _ sweep.PointEvaluator = (*Evaluator)(nil)
 
 // NewEvaluator prepares a fast evaluator with a private profile cache.
 func NewEvaluator(w spec.Workload, opt sweep.Options) *Evaluator {

@@ -60,7 +60,7 @@ func NewMuxOptions(reg *Registry, o MuxOptions) *http.ServeMux {
 		}
 		w.Header().Set("Content-Type", PromContentType)
 		pw := NewPromWriter(w)
-		pw.Snapshot(reg.Snapshot(), "", nil)
+		pw.Snapshot(reg.Snapshot())
 		pw.Gauge(MetricBuildInfo, build.PromLabels(), 1)
 		if o.PromExtra != nil {
 			o.PromExtra(pw)

@@ -143,18 +143,17 @@ func (p *PromWriter) Histogram(name string, labels []PromLabel, h HistogramSnaps
 	p.series(n+"_count", labels, float64(h.Count))
 }
 
-// Snapshot emits every instrument of a snapshot, names prefixed with
-// prefix (sanitized as a whole) and every series carrying labels.
-// Instruments render in sorted name order so scrapes are deterministic.
-func (p *PromWriter) Snapshot(s Snapshot, prefix string, labels []PromLabel) {
+// Snapshot emits every instrument of a snapshot, unlabelled, in sorted
+// name order so scrapes are deterministic.
+func (p *PromWriter) Snapshot(s Snapshot) {
 	for _, name := range sortedKeys(s.Counters) {
-		p.Counter(prefix+name, labels, s.Counters[name])
+		p.Counter(name, nil, s.Counters[name])
 	}
 	for _, name := range sortedKeys(s.Gauges) {
-		p.Gauge(prefix+name, labels, float64(s.Gauges[name]))
+		p.Gauge(name, nil, float64(s.Gauges[name]))
 	}
 	for _, name := range sortedKeys(s.Histograms) {
-		p.Histogram(prefix+name, labels, s.Histograms[name])
+		p.Histogram(name, nil, s.Histograms[name])
 	}
 }
 
@@ -163,7 +162,7 @@ func (p *PromWriter) Snapshot(s Snapshot, prefix string, labels []PromLabel) {
 // registry writes an empty (valid) exposition.
 func WritePrometheus(w io.Writer, r *Registry) error {
 	pw := NewPromWriter(w)
-	pw.Snapshot(r.Snapshot(), "", nil)
+	pw.Snapshot(r.Snapshot())
 	return pw.Err()
 }
 

@@ -80,29 +80,19 @@ func TestPromWriterLabelsEscapedAndSorted(t *testing.T) {
 	promLint(t, b.String())
 }
 
-// TestPromWriterFederatedFamilies exercises the federation shape: the
-// same family emitted for several workers shares one TYPE line, and a
-// prefixed rollup forms its own family.
-func TestPromWriterFederatedFamilies(t *testing.T) {
-	snap := func(n uint64) Snapshot {
-		s := Snapshot{Counters: map[string]uint64{"points_total": n}}
-		return s
-	}
+// TestPromWriterSharedFamilyHeader checks that one family emitted under
+// several label sets, as the -slo verdict gauges are, shares a single
+// TYPE line.
+func TestPromWriterSharedFamilyHeader(t *testing.T) {
 	var b strings.Builder
 	pw := NewPromWriter(&b)
-	pw.Snapshot(snap(1), "", []PromLabel{{Key: "worker", Value: "w1"}})
-	pw.Snapshot(snap(2), "", []PromLabel{{Key: "worker", Value: "w2"}})
-	pw.Snapshot(snap(3), "cluster_agg_", nil)
+	pw.Counter("points_total", []PromLabel{{Key: "slo", Value: "a"}}, 1)
+	pw.Counter("points_total", []PromLabel{{Key: "slo", Value: "b"}}, 2)
 	out := b.String()
 	if got := strings.Count(out, "# TYPE points_total counter"); got != 1 {
 		t.Errorf("family header appeared %d times, want 1:\n%s", got, out)
 	}
-	for _, line := range []string{
-		`points_total{worker="w1"} 1`,
-		`points_total{worker="w2"} 2`,
-		"# TYPE cluster_agg_points_total counter",
-		"cluster_agg_points_total 3",
-	} {
+	for _, line := range []string{`points_total{slo="a"} 1`, `points_total{slo="b"} 2`} {
 		if !strings.Contains(out, line) {
 			t.Errorf("exposition missing %q:\n%s", line, out)
 		}

@@ -68,21 +68,6 @@ func configKey(cfg core.Config) string {
 	return k
 }
 
-// PointEvaluator is the single-configuration evaluation contract the
-// service and cmd tools program against: repeated evaluations of one
-// workload under one option set, each returning a priced Point. Two
-// tiers satisfy it — *Evaluator here (exact trace simulation) and
-// internal/model's analytical evaluator (reuse-distance prediction) —
-// so a sweep or job can switch tiers without touching the pipeline
-// around it.
-type PointEvaluator interface {
-	// Workload reports the workload the evaluator replays.
-	Workload() spec.Workload
-	// Evaluate prices one configuration. Points carry the workload name
-	// and the producing tier in Point.Evaluator.
-	Evaluate(ctx context.Context, cfg core.Config) (Point, error)
-}
-
 // Evaluator performs repeated hardened single-configuration evaluations
 // of one workload under one option set — the per-configuration semantics
 // of RunContext (panic recovery, Options.Timeout, Options.Retries,
@@ -100,8 +85,6 @@ type Evaluator struct {
 	once sync.Once
 	refs []trace.Ref
 }
-
-var _ PointEvaluator = (*Evaluator)(nil)
 
 // NewEvaluator prepares an evaluator for one workload. Only the
 // per-configuration fields of opt participate (Timeout, Retries, Refs,

@@ -13,7 +13,7 @@ import (
 //
 // The representation is an order-statistics list rather than a dense
 // slice: lines live in slots of a fixed arena, the front of the stack
-// occupies the lowest occupied slot, and the shared Fenwick tree
+// occupies the lowest occupied slot, and the shared rank/select set
 // (lrustack.go) over slot occupancy answers "which slot holds depth d"
 // by rank in O(log n). A move-to-front (or a push of a new line) claims
 // the next slot below the current front, so both cost O(log n) instead
@@ -30,10 +30,11 @@ type mtfStack struct {
 }
 
 // arena sizes the slot arena for a stack of n lines. Headroom trades
-// compaction frequency against tree size: 2n keeps the Fenwick within
-// a few hundred KB for typical footprints (so select/update paths stay
-// cache-resident) while compactions — O(n log n) each, every 2n
-// move-to-fronts — amortize to a couple of tree walks per reference.
+// compaction frequency against arena size: with 2n slots of headroom a
+// compaction, a linear copy of the n lines, comes every 2n
+// move-to-fronts. The occupancy set costs one bit plus 1/64 of a 4-byte
+// tree node per slot against a line's 8 bytes, so lines are almost all
+// of an arena's bytes.
 func arenaCap(n int) int { return n + max(2*n, 1<<16) }
 
 // arenas recycles slot arenas: a stack that compacts, and a generator
@@ -42,16 +43,22 @@ func arenaCap(n int) int { return n + max(2*n, 1<<16) }
 // one is a megabyte or two of garbage the collector pays for.
 var arenas sync.Pool // of *mtfStack, holding only lines and occ
 
-func (s *mtfStack) initArena(capacity int) {
-	if a, _ := arenas.Get().(*mtfStack); a != nil && cap(a.occ) > capacity {
-		s.lines, s.occ = a.lines[:capacity+1], a.occ[:capacity+1]
-		clear(s.occ)
+// initArena gives the stack an arena of capacity slots whose top n
+// slots are occupied; the caller fills their lines, depth 1 first.
+func (s *mtfStack) initArena(capacity, n int) {
+	// A pooled arena's occupancy set was sized with its lines, so one
+	// with room for the lines has room for the words too.
+	if a, _ := arenas.Get().(*mtfStack); a != nil && cap(a.lines) > capacity {
+		words := capacity>>6 + 1
+		s.lines = a.lines[:capacity+1]
+		s.occ = fenwick{words: a.occ.words[:words], tree: a.occ.tree[:words+1]}
 	} else {
 		s.lines = make([]uint64, capacity+1)
 		s.occ = newFenwick(capacity)
 	}
-	s.n = 0
-	s.front = capacity + 1 // next claim takes slot capacity
+	s.n = n
+	s.front = capacity + 1 - n // capacity+1 when empty: the next claim takes slot capacity
+	s.occ.fill(s.front, capacity)
 }
 
 // release hands the stack's arena to the pool; the stack is unusable
@@ -59,7 +66,7 @@ func (s *mtfStack) initArena(capacity int) {
 func (s *mtfStack) release() {
 	if s.lines != nil {
 		arenas.Put(&mtfStack{lines: s.lines, occ: s.occ})
-		s.lines, s.occ = nil, nil
+		s.lines, s.occ = nil, fenwick{}
 	}
 }
 
@@ -74,21 +81,24 @@ func (s *mtfStack) claimFront() int {
 }
 
 // compact rebuilds the arena with the occupied slots packed at the top
-// in depth order, restoring full headroom below the front.
+// in depth order, restoring full headroom below the front. Occupied
+// slots in ascending order are the stack in depth order, so one gather
+// copies them.
 func (s *mtfStack) compact() {
 	old := *s
-	s.prewarm(old.n, func(i int) uint64 { return old.lines[old.occ.rank(int32(old.n-i))] })
+	s.initArena(arenaCap(old.n), old.n)
+	old.occ.gather(s.lines[s.front:], old.lines)
 	old.release()
 }
 
 // push adds a brand-new line at the front (a compulsory reference).
 func (s *mtfStack) push(line uint64) {
 	if s.lines == nil {
-		s.initArena(arenaCap(1))
+		s.initArena(arenaCap(1), 0)
 	}
 	f := s.claimFront()
 	s.lines[f] = line
-	s.occ.add(f, 1)
+	s.occ.set(f)
 	s.n++
 }
 
@@ -97,15 +107,11 @@ func (s *mtfStack) push(line uint64) {
 // footprint from nothing (the paper's traces are tens of millions to
 // billions of references of warmed-up execution).
 func (s *mtfStack) prewarm(n int, gen func(int) uint64) {
-	s.initArena(arenaCap(n))
-	base := len(s.lines) - 1 - n
-	for i := 0; i < n; i++ {
-		// Depth i+1 (slot base+1+i) holds gen(n-1-i): most recent first.
-		s.lines[base+1+i] = gen(n - 1 - i)
-		s.occ.add(base+1+i, 1)
+	s.initArena(arenaCap(n), n)
+	top := s.lines[s.front:]
+	for i := range top {
+		top[i] = gen(n - 1 - i) // depth i+1 holds gen(n-1-i): most recent first
 	}
-	s.n = n
-	s.front = base + 1 // len(s.lines) when n is 0: the empty stack
 }
 
 // refDepth references the line at 1-based depth d, moving it to the
@@ -115,16 +121,16 @@ func (s *mtfStack) refDepth(d int) uint64 {
 		return s.lines[s.front] // already at the front: nothing moves
 	}
 	if s.front <= 1 {
-		// Compact before touching the tree: compaction walks it by rank
-		// and must see every line still in place.
+		// Compact before touching the set: compaction scans it and
+		// must see every line still in place.
 		s.compact()
 	}
 	slot := s.occ.rank(int32(d))
 	line := s.lines[slot]
-	s.occ.add(slot, -1)
+	s.occ.unset(slot)
 	f := s.claimFront()
 	s.lines[f] = line
-	s.occ.add(f, 1)
+	s.occ.set(f)
 	return line
 }
 
