@@ -47,11 +47,13 @@ type missEvent struct {
 	Line, Victim cache.LineAddr
 }
 
-// dmL1 is a direct-mapped L1 specialised for the pass, with its counters.
+// dmL1 is a direct-mapped L1 specialised for the pass, with its counters
+// and the lowest and highest line it missed (lo > hi before any miss).
 type dmL1 struct {
 	lines                                 []dmLine
 	mask                                  uint64
 	refs, misses, evictions, dirtyVictims uint64
+	lo, hi                                cache.LineAddr
 }
 
 type dmLine struct {
@@ -173,7 +175,7 @@ func useCache(chains []l1Chain, c cache.Config, p *L1Pass) []l1Chain {
 		j++
 	}
 	if j == len(cs) || cs[j].mask != mask {
-		cs = slices.Insert(cs, j, recCache{dmL1: dmL1{lines: make([]dmLine, c.Lines()), mask: mask}})
+		cs = slices.Insert(cs, j, recCache{dmL1: dmL1{lines: make([]dmLine, c.Lines()), mask: mask, lo: ^cache.LineAddr(0)}})
 	}
 	cs[j].users = append(cs[j].users, p)
 	chains[i].caches = cs
@@ -219,6 +221,7 @@ func (r *L1Recorder) walk(refs []trace.Ref) {
 					break
 				}
 				c.misses++
+				c.lo, c.hi = min(c.lo, l), max(c.hi, l)
 				ev := missEvent{Line: l, Victim: l}
 				if e.valid {
 					c.evictions++
@@ -298,7 +301,8 @@ func (r *L1Recorder) Finish() []*L1Pass {
 // recorded trace, field for field. cfg must be ReplayEligible and have
 // the pass's L1s. A two-level cfg replays the miss events into a fresh
 // l2Kernel of cfg's L2 (l2kernel.go), through the conventional or the
-// exclusive operation order. A single-level cfg needs no L2: every L1
+// exclusive operation order, on a loop specialised for a narrow L2 when
+// the replay can take one. A single-level cfg needs no L2: every L1
 // miss is an off-chip fetch and every dirty victim an off-chip
 // write-back.
 //
@@ -326,6 +330,8 @@ func (p *L1Pass) Replay(ctx context.Context, cfg Config, reg *obs.Registry) (Sta
 	var upDirtyOut [2]uint64
 	var err error
 	switch {
+	case cfg.Policy == Exclusive && l2.narrow() && p.disjoint():
+		upDirtyOut, err = p.replayExclusiveNarrow(ctx, l2, &st)
 	case cfg.Policy == Exclusive:
 		upDirtyOut, err = p.replayExclusive(ctx, l2, &st)
 	case l2.narrow():
@@ -435,9 +441,13 @@ type exclusiveSlot struct {
 // moves down. The victim is the line the previous miss in the same L1
 // slot brought in, and it is dirty if it was written in the L1 (the
 // event's Victim) or came up dirty from the L2 (the slot's upDirty bit).
-// It returns how many of the L1I's and the L1D's victims were dirty only
-// because they came up dirty. A narrow l2 takes inline paths, as in
-// replayNarrow; any other l2 takes the kernel's general methods.
+// The victim may already be in the L2 when the other L1 holds it too;
+// the transfer then refreshes that copy. It returns how many of the
+// L1I's and the L1D's victims were dirty only because they came up
+// dirty. It serves the exclusive replays replayExclusiveNarrow cannot:
+// a pass whose L1s may share a line, or an L2 that is not narrow. A
+// narrow l2 takes inline probes, as in replayNarrow; any other l2 takes
+// the kernel's general methods.
 func (p *L1Pass) replayExclusive(ctx context.Context, l2 *l2Kernel, st *Stats) (upDirtyOut [2]uint64, err error) {
 	islots := make([]exclusiveSlot, p.l1i.Lines())
 	dslots := make([]exclusiveSlot, p.l1d.Lines())
@@ -505,13 +515,106 @@ func (p *L1Pass) replayExclusive(ctx context.Context, l2 *l2Kernel, st *Stats) (
 			}
 		}
 	}
+	exclusiveStats(st, l2, hits, victims, toL2, swaps)
+	return upDirtyOut, nil
+}
+
+// disjoint reports whether the pass's L1I and L1D missed line ranges
+// do not overlap, so that no line was ever in both L1s.
+func (p *L1Pass) disjoint() bool {
+	return p.icache.hi < p.dcache.lo || p.dcache.hi < p.icache.lo
+}
+
+// replayExclusiveNarrow is replayExclusive for a narrow l2 over a
+// disjoint pass. Under the exclusive policy a line is in the L2 only
+// while it is in no L1, as long as no line is in both L1s at once: a
+// line leaves the L2 when it moves up, and enters it only as a victim,
+// when it leaves its L1. In a disjoint pass no line is ever in both, so
+// the victim, which is in its L1 until this event, is never in the L2:
+// it is filled without a probe. The loop holds the L1 slots of both
+// L1s, the L1I's then the L1D's, as a line array plus a valid and a
+// came-up-dirty bitset, and keeps the L2 inline as replayNarrow does.
+func (p *L1Pass) replayExclusiveNarrow(ctx context.Context, l2 *l2Kernel, st *Stats) (upDirtyOut [2]uint64, err error) {
+	ni, nd := p.l1i.Lines(), p.l1d.Lines()
+	lines := make([]cache.LineAddr, ni+nd)
+	valid := make([]uint64, (ni+nd+63)/64)
+	upDirty := make([]uint64, len(valid))
+	// Indexed by the event's L1I bit: the L1D's slots, then the L1I's.
+	mask := [2]cache.LineAddr{cache.LineAddr(nd - 1), cache.LineAddr(ni - 1)}
+	off := [2]int{ni, 0}
+	tags, l2valid, l2dirty, setMask, wayMask := l2.tags, l2.valid, l2.dirty, l2.setMask, l2.wayMask
+	repl := &l2.repl
+	var hits, victims, toL2, swaps uint64
+	for _, c := range p.chunks {
+		if err := ctx.Err(); err != nil {
+			return upDirtyOut, err
+		}
+		for j, ev := range c.events {
+			b := c.instr[j>>6] >> (j & 63) & 1
+			k := int(ev.Line&mask[b]) + off[b]
+			w, bit := k>>6, uint64(1)<<(k&63)
+			victim, hadVictim := lines[k], valid[w]&bit != 0
+			written := ev.Victim != ev.Line
+			dirty := written || upDirty[w]&bit != 0
+			lines[k] = ev.Line
+			valid[w] |= bit
+			upDirty[w] &^= bit
+			set := ev.Line & setMask
+			base := int(set) << probeShift
+			hit := false
+			if m := match(tags, base, ev.Line); m != 0 {
+				hit = true
+				hits++
+				way := bits.TrailingZeros64(m)
+				repl.Touch(base>>probeShift, way)
+				// Invalidate the way, as l2Kernel.invalidate does.
+				i := base + way
+				iw, ibit := i>>6, uint64(1)<<(i&63)
+				if l2dirty[iw]&ibit != 0 {
+					upDirty[w] |= bit
+					l2dirty[iw] &^= ibit
+				}
+				l2valid[iw] &^= ibit
+				tags[i] = (set ^ 1) & setMask
+			}
+			if !hadVictim {
+				continue
+			}
+			victims++
+			if dirty {
+				toL2++
+				if !written {
+					upDirtyOut[1-b]++
+				}
+			}
+			vset := victim & setMask
+			if hit && vset == set {
+				swaps++
+			}
+			vbase := int(vset) << probeShift
+			if e := ^(l2valid[vbase>>6] >> (vbase & 63)) & wayMask; e != 0 {
+				i := l2.place(vbase, bits.TrailingZeros64(e), victim)
+				if dirty {
+					l2dirty[i>>6] |= 1 << (i & 63)
+				}
+			} else {
+				l2.replace(vbase, victim, dirty)
+			}
+		}
+	}
+	exclusiveStats(st, l2, hits, victims, toL2, swaps)
+	return upDirtyOut, nil
+}
+
+// exclusiveStats completes st from an exclusive replay's counts: every
+// other event missed in the L2, and only dirty L2 victims went off-chip.
+func exclusiveStats(st *Stats, l2 *l2Kernel, hits, victims, toL2, swaps uint64) {
 	st.L2Hits = hits
 	st.L2Misses = st.L1Misses() - hits
 	st.VictimsToL2 = victims
 	st.WriteBacksToL2 = toL2
 	st.Swaps = swaps
 	st.WriteBacksOffChip = l2.dirtyOut
-	return upDirtyOut, nil
 }
 
 // instrument adds one replayed hierarchy's L1 and hierarchy-level counts

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -95,6 +97,64 @@ func randomTrace(rng *rand.Rand, line int) []trace.Ref {
 	return refs
 }
 
+// separateSides returns a copy of refs with the instruction and the
+// data lines apart: bit 63 clear in every instruction address and set
+// in every data address, so every instruction line lies below every
+// data line and no line is ever in both L1s.
+func separateSides(refs []trace.Ref) []trace.Ref {
+	out := make([]trace.Ref, len(refs))
+	for i, r := range refs {
+		if r.Kind == trace.Instr {
+			r.Addr &^= 1 << 63
+		} else {
+			r.Addr |= 1 << 63
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// exclusiveLoop names the loop an exclusive replay of refs into cfg must
+// take, decided from the trace alone: "disjoint" (replayExclusiveNarrow)
+// when the L2 is narrow and the ranges of the instruction and the data
+// lines referenced do not overlap, "probing" (replayExclusive)
+// otherwise. A side misses every line it references at least once, so
+// these are the ranges of its missed lines.
+func exclusiveLoop(cfg Config, refs []trace.Ref) string {
+	if !newL2Kernel(cfg.L2).narrow() {
+		return "probing"
+	}
+	shift := bits.TrailingZeros(uint(cfg.L1I.LineSize))
+	lo := [2]uint64{math.MaxUint64, math.MaxUint64}
+	var hi [2]uint64
+	for _, r := range refs {
+		side, l := 0, r.Addr>>shift
+		if r.Kind != trace.Instr {
+			side = 1
+		}
+		lo[side], hi[side] = min(lo[side], l), max(hi[side], l)
+	}
+	if hi[0] < lo[1] || hi[1] < lo[0] {
+		return "disjoint"
+	}
+	return "probing"
+}
+
+// checkExclusiveLoop records refs through cfg's L1s and checks that the
+// pass takes the loop exclusiveLoop names, returning the pass and the
+// loop's name.
+func checkExclusiveLoop(cfg Config, refs []trace.Ref) (*L1Pass, string, error) {
+	pass, err := RecordL1(context.Background(), cfg, refs)
+	if err != nil {
+		return nil, "", err
+	}
+	loop := exclusiveLoop(cfg, refs)
+	if got := newL2Kernel(cfg.L2).narrow() && pass.disjoint(); got != (loop == "disjoint") {
+		return nil, "", fmt.Errorf("the pass takes the disjoint loop: %v, the trace says %s", got, loop)
+	}
+	return pass, loop, nil
+}
+
 // checkThreeWay compares every Stats field of the reference simulator,
 // System.Run, and an L1 pass replayed into cfg and into the single-level
 // hierarchy with the same L1s. It returns the reference simulator's
@@ -131,15 +191,22 @@ func checkThreeWay(cfg Config, refs []trace.Ref, pass *L1Pass) (Stats, *refHiera
 // pass and replay, System.Run and the naive reference simulator must
 // agree on every counter. It runs until it has checked differentialCases
 // two-level hierarchies under each of the conventional and exclusive
-// policies. The cases are drawn in order on one goroutine and checked
-// on GOMAXPROCS goroutines.
+// policies. A second source, drawn after each case so that the table's
+// cases and totals stay those of its first version, adds a copy of
+// half the exclusive cases with their sides' lines apart
+// (separateSides), and the table must drive both exclusive loops over
+// L2 hits, swaps and victims, with the probing loop finding victims
+// already in the L2 and the disjoint loop never able to. The cases are
+// drawn in order on one goroutine and checked on GOMAXPROCS goroutines.
 func TestL1PassReplayOracle(t *testing.T) {
 	type oracleCase struct {
-		i    int
-		cfg  Config
-		refs []trace.Ref
+		i     int
+		cfg   Config
+		refs  []trace.Ref
+		split bool // a separateSides copy of case i
 	}
 	rng := rand.New(rand.NewPCG(12, 1994))
+	split := rand.New(rand.NewPCG(12, 2025))
 	var cases [2]int
 	todo := make(chan oracleCase, 64)
 	go func() {
@@ -149,13 +216,21 @@ func TestL1PassReplayOracle(t *testing.T) {
 			if cfg.TwoLevel() {
 				cases[cfg.Policy]++
 			}
-			todo <- oracleCase{i, cfg, refs}
+			todo <- oracleCase{i, cfg, refs, false}
+			if cfg.TwoLevel() && cfg.Policy == Exclusive && split.IntN(2) == 0 {
+				todo <- oracleCase{i, cfg, separateSides(refs), true}
+			}
 		}
 	}()
+	type loopSum struct {
+		st                            Stats
+		cases, upDirty, residentVicts uint64
+	}
 	var (
 		mu      sync.Mutex
 		sum     [2]Stats
 		upDirty uint64 // victims dirty only because they came up dirty
+		loops   = map[string]*loopSum{"disjoint": {}, "probing": {}}
 		failed  atomic.Bool
 		wg      sync.WaitGroup
 	)
@@ -168,26 +243,53 @@ func TestL1PassReplayOracle(t *testing.T) {
 					continue // drain, so the drawing goroutine ends
 				}
 				cfg := c.cfg
-				st, ref, err := checkThreeWay(cfg, c.refs, nil)
+				var (
+					pass *L1Pass
+					loop string
+					err  error
+				)
+				exclusive := cfg.TwoLevel() && cfg.Policy == Exclusive
+				if exclusive {
+					pass, loop, err = checkExclusiveLoop(cfg, c.refs)
+				}
+				var st Stats
+				var ref *refHierarchy
+				if err == nil {
+					st, ref, err = checkThreeWay(cfg, c.refs, pass)
+				}
 				if err != nil {
 					failed.Store(true)
-					t.Errorf("case %d, %s (L1I %s, L1D %s, L2 %s), %d refs: %v", c.i, cfg, cfg.L1I, cfg.L1D, cfg.L2, len(c.refs), err)
+					t.Errorf("case %d (split %v), %s (L1I %s, L1D %s, L2 %s), %d refs: %v", c.i, c.split, cfg, cfg.L1I, cfg.L1D, cfg.L2, len(c.refs), err)
 					continue
 				}
 				if !cfg.TwoLevel() {
 					continue
 				}
 				mu.Lock()
-				s := &sum[cfg.Policy]
-				s.L1IHits += st.L1IHits
-				s.L1DHits += st.L1DHits
-				s.L2Hits += st.L2Hits
-				s.L2Misses += st.L2Misses
-				s.WriteBacksToL2 += st.WriteBacksToL2
-				s.WriteBacksOffChip += st.WriteBacksOffChip
-				s.Swaps += st.Swaps
-				s.VictimsToL2 += st.VictimsToL2
-				upDirty += ref.l1i.upDirtyOut + ref.l1d.upDirtyOut
+				if exclusive {
+					l := loops[loop]
+					l.cases++
+					l.st.L2Hits += st.L2Hits
+					l.st.L2Misses += st.L2Misses
+					l.st.WriteBacksToL2 += st.WriteBacksToL2
+					l.st.WriteBacksOffChip += st.WriteBacksOffChip
+					l.st.Swaps += st.Swaps
+					l.st.VictimsToL2 += st.VictimsToL2
+					l.upDirty += ref.l1i.upDirtyOut + ref.l1d.upDirtyOut
+					l.residentVicts += ref.residentVictims
+				}
+				if !c.split {
+					s := &sum[cfg.Policy]
+					s.L1IHits += st.L1IHits
+					s.L1DHits += st.L1DHits
+					s.L2Hits += st.L2Hits
+					s.L2Misses += st.L2Misses
+					s.WriteBacksToL2 += st.WriteBacksToL2
+					s.WriteBacksOffChip += st.WriteBacksOffChip
+					s.Swaps += st.Swaps
+					s.VictimsToL2 += st.VictimsToL2
+					upDirty += ref.l1i.upDirtyOut + ref.l1d.upDirtyOut
+				}
 				mu.Unlock()
 			}
 		}()
@@ -206,6 +308,20 @@ func TestL1PassReplayOracle(t *testing.T) {
 	}
 	if sum[Exclusive].Swaps == 0 || sum[Exclusive].VictimsToL2 == 0 || upDirty == 0 {
 		t.Errorf("the exclusive table never swaps, transfers a victim or evicts a line that came up dirty: %+v, %d came up dirty", sum[Exclusive], upDirty)
+	}
+	for name, l := range loops {
+		s := l.st
+		if s.L2Hits == 0 || s.L2Misses == 0 || s.Swaps == 0 || s.VictimsToL2 == 0 ||
+			s.WriteBacksToL2 == 0 || s.WriteBacksOffChip == 0 || l.upDirty == 0 {
+			t.Errorf("the %s exclusive loop leaves a path unexercised over %d cases: %+v, %d came up dirty", name, l.cases, s, l.upDirty)
+		}
+		t.Logf("%s exclusive loop: %d cases, %+v; %d victims dirty only from the L2, %d victims already in the L2", name, l.cases, s, l.upDirty, l.residentVicts)
+	}
+	if loops["probing"].residentVicts == 0 {
+		t.Error("the probing exclusive loop never finds its victim in the L2")
+	}
+	if n := loops["disjoint"].residentVicts; n != 0 {
+		t.Errorf("the reference simulator found %d victims already in the L2 on traces whose sides share no line", n)
 	}
 	t.Logf("conventional totals over %d cases: %+v", cases[Conventional], sum[Conventional])
 	t.Logf("exclusive totals over %d cases: %+v; %d victims dirty only from the L2", cases[Exclusive], sum[Exclusive], upDirty)
@@ -260,24 +376,100 @@ func TestL1PassReplayWidthOracle(t *testing.T) {
 		repl   cache.ReplacementPolicy
 	}
 	hits, evicted := map[key]uint64{}, map[key]uint64{}
-	for i := 0; i < widthCases; i++ {
-		cfg, refs := randomWidthCase(rng)
-		st, ref, err := checkThreeWay(cfg, refs, nil)
+	check := func(i int, cfg Config, refs []trace.Ref) {
+		t.Helper()
+		var pass *L1Pass
+		path := replayPath(cfg.L2)
+		if cfg.Policy == Exclusive {
+			var loop string
+			var err error
+			if pass, loop, err = checkExclusiveLoop(cfg, refs); err != nil {
+				t.Fatalf("case %d, %s (L1I %s, L1D %s, L2 %s): %v", i, cfg, cfg.L1I, cfg.L1D, cfg.L2, err)
+			}
+			if loop == "disjoint" {
+				path += " disjoint"
+			}
+		}
+		st, ref, err := checkThreeWay(cfg, refs, pass)
 		if err != nil {
 			t.Fatalf("case %d, %s (L1I %s, L1D %s, L2 %s), %d refs: %v", i, cfg, cfg.L1I, cfg.L1D, cfg.L2, len(refs), err)
 		}
-		k := key{replayPath(cfg.L2), cfg.Policy, cfg.L2.Policy}
+		k := key{path, cfg.Policy, cfg.L2.Policy}
 		hits[k] += st.L2Hits
 		evicted[k] += ref.l2.evicted
 	}
+	// As in TestL1PassReplayOracle, a second source adds a separateSides
+	// copy of half the exclusive cases.
+	split := rand.New(rand.NewPCG(21, 2025))
+	for i := 0; i < widthCases; i++ {
+		cfg, refs := randomWidthCase(rng)
+		check(i, cfg, refs)
+		if cfg.Policy == Exclusive && split.IntN(2) == 0 {
+			check(i, cfg, separateSides(refs))
+		}
+	}
+	type cell struct {
+		path   string
+		policy Policy
+	}
+	var cells []cell
 	for _, path := range []string{"1-way", "2-way", "4-way", "wide", "fully associative"} {
-		for _, policy := range []Policy{Conventional, Exclusive} {
-			for _, repl := range []cache.ReplacementPolicy{cache.Random, cache.LRU, cache.FIFO} {
-				if k := (key{path, policy, repl}); hits[k] == 0 || evicted[k] == 0 {
-					t.Errorf("%s %s L2s under %s replacement: %d hits, %d evictions", path, policy, repl, hits[k], evicted[k])
-				}
+		cells = append(cells, cell{path, Conventional}, cell{path, Exclusive})
+	}
+	for _, path := range []string{"1-way", "2-way", "4-way"} {
+		cells = append(cells, cell{path + " disjoint", Exclusive})
+	}
+	for _, c := range cells {
+		for _, repl := range []cache.ReplacementPolicy{cache.Random, cache.LRU, cache.FIFO} {
+			if k := (key{c.path, c.policy, repl}); hits[k] == 0 || evicted[k] == 0 {
+				t.Errorf("%s %s L2s under %s replacement: %d hits, %d evictions", c.path, c.policy, repl, hits[k], evicted[k])
 			}
 		}
+	}
+}
+
+// TestL1PassReplaySharedLine is a hand-built exclusive case in which a
+// line is both fetched and loaded, so it sits in both L1s: the L1I's
+// victim puts it in the L2 while the L1D still holds it, and the L1D's
+// victim then finds it there. The pass must take the probing loop and
+// match the reference simulator, and the unprobed loop, run on the same
+// pass, must get it wrong: it fills a second copy, which a later load
+// hits.
+func TestL1PassReplaySharedLine(t *testing.T) {
+	l1 := cache.Config{Size: 16, LineSize: 16, Assoc: 1}
+	cfg := Config{
+		L1I: l1, L1D: l1, Policy: Exclusive,
+		L2: cache.Config{Size: 8 * 16, LineSize: 16, Assoc: 4, Policy: cache.Random},
+	}
+	const x, y, z = 0x100, 0x200, 0x300
+	refs := []trace.Ref{
+		{Kind: trace.Instr, Addr: x}, // x into the L1I
+		{Kind: trace.Data, Addr: x},  // and into the L1D
+		{Kind: trace.Instr, Addr: y}, // the L1I's victim x moves down
+		{Kind: trace.Data, Addr: z},  // the L1D's victim x is already there
+		{Kind: trace.Instr, Addr: x}, // x moves up from the L2
+		{Kind: trace.Data, Addr: x},  // and misses it now
+	}
+	pass, loop, err := checkExclusiveLoop(cfg, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loop != "probing" || pass.disjoint() {
+		t.Fatalf("a pass with a shared line takes the %s loop (disjoint %v)", loop, pass.disjoint())
+	}
+	want, ref, err := checkThreeWay(cfg, refs, pass)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.residentVictims != 1 || want.L2Hits != 1 {
+		t.Fatalf("the case is not the one built: %d victims already in the L2, %d L2 hits", ref.residentVictims, want.L2Hits)
+	}
+	st := pass.st
+	if _, err := pass.replayExclusiveNarrow(context.Background(), newL2Kernel(cfg.L2), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.L2Hits == want.L2Hits {
+		t.Errorf("the unprobed loop matches the oracle's %d L2 hits on a shared line", want.L2Hits)
 	}
 }
 
@@ -352,6 +544,12 @@ func FuzzL1PassReplay(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(2), uint8(130), uint8(1), wideSeed())
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(129), uint8(5), wideSeed())
 	f.Add(uint8(0), uint8(0), uint8(2), uint8(132), uint8(3), wideSeed())
+	// Disjoint traces on narrow exclusive L2s, which replay on the loop
+	// that skips the victim probe: 4 L1 lines of 16 bytes over a 4-way
+	// random, a direct-mapped LRU and a 2-way FIFO L2.
+	f.Add(uint8(2), uint8(4), uint8(4), uint8(2), uint8(3), disjointSeed())
+	f.Add(uint8(2), uint8(4), uint8(5), uint8(0), uint8(4), disjointSeed())
+	f.Add(uint8(2), uint8(4), uint8(5), uint8(1), uint8(5), disjointSeed())
 	f.Fuzz(func(t *testing.T, l1Log, lineLog, l2Log, wayLog, policy uint8, data []byte) {
 		line := 1 << (lineLog % 6)
 		assoc := 1 << (wayLog % 4)
@@ -377,10 +575,39 @@ func FuzzL1PassReplay(f *testing.F) {
 				Addr: uint64(data[0]>>2)<<40 | uint64(binary.LittleEndian.Uint16(data[1:])),
 			})
 		}
-		if _, _, err := checkThreeWay(cfg, refs, nil); err != nil {
+		var pass *L1Pass
+		if cfg.TwoLevel() && cfg.Policy == Exclusive {
+			var err error
+			if pass, _, err = checkExclusiveLoop(cfg, refs); err != nil {
+				t.Fatalf("%s (L1 %s, L2 %s), %d refs: %v", cfg, cfg.L1I, cfg.L2, len(refs), err)
+			}
+		}
+		if _, _, err := checkThreeWay(cfg, refs, pass); err != nil {
 			t.Fatalf("%s (L1 %s, L2 %s), %d refs: %v", cfg, cfg.L1I, cfg.L2, len(refs), err)
 		}
 	})
+}
+
+// disjointSeed is the trace of the fuzz seeds with disjoint sides, in
+// their three bytes per reference: 120 instruction fetches walking 256
+// bytes of code in the low region, each followed by a load or, every
+// third, a store to one of 24 lines of 16 bytes in the region above it,
+// drawn so that they collide in small L1s and L2s.
+func disjointSeed() []byte {
+	var b []byte
+	for i := 0; i < 120; i++ {
+		pc := uint16(i * 4 % 256)
+		b = append(b, byte(trace.Instr), byte(pc), byte(pc>>8))
+		kind := trace.Data
+		if i%3 == 0 {
+			kind = trace.Write
+		}
+		// The kind byte is the kind modulo 3, and 1 when shifted right
+		// by 2: 4 is a load and 5 a store in region 1.
+		addr := uint16(i * 7 % 24 * 16)
+		b = append(b, 3+byte(kind), byte(addr), byte(addr>>8))
+	}
+	return b
 }
 
 // wideSeed is the trace of the fuzz seeds with wide L2s, in their three
@@ -496,6 +723,9 @@ func FuzzL1Record(f *testing.F) {
 	// fully associative 16-way L2 under LRU, 2 sets of 32 FIFO ways under
 	// the exclusive policy, and a direct-mapped L2 of 4 lines.
 	f.Add([]byte("\x00\x00\x00\x01\x96\x00\x01\x01\x02\x8d\x00\x00\x01\x03\x00"), wideSeed())
+	// A disjoint trace (its data in the region above its code) on a
+	// 4-way random exclusive L2 and a direct-mapped conventional one.
+	f.Add([]byte("\x04\x02\x02\x04\x0e\x04\x02\x03\x05\x00"), disjointSeed())
 	f.Fuzz(func(t *testing.T, geo, data []byte) {
 		var cfgs []Config
 		for ; len(geo) >= 5 && len(cfgs) < 9; geo = geo[5:] {

@@ -168,6 +168,8 @@ type refHierarchy struct {
 	exclusive    bool
 	lineSize     uint64
 	st           Stats
+	// residentVictims counts exclusive victims the L2 already held.
+	residentVictims uint64
 }
 
 func newRefHierarchy(cfg Config) *refHierarchy {
@@ -288,6 +290,7 @@ func (h *refHierarchy) exclusiveMiss(l1 *refCache, line, victim uint64, valid, d
 	// The victim may already be in the L2 when the other L1 put it there;
 	// the transfer then refreshes that copy instead of filling.
 	if b := h.l2.find(victim); b != nil {
+		h.residentVictims++
 		h.l2.touch(b)
 		b.dirty = b.dirty || dirty
 		return

@@ -290,6 +290,8 @@ func Collect(ctx context.Context, w spec.Workload, opt sweep.Options) (*Profile,
 	instr, data, uni := newStreamAcc(capacity), newStreamAcc(capacity), newStreamAcc(capacity)
 	idx := newTriIndex()
 	st := w.Stream(opt.Refs)
+	// 4Ki references per Fill, so n is a multiple of 64Ki every 16th.
+	buf := make([]trace.Ref, 1<<12)
 	var n uint64
 	for {
 		if n&0xFFFF == 0 && ctx != nil {
@@ -299,20 +301,22 @@ func Collect(ctx context.Context, w spec.Workload, opt sweep.Options) (*Profile,
 			default:
 			}
 		}
-		r, ok := st.Next()
-		if !ok {
+		k := trace.Fill(st, buf)
+		for _, r := range buf[:k] {
+			l := cache.LineAddr(r.Addr >> shift)
+			wr := r.Kind == trace.Write
+			s := idx.slot(l)
+			if r.Kind.IsData() {
+				data.observe(wr, &s.data)
+			} else {
+				instr.observe(false, &s.instr)
+			}
+			uni.observe(wr, &s.uni)
+		}
+		n += uint64(k)
+		if k < len(buf) {
 			break
 		}
-		n++
-		l := cache.LineAddr(r.Addr >> shift)
-		wr := r.Kind == trace.Write
-		s := idx.slot(l)
-		if r.Kind.IsData() {
-			data.observe(wr, &s.data)
-		} else {
-			instr.observe(false, &s.instr)
-		}
-		uni.observe(wr, &s.uni)
 	}
 	return &Profile{
 		Format:      ProfileFormat,

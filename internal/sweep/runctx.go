@@ -482,7 +482,7 @@ func recordPasses(ctx context.Context, w spec.Workload, groups []*l1Group, opt O
 				}
 			}
 			buf = buf[:min(uint64(cap(buf)), opt.Refs-n)]
-			k := fill(st, buf)
+			k := trace.Fill(st, buf)
 			n += uint64(k)
 			if k > 0 {
 				select {
@@ -536,17 +536,4 @@ func recordPasses(ctx context.Context, w spec.Workload, groups []*l1Group, opt O
 		}
 	}
 	return refs
-}
-
-// fill reads references from st into buf until buf is full or st ends,
-// and returns how many it read.
-func fill(st trace.Stream, buf []trace.Ref) int {
-	for k := range buf {
-		r, ok := st.Next()
-		if !ok {
-			return k
-		}
-		buf[k] = r
-	}
-	return len(buf)
 }

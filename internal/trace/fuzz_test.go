@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -88,6 +89,19 @@ func FuzzBinaryReader(f *testing.F) {
 // validated params) and the stream must honor its invariants.
 func FuzzGeneratorParams(f *testing.F) {
 	f.Add(uint64(1), 0.7, int64(8192), 5.0, 1.3, 1024, 1.3, 0.01, 0.1, 2, 256, 0.3)
+	// Non-finite values Validate must reject: before it did, each of
+	// these passed, and an infinite MeanRun made the first run endless.
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(uint64(1), nan, int64(8192), 5.0, 1.3, 1024, 1.3, 0.01, 0.1, 2, 256, 0.3)
+	f.Add(uint64(1), 0.7, int64(8192), inf, 1.3, 1024, 1.3, 0.01, 0.1, 2, 256, 0.3)
+	f.Add(uint64(1), 0.7, int64(8192), nan, 1.3, 1024, 1.3, 0.01, 0.1, 2, 256, 0.3)
+	f.Add(uint64(1), 0.7, int64(8192), 1e300, 1.3, 1024, 1.3, 0.01, 0.1, 2, 256, 0.3)
+	f.Add(uint64(1), 0.7, int64(8192), 5.0, nan, 1024, -inf, nan, nan, 2, 256, nan)
+	f.Add(uint64(1), 0.7, int64(8192), 5.0, inf, 1024, 1.3, 0.01, 0.1, 2, 256, 0.3)
+	// Probabilities at the ends of their ranges: every reference after
+	// an instruction is data, streaming and written, and every branch
+	// is taken.
+	f.Add(uint64(3), 0.5, int64(8192), 1.0, 1.3, 1024, 1.3, 1.0, 1.0, 2, 256, 1.0)
 	f.Fuzz(func(t *testing.T, seed uint64, instrFrac float64, codeBytes int64,
 		meanRun, iTheta float64, dataLines int, dTheta, dNewFrac, streamFrac float64,
 		streams, streamLines int, writeFrac float64) {
@@ -107,7 +121,7 @@ func FuzzGeneratorParams(f *testing.F) {
 			return
 		}
 		s := Generate(p, 200)
-		n := 0
+		var want []Ref
 		for {
 			r, ok := s.Next()
 			if !ok {
@@ -116,10 +130,21 @@ func FuzzGeneratorParams(f *testing.F) {
 			if r.Kind != Instr && r.Kind != Data && r.Kind != Write {
 				t.Fatalf("invalid kind %v", r.Kind)
 			}
-			n++
+			want = append(want, r)
 		}
-		if n != 200 {
-			t.Fatalf("generated %d refs, want 200", n)
+		if len(want) != 200 {
+			t.Fatalf("generated %d refs, want 200", len(want))
+		}
+		// Fill in buffers of 7 must give the references Next gives.
+		g := NewGenerator(p)
+		buf := make([]Ref, 7)
+		for i := 0; i < len(want); i += len(buf) {
+			g.Fill(buf)
+			for j, r := range buf[:min(len(buf), len(want)-i)] {
+				if r != want[i+j] {
+					t.Fatalf("ref %d: Fill gave %v, Next %v", i+j, r, want[i+j])
+				}
+			}
 		}
 	})
 }

@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // GenParams parameterizes a synthetic workload generator. Each of the
 // paper's seven SPEC89 workloads is described by one of these (see
@@ -74,21 +77,30 @@ type GenParams struct {
 }
 
 // Validate reports whether the parameters describe a usable generator.
+// Every range check is written so that NaN fails it. MeanRun is bounded
+// because a run is drawn one instruction at a time: a huge mean, like an
+// infinite one, would make a single draw run without end.
 func (p GenParams) Validate() error {
 	switch {
-	case p.InstrFrac < 0.5 || p.InstrFrac > 1:
+	case !(p.InstrFrac >= 0.5 && p.InstrFrac <= 1):
 		return fmt.Errorf("trace: InstrFrac %v outside [0.5,1] (at most one data ref per instruction)", p.InstrFrac)
 	case p.CodeBytes < lineBytes:
 		return fmt.Errorf("trace: CodeBytes %d below one line", p.CodeBytes)
-	case p.MeanRun < 1:
-		return fmt.Errorf("trace: MeanRun %v below 1", p.MeanRun)
+	case !(p.MeanRun >= 1 && p.MeanRun <= maxMeanRun):
+		return fmt.Errorf("trace: MeanRun %v outside [1,%d]", p.MeanRun, maxMeanRun)
+	case math.IsNaN(p.ITheta) || math.IsInf(p.ITheta, 0):
+		return fmt.Errorf("trace: ITheta %v not finite", p.ITheta)
 	case p.DataLines < 1:
 		return fmt.Errorf("trace: DataLines %d below 1", p.DataLines)
-	case p.StreamFrac < 0 || p.StreamFrac > 1:
+	case math.IsNaN(p.DTheta) || math.IsInf(p.DTheta, 0):
+		return fmt.Errorf("trace: DTheta %v not finite", p.DTheta)
+	case !(p.DNewFrac >= 0 && p.DNewFrac <= 1):
+		return fmt.Errorf("trace: DNewFrac %v outside [0,1]", p.DNewFrac)
+	case !(p.StreamFrac >= 0 && p.StreamFrac <= 1):
 		return fmt.Errorf("trace: StreamFrac %v outside [0,1]", p.StreamFrac)
 	case p.StreamFrac > 0 && (p.Streams < 1 || p.StreamLines < 1):
 		return fmt.Errorf("trace: StreamFrac %v requires Streams and StreamLines", p.StreamFrac)
-	case p.WriteFrac < 0 || p.WriteFrac > 1:
+	case !(p.WriteFrac >= 0 && p.WriteFrac <= 1):
 		return fmt.Errorf("trace: WriteFrac %v outside [0,1]", p.WriteFrac)
 	}
 	return nil
@@ -108,6 +120,9 @@ const (
 	// heapSpread scatters heap lines over this multiple of the footprint
 	// so that set pressure is uneven, as in real heaps.
 	heapSpread = 4
+
+	// maxMeanRun bounds GenParams.MeanRun.
+	maxMeanRun = 1 << 20
 )
 
 // Generator produces an endless deterministic reference stream from
@@ -126,7 +141,7 @@ type Generator struct {
 	nextTarget int
 	maxTargets int
 	iZipf      *zipfSampler
-	branchProb float64
+	branchT    uint64 // threshold(1/MeanRun)
 
 	// Data state.
 	heap      mtfStack
@@ -140,7 +155,9 @@ type Generator struct {
 	// One instruction fetch may queue a data reference to follow it.
 	pending    Ref
 	hasPending bool
-	dataProb   float64
+
+	// The thresholds of the stream's probabilities, for xorshift64.below.
+	dataT, writeT, streamT, newT uint64
 }
 
 // NewGenerator builds a generator; it panics on invalid parameters (use
@@ -161,9 +178,12 @@ func NewGenerator(p GenParams) *Generator {
 		maxTargets: maxTargets,
 		iZipf:      sharedZipfSampler(maxTargets, p.ITheta),
 		dZipf:      sharedZipfSampler(p.DataLines, p.DTheta),
-		branchProb: 1 / p.MeanRun,
+		branchT:    threshold(1 / p.MeanRun),
 		heapSpace:  uint64(p.DataLines) * heapSpread,
-		dataProb:   (1 - p.InstrFrac) / p.InstrFrac,
+		dataT:      threshold((1 - p.InstrFrac) / p.InstrFrac),
+		writeT:     threshold(p.WriteFrac),
+		streamT:    threshold(p.StreamFrac),
+		newT:       threshold(p.DNewFrac),
 	}
 	if p.StreamFrac > 0 {
 		g.streamPos = make([]int, p.Streams)
@@ -183,20 +203,40 @@ func (g *Generator) Params() GenParams { return g.p }
 
 // Next produces the next reference. The stream never ends.
 func (g *Generator) Next() (Ref, bool) {
-	if g.hasPending {
-		g.hasPending = false
-		return g.pending, true
+	var r [1]Ref
+	g.Fill(r[:])
+	return r[0], true
+}
+
+// Fill writes the next len(buf) references into buf and returns
+// len(buf): the stream never ends. An instruction fetch is followed by
+// a data reference with probability (1-InstrFrac)/InstrFrac; one that
+// does not fit in buf is held for the next call.
+func (g *Generator) Fill(buf []Ref) int {
+	k := 0
+	if g.hasPending && len(buf) > 0 {
+		buf[0], g.hasPending = g.pending, false
+		k = 1
 	}
-	r := Ref{Kind: Instr, Addr: g.instrFetch()}
-	if g.rng.float64() < g.dataProb {
+	for k < len(buf) {
+		buf[k] = Ref{Kind: Instr, Addr: g.instrFetch()}
+		k++
+		if !g.rng.below(g.dataT) {
+			continue
+		}
 		kind := Data
-		if g.p.WriteFrac > 0 && g.wrng.float64() < g.p.WriteFrac {
+		if g.writeT > 0 && g.wrng.below(g.writeT) {
 			kind = Write
 		}
-		g.pending = Ref{Kind: kind, Addr: g.dataRef()}
-		g.hasPending = true
+		r := Ref{Kind: kind, Addr: g.dataRef()}
+		if k == len(buf) {
+			g.pending, g.hasPending = r, true
+			break
+		}
+		buf[k] = r
+		k++
 	}
-	return r, true
+	return len(buf)
 }
 
 // targetAddr maps target index i to its code address.
@@ -227,7 +267,7 @@ func (g *Generator) instrFetch() uint64 {
 // geometricRun draws a run length with mean MeanRun (at least 1).
 func (g *Generator) geometricRun() int {
 	n := 1
-	for g.rng.float64() >= g.branchProb {
+	for !g.rng.below(g.branchT) {
 		n++
 		if float64(n) > 8*g.p.MeanRun { // cap pathological runs
 			break
@@ -246,11 +286,11 @@ func (g *Generator) heapLine(i int) uint64 {
 
 // dataRef produces one data reference (returned as a byte address).
 func (g *Generator) dataRef() uint64 {
-	if g.p.StreamFrac > 0 && g.rng.float64() < g.p.StreamFrac {
+	if g.streamT > 0 && g.rng.below(g.streamT) {
 		return g.streamRef()
 	}
 	var line uint64
-	if g.rng.float64() < g.p.DNewFrac {
+	if g.rng.below(g.newT) {
 		// Ongoing compulsory traffic: the program keeps touching lines
 		// it has never referenced before (fresh allocations, new input).
 		line = g.heapLine(g.nextHeap)
@@ -293,15 +333,26 @@ type generated struct {
 }
 
 func (s *generated) Next() (Ref, bool) {
-	if s.left == 0 {
+	var r [1]Ref
+	if s.Fill(r[:]) == 0 {
 		return Ref{}, false
 	}
-	s.left--
-	r, _ := s.g.Next()
+	return r[0], true
+}
+
+// Fill writes the next references, up to len(buf) and the stream's
+// remaining length, into buf and returns how many it wrote.
+func (s *generated) Fill(buf []Ref) int {
+	n := int(min(uint64(len(buf)), s.left))
+	if n == 0 {
+		return 0
+	}
+	s.g.Fill(buf[:n])
+	s.left -= uint64(n)
 	if s.left == 0 {
 		s.g.targets.release()
 		s.g.heap.release()
 		s.g = nil
 	}
-	return r, true
+	return n
 }

@@ -35,6 +35,20 @@ func TestGenParamsValidate(t *testing.T) {
 		{"negative stream frac", func(p *GenParams) { p.StreamFrac = -0.1 }},
 		{"stream frac above 1", func(p *GenParams) { p.StreamFrac = 1.1 }},
 		{"streams missing", func(p *GenParams) { p.StreamFrac = 0.5; p.Streams = 0 }},
+		{"NaN instr frac", func(p *GenParams) { p.InstrFrac = math.NaN() }},
+		{"NaN mean run", func(p *GenParams) { p.MeanRun = math.NaN() }},
+		{"infinite mean run", func(p *GenParams) { p.MeanRun = math.Inf(1) }},
+		{"huge mean run", func(p *GenParams) { p.MeanRun = 1e300 }},
+		{"NaN ITheta", func(p *GenParams) { p.ITheta = math.NaN() }},
+		{"infinite ITheta", func(p *GenParams) { p.ITheta = math.Inf(1) }},
+		{"negative infinite ITheta", func(p *GenParams) { p.ITheta = math.Inf(-1) }},
+		{"NaN DTheta", func(p *GenParams) { p.DTheta = math.NaN() }},
+		{"infinite DTheta", func(p *GenParams) { p.DTheta = math.Inf(-1) }},
+		{"NaN new-line frac", func(p *GenParams) { p.DNewFrac = math.NaN() }},
+		{"negative new-line frac", func(p *GenParams) { p.DNewFrac = -0.1 }},
+		{"new-line frac above 1", func(p *GenParams) { p.DNewFrac = 1.5 }},
+		{"NaN stream frac", func(p *GenParams) { p.StreamFrac = math.NaN() }},
+		{"NaN write frac", func(p *GenParams) { p.WriteFrac = math.NaN() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -202,6 +216,38 @@ func TestGeneratorPrewarmedFootprint(t *testing.T) {
 	}
 	if len(lines) < 300 {
 		t.Errorf("distinct data lines = %d; prewarmed footprint should expose deep reuse", len(lines))
+	}
+}
+
+// TestGeneratedFillReleases checks the end of a finite generated
+// stream read through Fill: a buffer longer than the stream gets the
+// rest, the stack arenas go back to the pool with the last reference,
+// and the stream then stays ended for Fill and Next alike.
+func TestGeneratedFillReleases(t *testing.T) {
+	want := Collect(NewLimit(NewGenerator(testParams()), 1000), 0)
+	s := Generate(testParams(), 1000).(*generated)
+	buf := make([]Ref, 777)
+	if n := Fill(s, buf); n != 777 || s.g == nil {
+		t.Fatalf("first Fill wrote %d, generator released: %v", n, s.g == nil)
+	}
+	got := append([]Ref(nil), buf...)
+	if n := Fill(s, buf); n != 223 {
+		t.Fatalf("second Fill wrote %d, want the 223 left", n)
+	}
+	got = append(got, buf[:223]...)
+	if s.g != nil {
+		t.Error("the generator kept its arenas after the last reference")
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ref %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if n := Fill(s, buf); n != 0 {
+		t.Errorf("Fill after the end wrote %d", n)
+	}
+	if _, ok := s.Next(); ok {
+		t.Error("Next after the end reported a reference")
 	}
 }
 

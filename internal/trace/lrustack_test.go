@@ -232,8 +232,10 @@ func (m *naiveMTF) refDepth(d int) uint64 {
 
 func (m *naiveMTF) push(l uint64) { *m = append(naiveMTF{l}, *m...) }
 
-// checkStack compares every depth of s with the naive list.
-func checkStack(t *testing.T, s *mtfStack, want naiveMTF, what string) {
+// checkStack compares every depth of s with the naive list, and the
+// front scan with the tree's rank at every depth. It returns how many
+// depths the scan answered and how many it left to the tree.
+func checkStack(t *testing.T, s *mtfStack, want naiveMTF, what string) (scanned, deeper int) {
 	t.Helper()
 	if s.depth() != len(want) {
 		t.Fatalf("%s: depth %d, want %d", what, s.depth(), len(want))
@@ -244,10 +246,17 @@ func checkStack(t *testing.T, s *mtfStack, want naiveMTF, what string) {
 		}
 	}
 	for d, l := range want {
-		if got := s.lines[s.occ.rank(int32(d+1))]; got != l {
+		slot := s.occ.rank(int32(d + 1))
+		if got := s.lines[slot]; got != l {
 			t.Fatalf("%s: depth %d holds %d, want %d", what, d+1, got, l)
 		}
+		if got, ok := s.scanRank(d + 1); !ok {
+			deeper++
+		} else if scanned++; got != slot {
+			t.Fatalf("%s: the front scan puts depth %d at slot %d, rank at %d", what, d+1, got, slot)
+		}
 	}
+	return scanned, deeper
 }
 
 // TestMTFStackMatchesNaive drives prewarm, push and refDepth (at depth
@@ -256,9 +265,18 @@ func checkStack(t *testing.T, s *mtfStack, want naiveMTF, what string) {
 // at first, then runs past its arena's headroom, so refDepth or push
 // compacts on its own at least once. Rounds after the first build their stacks on
 // arenas of other sizes that earlier rounds released to the pool.
-// Round 1 skips prewarm, so its first push allocates the arena.
+// Round 1 skips prewarm, so its first push allocates the arena. Every
+// check also compares refDepth's front scan with the tree's rank at
+// every depth, on compacted stacks and, every 997 operations, on stacks
+// with the holes moves leave; the scan must both answer and fall back.
 func TestMTFStackMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	var scanned, deeper int
+	check := func(s *mtfStack, want naiveMTF, what string) {
+		t.Helper()
+		sc, de := checkStack(t, s, want, what)
+		scanned, deeper = scanned+sc, deeper+de
+	}
 	for round, n := range []int{0, 0, 1, 63, 64, 65, 700, 3000, 130} {
 		var s mtfStack
 		want := naiveMTF{}
@@ -268,7 +286,7 @@ func TestMTFStackMatchesNaive(t *testing.T) {
 				want = append(want, uint64(n-1-i)<<8|uint64(round))
 			}
 		}
-		checkStack(t, &s, want, fmt.Sprintf("round %d prewarm(%d)", round, n))
+		check(&s, want, fmt.Sprintf("round %d prewarm(%d)", round, n))
 		next := uint64(n)
 		compactions := 0
 		for op := 0; op < 100_000; op++ {
@@ -297,18 +315,24 @@ func TestMTFStackMatchesNaive(t *testing.T) {
 			}
 			if s.front > front {
 				compactions++
-				checkStack(t, &s, want, fmt.Sprintf("round %d op %d %s (compacted)", round, op, what))
+				check(&s, want, fmt.Sprintf("round %d op %d %s (compacted)", round, op, what))
+			}
+			if op%997 == 996 {
+				check(&s, want, fmt.Sprintf("round %d op %d", round, op))
 			}
 			if op < 20_000 && op%5_000 == 4_999 {
 				s.compact()
-				checkStack(t, &s, want, fmt.Sprintf("round %d op %d forced compaction", round, op))
+				check(&s, want, fmt.Sprintf("round %d op %d forced compaction", round, op))
 			}
 		}
 		if compactions == 0 {
 			t.Fatalf("round %d: no compaction outside the forced ones", round)
 		}
-		checkStack(t, &s, want, fmt.Sprintf("round %d end", round))
+		check(&s, want, fmt.Sprintf("round %d end", round))
 		s.release()
+	}
+	if scanned == 0 || deeper == 0 {
+		t.Errorf("the front scan answered %d depths and left %d to the tree: a path is unexercised", scanned, deeper)
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -125,13 +126,39 @@ func (s *mtfStack) refDepth(d int) uint64 {
 		// must see every line still in place.
 		s.compact()
 	}
-	slot := s.occ.rank(int32(d))
+	slot, ok := s.scanRank(d)
+	if !ok {
+		slot = s.occ.rank(int32(d))
+	}
 	line := s.lines[slot]
 	s.occ.unset(slot)
 	f := s.claimFront()
 	s.lines[f] = line
 	s.occ.set(f)
 	return line
+}
+
+// frontScanWords is how many occupancy words from the front's scanRank
+// reads. A move-to-front packs the slots just below the front, so the
+// shallow depths most draws pick lie within a word or two of it.
+const frontScanWords = 4
+
+// scanRank returns the slot of depth d (the d-th occupied slot) by a
+// popcount scan of the frontScanWords words from the front's, or false
+// when d lies deeper. No occupied slot lies below the front, so counting
+// from the front's word counts every occupied slot before the answer.
+func (s *mtfStack) scanRank(d int) (int, bool) {
+	words := s.occ.words
+	w := s.front >> 6
+	k := int32(d)
+	for end := min(w+frontScanWords, len(words)); w < end; w++ {
+		c := int32(bits.OnesCount64(words[w]))
+		if k <= c {
+			return w<<6 | selectBit(words[w], k), true
+		}
+		k -= c
+	}
+	return 0, false
 }
 
 // depth returns the current stack depth.

@@ -11,7 +11,10 @@
 // DESIGN.md §2 for the substitution argument.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Kind distinguishes instruction fetches from data references. The study
 // models writes as reads for hit/miss purposes (write-allocate,
@@ -56,6 +59,31 @@ type Ref struct {
 // stream is exhausted.
 type Stream interface {
 	Next() (Ref, bool)
+}
+
+// filler is a Stream that can produce many references per call. Fill
+// writes references into buf from the front and returns how many it
+// wrote, fewer than len(buf) only once the stream has ended.
+type filler interface {
+	Fill(buf []Ref) int
+}
+
+// Fill reads references from s into buf until buf is full or s ends,
+// and returns how many it read: through s's own Fill method when it has
+// one, otherwise one Next at a time. Every bulk reader of a generated
+// stream drains it through here.
+func Fill(s Stream, buf []Ref) int {
+	if f, ok := s.(filler); ok {
+		return f.Fill(buf)
+	}
+	for k := range buf {
+		r, ok := s.Next()
+		if !ok {
+			return k
+		}
+		buf[k] = r
+	}
+	return len(buf)
 }
 
 // SliceStream replays a fixed slice of references.
@@ -103,29 +131,46 @@ func (l *Limit) Next() (Ref, bool) {
 	return r, true
 }
 
+// Fill reads up to the limit through inner's Fill, if it has one.
+func (l *Limit) Fill(buf []Ref) int {
+	n := int(min(uint64(len(buf)), l.left))
+	k := Fill(l.inner, buf[:n])
+	l.left -= uint64(k)
+	if k < n {
+		l.left = 0
+	}
+	return k
+}
+
 // collectPrealloc caps the capacity Collect allocates up front (4M
 // references, 64 MB), so a bogus max cannot allocate gigabytes before
 // the stream proves that long; a longer stream grows past it by append.
 const collectPrealloc = 1 << 22
 
-// Collect drains up to max references from s into a slice. A max of 0
-// collects the whole stream. A positive max sizes the slice up front
-// (clamped to collectPrealloc), which saves the garbage of growing it.
+// Collect drains up to max references from s into a slice, through
+// Fill. A max of 0 collects the whole stream. A positive max sizes the
+// slice up front (clamped to collectPrealloc), which saves the garbage
+// of growing it.
 func Collect(s Stream, max uint64) []Ref {
 	var out []Ref
 	if max > 0 {
 		out = make([]Ref, 0, min(max, collectPrealloc))
 	}
-	for {
-		if max > 0 && uint64(len(out)) >= max {
-			return out
+	for max == 0 || uint64(len(out)) < max {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, 1)
 		}
-		r, ok := s.Next()
-		if !ok {
-			return out
+		n := cap(out) - len(out)
+		if max > 0 {
+			n = int(min(uint64(n), max-uint64(len(out))))
 		}
-		out = append(out, r)
+		k := Fill(s, out[len(out):len(out)+n])
+		out = out[:len(out)+k]
+		if k < n {
+			break
+		}
 	}
+	return out
 }
 
 // Count tallies instruction and data references in a stream, draining

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 )
 
@@ -57,6 +58,21 @@ func TestLimit(t *testing.T) {
 	}
 	if n != 10 {
 		t.Errorf("Limit(100) over 10 refs yielded %d", n)
+	}
+	// Fill stops at the limit too, and at the stream's end before it.
+	for _, c := range []struct {
+		limit uint64
+		want  int
+	}{{3, 3}, {100, 10}} {
+		s := NewLimit(NewSliceStream(refs), c.limit)
+		buf := make([]Ref, 4)
+		n := 0
+		for k := Fill(s, buf); k > 0; k = Fill(s, buf) {
+			n += k
+		}
+		if n != c.want {
+			t.Errorf("Limit(%d) over 10 refs filled %d", c.limit, n)
+		}
 	}
 }
 
@@ -190,6 +206,34 @@ func TestXorshiftDeterminismAndRange(t *testing.T) {
 		n := a.intn(17)
 		if n < 0 || n >= 17 {
 			t.Fatalf("intn(17) = %d", n)
+		}
+	}
+}
+
+// TestBelowMatchesFloat checks the integer probability draw against
+// the float comparison it replaces, draw for draw, over 10^6 draws of
+// one seed for each probability, and at the draws either side of each
+// threshold, where rounding would show first.
+func TestBelowMatchesFloat(t *testing.T) {
+	ps := []float64{
+		0, 0x1p-60, 0x1p-53, 0x1p-52, 3 * 0x1p-10, 0.3, 1.0 / 7, 0.5,
+		1 - 0x1p-53, 1, 5, -1, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for _, p := range ps {
+		th := threshold(p)
+		a, b := newXorshift(1994), newXorshift(1994)
+		for i := 0; i < 1_000_000; i++ {
+			if want, got := a.float64() < p, b.below(th); got != want {
+				t.Fatalf("p=%v draw %d: below = %v, float64() < p = %v", p, i, got, want)
+			}
+		}
+		for _, u := range []uint64{0, 1, th - 1, th, th + 1, 1<<53 - 1} {
+			if u >= 1<<53 {
+				continue
+			}
+			if want, got := float64(u)/(1<<53) < p, u < th; got != want {
+				t.Errorf("p=%v u=%d: u < threshold = %v, u/2^53 < p = %v", p, u, got, want)
+			}
 		}
 	}
 }
