@@ -72,12 +72,15 @@ func (b *BoardSystem) Access(r trace.Ref) {
 
 // Run drains a stream through the system.
 func (b *BoardSystem) Run(s trace.Stream) (Stats, BoardStats) {
+	buf := make([]trace.Ref, trace.BatchRefs)
 	for {
-		r, ok := s.Next()
-		if !ok {
+		n := trace.Fill(s, buf)
+		for _, r := range buf[:n] {
+			b.Access(r)
+		}
+		if n < len(buf) {
 			return b.sys.Stats(), b.st
 		}
-		b.Access(r)
 	}
 }
 

@@ -501,12 +501,15 @@ func (s *System) countL1(k trace.Kind, hit bool) {
 // Run drains an entire reference stream through the hierarchy and
 // returns the resulting statistics.
 func (s *System) Run(st trace.Stream) Stats {
+	buf := make([]trace.Ref, trace.BatchRefs)
 	for {
-		r, ok := st.Next()
-		if !ok {
+		n := trace.Fill(st, buf)
+		for _, r := range buf[:n] {
+			s.Access(r)
+		}
+		if n < len(buf) {
 			return s.st
 		}
-		s.Access(r)
 	}
 }
 

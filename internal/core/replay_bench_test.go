@@ -91,3 +91,29 @@ func BenchmarkL1PassReplay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSystemRun times System.Run over a freshly generated stream,
+// generator included, as the figures' extension studies and the sweep's
+// direct path run it: 200k gcc1 and li references through an 8K:64K
+// hierarchy (4-way random L2) per operation, reported in ns per
+// reference.
+func BenchmarkSystemRun(b *testing.B) {
+	const refs = 200_000
+	cfg := Config{
+		L1I: cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
+		L1D: cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
+		L2:  cache.Config{Size: 64 << 10, LineSize: 16, Assoc: 4, Policy: cache.Random},
+	}
+	for _, name := range []string{"gcc1", "li"} {
+		w, err := spec.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				NewSystem(cfg).Run(w.Stream(refs))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*refs), "ns/ref")
+		})
+	}
+}

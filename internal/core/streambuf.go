@@ -190,12 +190,15 @@ func (s *StreamBufferSystem) Instrument(r *obs.Registry) {
 
 // Run drains a stream through the system.
 func (s *StreamBufferSystem) Run(st trace.Stream) Stats {
+	buf := make([]trace.Ref, trace.BatchRefs)
 	for {
-		r, ok := st.Next()
-		if !ok {
+		n := trace.Fill(st, buf)
+		for _, r := range buf[:n] {
+			s.Access(r)
+		}
+		if n < len(buf) {
 			return s.sys.Stats()
 		}
-		s.Access(r)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package span provides lightweight execution tracing for sweeps and
 // service jobs: a Tracer hands out Spans forming a tree (run → sweep →
 // config → attempt → simulate in the CLI tools; job → evaluate →
-// store-{hit,miss} in the service), each carrying monotonic start/end
-// timestamps and string attributes. Finished traces export as Chrome
+// store-{hit,miss} and job → config → attempt → simulate in the
+// service), each carrying monotonic start/end timestamps and string
+// attributes. Finished traces export as Chrome
 // trace_event JSON (see export.go) loadable in Perfetto or
 // chrome://tracing.
 //

@@ -55,11 +55,9 @@ type fastItem struct {
 // manager's store or queue.
 func (j *Job) predictFast(ctx context.Context, items []fastItem, opt sweep.Options) {
 	defer j.m.predictors.Done()
-	// model-profile and model-predict spans nest under the job's trace;
-	// metrics flow to the manager's registry via opt (already wired by
-	// Submit).
-	opt.Trace = j.m.tracer
-	opt.TraceParent = j.root
+	// model-profile and model-predict spans nest under the job's trace,
+	// and metrics flow to the manager's registry: Submit wired both
+	// into opt.
 	evals := make(map[string]*model.Evaluator)
 	for _, it := range items {
 		if ctx.Err() != nil {

@@ -10,11 +10,13 @@
 //
 // Each evaluation runs with the per-configuration hardening of
 // sweep.RunContext (panic isolation, Options.Timeout, Options.Retries)
-// via sweep.Evaluator, and identical evaluations requested by
-// concurrently running jobs are coalesced onto one in-flight task. Job
-// and task lifecycle is observable through internal/obs metrics and
-// events (see obs.go); the HTTP API over the manager lives in http.go
-// and is served by cmd/served.
+// via sweep.Evaluator, RunContext's own evaluation path: one per (job,
+// workload), over the tasks the job enqueues, so they share one trace
+// stage and every eligible configuration replays its L1 pass. Identical
+// evaluations requested by concurrently running jobs are coalesced onto
+// one in-flight task. Job and task lifecycle is observable through
+// internal/obs metrics and events (see obs.go); the HTTP API over the
+// manager lives in http.go and is served by cmd/served.
 package service
 
 import (
@@ -73,10 +75,11 @@ type Config struct {
 	// detected. 0 means the 15s default.
 	StreamHeartbeat time.Duration
 	// Trace, when non-nil, receives the span tree of every job (job →
-	// evaluate → store-{hit,miss}). When nil the manager keeps a private
-	// tracer so GET /v1/jobs/{id}/trace works regardless; pass one
-	// explicitly to also export the whole service trace (cmd/served
-	// -trace).
+	// evaluate → store-{hit,miss}, and the evaluations' own spans: the
+	// trace stage and config → attempt → simulate). When nil the manager
+	// keeps a private tracer so GET /v1/jobs/{id}/trace works regardless;
+	// pass one explicitly to also export the whole service trace
+	// (cmd/served -trace).
 	Trace *span.Tracer
 
 	// MaxActiveJobs bounds jobs submitted but not yet terminal; a Submit
@@ -107,8 +110,9 @@ type JobRequest struct {
 	// Workloads are spec workload names (at least one).
 	Workloads []string
 	// Options fixes the design space and evaluation parameters. The
-	// runtime plumbing fields (Progress, Store, Metrics, Events,
-	// Workers) are owned by the manager and ignored here.
+	// runtime plumbing fields (Progress, Store, Metrics, Events, Trace,
+	// TraceParent, Chaos, Workers) are owned by the manager and ignored
+	// here.
 	Options sweep.Options
 	// Mode selects the serving tier: ModeExact (or "", the default)
 	// simulates only; ModeFast additionally serves instant approximate
@@ -433,10 +437,17 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 		Fingerprint: j.fingerprint, Total: j.total,
 	})
 
+	// The job's evaluations, the trace stage included, trace under its
+	// span.
+	opt.Trace = m.tracer
+	opt.TraceParent = j.root
 	var enqueued int
 	var fastWork []fastItem
 	for _, w := range ws {
-		eval := sweep.NewEvaluator(w, opt)
+		// One evaluator per workload serves the tasks this job enqueues,
+		// so they share one trace stage; store hits and coalesced tasks
+		// have theirs already.
+		var fresh []*task
 		for _, cfg := range cfgs {
 			key := sweep.Key(w.Name, cfg, opt)
 			label := sweep.Label(cfg)
@@ -476,7 +487,7 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 				continue
 			}
 			ctx, cancel := context.WithCancel(context.Background())
-			t := &task{key: key, cfg: cfg, eval: eval, ctx: ctx, cancel: cancel, waiters: []*Job{j}}
+			t := &task{key: key, cfg: cfg, ctx: ctx, cancel: cancel, waiters: []*Job{j}}
 			j.evalSpans[t] = es
 			m.inflight[key] = t
 			m.queue = append(m.queue, t)
@@ -485,7 +496,19 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 			if mode == ModeFast {
 				fastWork = append(fastWork, fastItem{t: t, w: w})
 			}
-			enqueued++
+			fresh = append(fresh, t)
+		}
+		enqueued += len(fresh)
+		if len(fresh) > 0 {
+			evalCfgs := make([]core.Config, len(fresh))
+			for i, t := range fresh {
+				evalCfgs[i] = t.cfg
+			}
+			// Workers take tasks under m.mu, which Submit holds.
+			eval := sweep.NewEvaluator(w, opt, evalCfgs)
+			for _, t := range fresh {
+				t.eval = eval
+			}
 		}
 	}
 	m.met.queueDepth.Add(int64(enqueued))
@@ -811,8 +834,9 @@ func (j *Job) closeLocked(event string) {
 	// exact-only on every path (done, failed, cancelled, expired).
 	clear(j.approx)
 	// The manager keeps every job for status queries, and each task's
-	// evaluator holds its workload's whole trace. Cancel and expire have
-	// already taken their snapshot of the tasks.
+	// evaluator holds its workload's L1 passes until its last task is
+	// done. Cancel and expire have already taken their snapshot of the
+	// tasks.
 	j.tasks = nil
 	// Evaluations still open (cancellation, shutdown) end with the job,
 	// marked with the state that cut them off.
@@ -838,8 +862,9 @@ func (j *Job) closeLocked(event string) {
 }
 
 // WriteTrace exports the job's span subtree (job → evaluate →
-// store-{hit,miss}) as a Chrome trace_event JSON document — the same
-// document GET /v1/jobs/{id}/trace serves once the job is terminal.
+// store-{hit,miss}, the trace stage, config → attempt → simulate) as a
+// Chrome trace_event JSON document — the same document GET
+// /v1/jobs/{id}/trace serves once the job is terminal.
 func (j *Job) WriteTrace(w io.Writer) error {
 	return j.m.tracer.ExportSubtree(w, j.root.ID())
 }

@@ -6,10 +6,12 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
 	"twolevel/internal/obs"
+	"twolevel/internal/obs/span"
 	"twolevel/internal/spec"
 	"twolevel/internal/sweep"
 )
@@ -362,9 +364,11 @@ func TestStoreEviction(t *testing.T) {
 }
 
 // TestFinishedJobsReleaseTraces pins that a terminal job lets go of its
-// evaluators: each cold job collects a whole trace (16 B per reference)
-// for its workload, and the manager keeps every job for status queries,
-// so a job that held on to its tasks would pin that trace forever.
+// evaluators: each cold job's evaluator records its workload's L1
+// passes (or keeps a whole trace, 16 B per reference, for a
+// configuration that simulates directly), and the manager keeps every
+// job for status queries, so a job that held on to its tasks would pin
+// them forever.
 // Twenty finished 200k-reference jobs must grow the live heap by less
 // than one trace, while still serving status, points and span trace.
 func TestFinishedJobsReleaseTraces(t *testing.T) {
@@ -414,6 +418,93 @@ func TestFinishedJobsReleaseTraces(t *testing.T) {
 		}
 		if err := j.WriteTrace(io.Discard); err != nil {
 			t.Fatalf("job %s: WriteTrace: %v", j.ID(), err)
+		}
+	}
+}
+
+// TestCancelDuringStageKeepsSharedTask cancels job A while one of its
+// tasks runs the trace stage of A's evaluator, which a task shared with
+// job B also needs. The cancelled stage must not be used up: the shared
+// task runs the stage again, and B finishes with points byte-identical
+// to a fresh sweep's.
+func TestCancelDuringStageKeepsSharedTask(t *testing.T) {
+	optA := sweep.Options{Refs: 2_000_000, L1Sizes: []int64{1 << 10, 2 << 10}, L2Sizes: []int64{0, 16 << 10}}
+	optB := optA
+	optB.L1Sizes, optB.L2Sizes = optA.L1Sizes[:1], optA.L2Sizes[:1]
+	w, err := spec.ByName("gcc1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := sweep.RunContext(context.Background(), w, optB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cancel lands after a fixed wait; the stage of 2M references
+	// outlasts it, but a stalled host can delay the task's start past
+	// it, so the scenario is retried until the cancel cuts a stage.
+	for attempt := 1; ; attempt++ {
+		tr := span.NewTracer()
+		m := idleManager(Config{Trace: tr})
+		a, err := m.Submit(JobRequest{Workloads: []string{w.Name}, Options: optA})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := m.Submit(JobRequest{Workloads: []string{w.Name}, Options: optB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := b.Status(); st.Coalesced != 1 || st.Total != 1 {
+			t.Fatalf("job B: %d of %d coalesced, want its one task shared with A", st.Coalesced, st.Total)
+		}
+		var alone, shared *task
+		m.mu.Lock()
+		for _, tk := range m.queue {
+			tk.mu.Lock()
+			n := len(tk.waiters)
+			tk.mu.Unlock()
+			switch {
+			case n == 2:
+				shared = tk
+			case alone == nil:
+				alone = tk
+			}
+		}
+		m.queue = nil
+		m.mu.Unlock()
+		if shared == nil || alone == nil || shared.eval != alone.eval {
+			t.Fatal("A's tasks do not share one evaluator with B's coalesced task")
+		}
+
+		ran := make(chan struct{})
+		go func() {
+			m.runTask(alone)
+			close(ran)
+		}()
+		time.Sleep(20 * time.Millisecond)
+		a.Cancel()
+		<-ran
+		m.runTask(shared)
+		waitJob(t, b)
+		if st := b.Status(); st.State != StateDone {
+			t.Fatalf("job B state = %s (errors %v), want done", st.State, st.Errors)
+		}
+		if got, want := pointsJSON(t, b.Points()), pointsJSON(t, fresh); got != want {
+			t.Fatalf("job B's points differ from a fresh sweep's:\n%s\nwant\n%s", got, want)
+		}
+		m.Close()
+
+		var gens []span.Data
+		for _, d := range tr.Snapshot() {
+			if d.Name == "generate" {
+				gens = append(gens, d)
+			}
+		}
+		full := strconv.FormatUint(optA.Refs, 10)
+		if len(gens) == 2 && gens[0].Attr("refs") != full && gens[1].Attr("refs") == full {
+			return
+		}
+		if attempt == 5 {
+			t.Fatalf("in %d attempts the cancel never cut a stage short; last generate spans: %+v", attempt, gens)
 		}
 	}
 }

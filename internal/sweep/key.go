@@ -7,14 +7,9 @@ package sweep
 // store written by one serves hits to the other.
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"twolevel/internal/core"
-	"twolevel/internal/obs/span"
-	"twolevel/internal/spec"
-	"twolevel/internal/trace"
 )
 
 // Key identifies one evaluated point: the workload name, the
@@ -66,55 +61,4 @@ func configKey(cfg core.Config) string {
 			cfg.L2.Size, cfg.L2.LineSize, cfg.L2.Assoc, cfg.L2.Policy, cfg.Policy)
 	}
 	return k
-}
-
-// Evaluator performs repeated hardened single-configuration evaluations
-// of one workload under one option set — the per-configuration semantics
-// of RunContext (panic recovery, Options.Timeout, Options.Retries,
-// retry events, and the panic/timeout/retry counters on Options.Metrics)
-// without the sweep-level enumeration. The workload trace is generated
-// once, on first use, and replayed for every configuration, exactly as
-// RunContext replays it.
-//
-// An Evaluator is safe for concurrent use; internal/service's worker
-// pool shares one per (job, workload).
-type Evaluator struct {
-	w    spec.Workload
-	opt  Options
-	met  *runMetrics
-	once sync.Once
-	refs []trace.Ref
-}
-
-// NewEvaluator prepares an evaluator for one workload. Only the
-// per-configuration fields of opt participate (Timeout, Retries, Refs,
-// Tech, OffChipNS, DualPorted, Metrics, Events, LineSize); the
-// enumeration fields are ignored.
-func NewEvaluator(w spec.Workload, opt Options) *Evaluator {
-	opt = opt.withDefaults()
-	return &Evaluator{w: w, opt: opt, met: newRunMetrics(opt.Metrics)}
-}
-
-// Workload reports the workload the evaluator replays.
-func (e *Evaluator) Workload() spec.Workload { return e.w }
-
-// Evaluate runs one configuration with RunContext's per-configuration
-// hardening and returns the priced point. Failures arrive as
-// *ConfigError exactly as RunContext records them; a ctx cancellation is
-// returned unwrapped. With Options.Trace set, each call contributes one
-// "config" span (under Options.TraceParent) with its attempt children.
-func (e *Evaluator) Evaluate(ctx context.Context, cfg core.Config) (Point, error) {
-	e.once.Do(func() { e.refs = trace.Collect(e.w.Stream(e.opt.Refs), e.opt.Refs) })
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cs := e.opt.Trace.Start(e.opt.TraceParent, "config",
-		span.Attr{Key: "workload", Value: e.w.Name},
-		span.Attr{Key: "label", Value: Label(cfg)})
-	p, err := evaluateOne(ctx, e.w.Name, e.refs, nil, cfg, e.opt, e.met, cs)
-	if err != nil {
-		cs.Annotate("error", err.Error())
-	}
-	cs.End()
-	return p, err
 }

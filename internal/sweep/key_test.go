@@ -73,7 +73,7 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 		L1I: cache.Config{Size: 2 << 10, LineSize: 16, Assoc: 1},
 		L1D: cache.Config{Size: 2 << 10, LineSize: 16, Assoc: 1},
 	}
-	ev := NewEvaluator(w, opt)
+	ev := NewEvaluator(w, opt, []core.Config{cfg})
 	got, err := ev.Evaluate(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +94,11 @@ func TestEvaluatorConfigError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(w, Options{Refs: 1000})
 	bad := core.Config{
 		L1I: cache.Config{Size: 3000, LineSize: 16, Assoc: 1}, // not a power of two
 		L1D: cache.Config{Size: 3000, LineSize: 16, Assoc: 1},
 	}
+	ev := NewEvaluator(w, Options{Refs: 1000}, []core.Config{bad})
 	_, err = ev.Evaluate(context.Background(), bad)
 	var ce *ConfigError
 	if !errors.As(err, &ce) {
@@ -116,10 +116,10 @@ func TestEvaluatorCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(w, Options{Refs: 500_000})
+	cfg := Configs(Options{L1Sizes: []int64{1 << 10}, L2Sizes: []int64{0}})[0]
+	ev := NewEvaluator(w, Options{Refs: 500_000}, []core.Config{cfg})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := Configs(Options{L1Sizes: []int64{1 << 10}, L2Sizes: []int64{0}})[0]
 	if _, err := ev.Evaluate(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

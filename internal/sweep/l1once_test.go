@@ -109,7 +109,7 @@ func TestConcurrentEvaluateCountersMatchSerial(t *testing.T) {
 		cfgs := Configs(opt)
 
 		opt.Metrics = obs.NewRegistry()
-		serial := NewEvaluator(w, opt)
+		serial := NewEvaluator(w, opt, cfgs)
 		for _, cfg := range cfgs {
 			if _, err := serial.Evaluate(context.Background(), cfg); err != nil {
 				t.Fatal(err)
@@ -118,7 +118,7 @@ func TestConcurrentEvaluateCountersMatchSerial(t *testing.T) {
 		want := opt.Metrics.Snapshot().Counters
 
 		opt.Metrics = obs.NewRegistry()
-		conc := NewEvaluator(w, opt)
+		conc := NewEvaluator(w, opt, cfgs)
 		var wg sync.WaitGroup
 		for _, cfg := range cfgs {
 			wg.Add(1)

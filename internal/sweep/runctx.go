@@ -108,13 +108,12 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 		span.Attr{Key: "total", Value: strconv.Itoa(total)})
 
 	var (
-		mu      sync.Mutex
-		points  = make([]Point, total)
-		have    = make([]bool, total)
-		errs    []error
-		done    int
-		skipped int
-		failed  int
+		mu        sync.Mutex
+		completed = make([]Point, 0, total)
+		errs      []error
+		done      int
+		skipped   int
+		failed    int
 	)
 	report := func(ev ProgressEvent) {
 		if opt.Progress != nil {
@@ -122,11 +121,11 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 		}
 	}
 
-	var pending []job
-	for i, cfg := range cfgs {
+	var pending []core.Config
+	for _, cfg := range cfgs {
 		label := Label(cfg)
 		if p, ok := stored(opt.Store, w.Name, cfg, opt); ok {
-			points[i], have[i] = p, true
+			completed = append(completed, p)
 			done++
 			skipped++
 			met.skipped.Inc()
@@ -142,45 +141,42 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 			report(ProgressEvent{Done: done, Total: total, Label: label, Skipped: true})
 			continue
 		}
-		pending = append(pending, job{i, cfg})
+		pending = append(pending, cfg)
 	}
 
 	if len(pending) > 0 && ctx.Err() == nil {
-		groups := groupByL1(pending)
-		refs := recordPasses(ctx, w, groups, opt, sw)
+		eopt := opt
+		eopt.TraceParent = sw
+		e := NewEvaluator(w, eopt, pending)
+		// The stage runs before the workers, which check ctx, start.
+		_ = e.stage(ctx)
 		met.queueDepth.Set(int64(len(pending)))
-		// Every pass is recorded, so the jobs go out in group order with
-		// no waiting; sized to hold every job.
-		queue := make(chan queued, len(pending))
-		for _, g := range groups {
-			g.left.Store(int32(len(g.jobs)))
-			for _, j := range g.jobs {
-				queue <- queued{j, g}
-			}
-		}
-		close(queue)
+		// The workers take pending in order. Configs enumerates by L1
+		// size, so each pass is dropped early.
+		var next atomic.Int64
 		var wg sync.WaitGroup
 		for n := 0; n < min(opt.Workers, len(pending)); n++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for q := range queue {
-					if ctx.Err() != nil {
+				for ctx.Err() == nil {
+					i := next.Add(1) - 1
+					if i >= int64(len(pending)) {
 						return
 					}
-					j, g := q.job, q.group
+					cfg := pending[i]
 					met.queueDepth.Add(-1)
-					label := Label(j.cfg)
+					label := Label(cfg)
 					opt.Events.Emit(obs.Event{Type: obs.EventConfigStart, Workload: w.Name, Label: label})
 					cs := sw.Child("config", span.Attr{Key: "label", Value: label})
 					start := time.Now()
-					p, err := evaluateOne(ctx, w.Name, refs, g.pass, j.cfg, opt, met, cs)
+					p, err := e.evaluate(ctx, cfg, cs)
 					dur := time.Since(start)
 					mu.Lock()
 					done++
 					switch {
 					case err == nil:
-						points[j.i], have[j.i] = p, true
+						completed = append(completed, p)
 						met.done.Inc()
 						met.cfgSeconds.Observe(dur.Seconds())
 						cs.Annotate("outcome", "ok")
@@ -191,7 +187,7 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 						})
 						if opt.Store != nil {
 							ps := cs.Child("store-put")
-							opt.Store.Put(Key(w.Name, j.cfg, opt), p)
+							opt.Store.Put(Key(w.Name, cfg, opt), p)
 							ps.End()
 						}
 					case ctx.Err() != nil:
@@ -212,9 +208,6 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 					cs.End()
 					report(ProgressEvent{Done: done, Total: total, Label: label, Err: err})
 					mu.Unlock()
-					if g.left.Add(-1) == 0 {
-						g.pass = nil // the group's last job is done
-					}
 				}
 			}()
 		}
@@ -222,39 +215,27 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 		met.queueDepth.Set(0)
 	}
 
-	completed := make([]Point, 0, total)
-	for i, ok := range have {
-		if ok {
-			completed = append(completed, points[i])
-		}
-	}
 	SortByArea(completed)
+	sw.Annotate("done", strconv.Itoa(done))
+	sw.Annotate("skipped", strconv.Itoa(skipped))
+	sw.Annotate("failed", strconv.Itoa(failed))
 	doneEv := obs.Event{
 		Type: obs.EventSweepDone, Workload: w.Name,
 		Done: done, Total: total, Skipped: skipped, Failed: failed,
 	}
-	manifest := obs.Event{
-		Type: obs.EventRunManifest, Workload: w.Name,
-		Fingerprint: opt.Fingerprint(),
-		Done:        done, Total: total, Skipped: skipped, Failed: failed,
-	}
-	sw.Annotate("done", strconv.Itoa(done))
-	sw.Annotate("skipped", strconv.Itoa(skipped))
-	sw.Annotate("failed", strconv.Itoa(failed))
-	if err := ctx.Err(); err != nil {
-		sw.Annotate("interrupted", err.Error())
-		sw.End()
-		doneEv.Err = err.Error()
-		manifest.Err = err.Error()
-		opt.Events.Emit(doneEv)
-		opt.Events.Emit(manifest)
-		return completed, fmt.Errorf("sweep: %s interrupted after %d/%d configurations: %w",
-			w.Name, len(completed), total, err)
+	err := errors.Join(errs...)
+	if cerr := ctx.Err(); cerr != nil {
+		sw.Annotate("interrupted", cerr.Error())
+		doneEv.Err = cerr.Error()
+		err = fmt.Errorf("sweep: %s interrupted after %d/%d configurations: %w",
+			w.Name, len(completed), total, cerr)
 	}
 	sw.End()
+	manifest := doneEv
+	manifest.Type, manifest.Fingerprint = obs.EventRunManifest, opt.Fingerprint()
 	opt.Events.Emit(doneEv)
 	opt.Events.Emit(manifest)
-	return completed, errors.Join(errs...)
+	return completed, err
 }
 
 // stored looks cfg up in store under its Key. A hit is returned as a
@@ -283,18 +264,18 @@ func stored(store PointStore, workload string, cfg core.Config, opt Options) (Po
 //
 // A non-nil pass is the recorded L1 pass of the configuration's group:
 // the attempt replays it instead of simulating the whole hierarchy over
-// refs.
-func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, pass *core.L1Pass, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
+// refs, or, when refs is nil too, over w's stream afresh.
+func evaluateOne(ctx context.Context, w spec.Workload, refs []trace.Ref, pass *core.L1Pass, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
 	var err error
 	// A negative Retries still makes the one attempt, so a ConfigError
 	// always carries the cause of a real failure.
 	for attempt := 0; attempt <= max(opt.Retries, 0); attempt++ {
 		as := parent.Child("attempt", span.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
 		var p Point
-		p, err = evaluateGuarded(ctx, refs, pass, cfg, opt, as)
+		p, err = evaluateGuarded(ctx, w, refs, pass, cfg, opt, as)
 		if err == nil {
 			as.End()
-			p.Workload = workload
+			p.Workload = w.Name
 			return p, nil
 		}
 		as.Annotate("error", err.Error())
@@ -318,13 +299,13 @@ func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, pass *c
 			met.retries.Inc()
 			as.Annotate("retry_cause", cause)
 			opt.Events.Emit(obs.Event{
-				Type: obs.EventConfigRetry, Workload: workload, Label: Label(cfg),
+				Type: obs.EventConfigRetry, Workload: w.Name, Label: Label(cfg),
 				Attempt: attempt + 1, Err: err.Error(),
 			})
 		}
 		as.End()
 	}
-	return Point{}, &ConfigError{Label: Label(cfg), Workload: workload, Cause: err}
+	return Point{}, &ConfigError{Label: Label(cfg), Workload: w.Name, Cause: err}
 }
 
 // evaluateGuarded is one evaluation attempt: panics become errors and the
@@ -332,12 +313,8 @@ func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, pass *c
 // as a "simulate" child of the attempt span, which carries the trace
 // length (and is ended even when the evaluation panics, so the trace
 // stays complete).
-func evaluateGuarded(ctx context.Context, refs []trace.Ref, pass *core.L1Pass, cfg core.Config, opt Options, sp *span.Span) (p Point, err error) {
-	n := uint64(len(refs))
-	if pass != nil {
-		n = pass.Refs()
-	}
-	sim := sp.Child("simulate", span.Attr{Key: "refs", Value: strconv.FormatUint(n, 10)})
+func evaluateGuarded(ctx context.Context, w spec.Workload, refs []trace.Ref, pass *core.L1Pass, cfg core.Config, opt Options, sp *span.Span) (p Point, err error) {
+	sim := sp.Child("simulate", span.Attr{Key: "refs", Value: strconv.FormatUint(opt.Refs, 10)})
 	defer func() {
 		if r := recover(); r != nil {
 			err = panicError{v: r}
@@ -355,61 +332,143 @@ func evaluateGuarded(ctx context.Context, refs []trace.Ref, pass *core.L1Pass, c
 	if err := opt.Chaos.Hit(ChaosSiteEvaluate); err != nil {
 		return Point{}, err
 	}
-	if pass == nil {
+	switch {
+	case pass != nil:
+		return evaluateWith(cfg, opt, func() (core.Stats, error) {
+			return pass.Replay(ctx, cfg, opt.Metrics)
+		})
+	case refs != nil:
 		return evaluateStream(ctx, trace.NewSliceStream(refs), cfg, opt)
+	default:
+		return evaluateStream(ctx, w.Stream(opt.Refs), cfg, opt)
 	}
-	return evaluateWith(cfg, opt, func() (core.Stats, error) {
-		return pass.Replay(ctx, cfg, opt.Metrics)
-	})
 }
 
-// l1Group is a run of a sweep's pending configurations that share one L1
-// pass: the core.ReplayEligible configurations with one L1 geometry, or
-// a single configuration that simulates directly and has no pass.
+// Evaluator evaluates one workload's configurations, from a set fixed
+// when it is built, with RunContext's per-configuration hardening and
+// without its enumeration; RunContext evaluates through one too. Its
+// first evaluation runs the trace stage: one walk of the trace records
+// the L1 pass of every geometry of the core.ReplayEligible
+// configurations, which replay it; the others run System.Run over the
+// trace, kept only for them. A pass is dropped once its configurations
+// are evaluated. A stage cut short by its caller's context records
+// nothing, so the next evaluation runs it again. An Evaluator is safe
+// for concurrent use; internal/service shares one per (job, workload).
+type Evaluator struct {
+	w      spec.Workload
+	opt    Options
+	met    *runMetrics
+	groups []*l1Group
+	group  map[core.Config]*l1Group
+
+	// staging, a one-slot semaphore held while the stage runs (a waiter
+	// can give up when its context ends), guards staged and refs.
+	staging chan struct{}
+	staged  bool
+	refs    []trace.Ref
+}
+
+// l1Group is a run of configurations that share one L1 pass: the
+// core.ReplayEligible configurations with one L1 geometry, or a single
+// configuration that simulates directly and has no pass. The stage sets
+// pass, dropped when left, the evaluations still to come, falls to zero.
 type l1Group struct {
-	jobs   []job
+	cfgs   []core.Config
 	replay bool
-	// pass is set by recordPasses before any job runs, and dropped once
-	// left, the count of unfinished jobs, falls to zero.
-	pass *core.L1Pass
-	left atomic.Int32
+	pass   atomic.Pointer[core.L1Pass]
+	left   atomic.Int32
 }
 
-// job is one pending configuration and its index in the sweep.
-type job struct {
-	i   int
-	cfg core.Config
-}
-
-// queued is a job handed to the workers with its group.
-type queued struct {
-	job   job
-	group *l1Group
-}
-
-// groupByL1 groups the eligible jobs by L1 geometry, in order of first
-// appearance. Every other job, and every job whose L1s are invalid, forms
-// a group of its own.
-func groupByL1(jobs []job) []*l1Group {
-	type geometry struct{ l1i, l1d cache.Config }
-	var groups []*l1Group
-	index := map[geometry]*l1Group{}
-	for _, j := range jobs {
-		l1s := core.Config{L1I: j.cfg.L1I, L1D: j.cfg.L1D}
-		if !core.ReplayEligible(j.cfg) || l1s.Validate() != nil {
-			groups = append(groups, &l1Group{jobs: []job{j}})
-			continue
-		}
-		key := geometry{j.cfg.L1I, j.cfg.L1D}
+// NewEvaluator prepares an evaluator of the configurations cfgs for one
+// workload. Only the per-configuration fields of opt participate
+// (Timeout, Retries, Refs, Tech, OffChipNS, DualPorted, Metrics, Events,
+// Trace, TraceParent, Chaos); the enumeration fields are ignored. The
+// eligible configurations are grouped by L1 geometry; every other one,
+// and every one whose L1s are invalid, is a group of its own.
+func NewEvaluator(w spec.Workload, opt Options, cfgs []core.Config) *Evaluator {
+	opt = opt.withDefaults()
+	e := &Evaluator{
+		w: w, opt: opt, met: newRunMetrics(opt.Metrics),
+		group:   make(map[core.Config]*l1Group, len(cfgs)),
+		staging: make(chan struct{}, 1),
+	}
+	index := map[core.Config]*l1Group{} // by L1 geometry
+	for _, cfg := range cfgs {
+		key := core.Config{L1I: cfg.L1I, L1D: cfg.L1D}
 		g := index[key]
-		if g == nil {
+		if !core.ReplayEligible(cfg) || key.Validate() != nil {
+			g = &l1Group{}
+			e.groups = append(e.groups, g)
+		} else if g == nil {
 			g = &l1Group{replay: true}
 			index[key] = g
-			groups = append(groups, g)
+			e.groups = append(e.groups, g)
 		}
-		g.jobs = append(g.jobs, j)
+		g.cfgs = append(g.cfgs, cfg)
+		g.left.Add(1)
+		e.group[cfg] = g
 	}
-	return groups
+	return e
+}
+
+// Workload reports the workload the evaluator replays.
+func (e *Evaluator) Workload() spec.Workload { return e.w }
+
+// Evaluate runs one configuration of the evaluator's set with
+// RunContext's per-configuration hardening and returns the priced point.
+// Failures arrive as *ConfigError exactly as RunContext records them,
+// and so does a configuration outside the set; a ctx cancellation is
+// returned unwrapped. Options.Timeout does not bound the stage. With
+// Options.Trace set, the stage and each call's "config" span, with its
+// attempt children, nest under Options.TraceParent.
+func (e *Evaluator) Evaluate(ctx context.Context, cfg core.Config) (Point, error) {
+	if e.group[cfg] == nil {
+		return Point{}, &ConfigError{Label: Label(cfg), Workload: e.w.Name,
+			Cause: errors.New("not among the evaluator's configurations")}
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cs := e.opt.Trace.Start(e.opt.TraceParent, "config",
+		span.Attr{Key: "workload", Value: e.w.Name},
+		span.Attr{Key: "label", Value: Label(cfg)})
+	p, err := e.evaluate(ctx, cfg, cs)
+	if err != nil {
+		cs.Annotate("error", err.Error())
+	}
+	cs.End()
+	return p, err
+}
+
+// evaluate evaluates cfg, a member of the set, after the stage, with its
+// attempts traced under cs; once cfg's pass is dropped, it simulates.
+func (e *Evaluator) evaluate(ctx context.Context, cfg core.Config, cs *span.Span) (Point, error) {
+	g := e.group[cfg]
+	defer func() {
+		if g.left.Add(-1) == 0 {
+			g.pass.Store(nil)
+		}
+	}()
+	if err := e.stage(ctx); err != nil {
+		return Point{}, err
+	}
+	return evaluateOne(ctx, e.w, e.refs, g.pass.Load(), cfg, e.opt, e.met, cs)
+}
+
+// stage runs the trace stage unless it has run. It returns ctx's error,
+// with nothing recorded, when ctx ends first.
+func (e *Evaluator) stage(ctx context.Context) (err error) {
+	select {
+	case e.staging <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-e.staging }()
+	if !e.staged {
+		e.refs, err = recordPasses(ctx, e.w, e.opt, e.groups)
+		e.staged = err == nil
+	}
+	return err
 }
 
 // chunkRefs caps the references of one chunk of the trace stage, and
@@ -425,32 +484,29 @@ const (
 // allocate gigabytes before the stream proves that long.
 const keptPrealloc = 1 << 22
 
-// recordPasses is the sweep-level trace stage, which runs before the
-// workers start. A generator goroutine fills recycled chunks of the
-// workload's trace, and the calling goroutine feeds each chunk to one
-// core.L1Recorder, which records the pass of every replay group in a
-// single walk. Each replay group gets its pass. The whole trace is kept,
-// and returned, only when some group simulates directly.
+// recordPasses walks w's trace once. A generator goroutine fills
+// recycled chunks of the trace, and the calling goroutine feeds each
+// chunk to one core.L1Recorder, which records the pass of every replay
+// group in a single walk. Each replay group gets its pass. The whole
+// trace is kept, and returned, only when some group simulates directly.
+// The stage's spans nest under Options.TraceParent.
 //
-// A done ctx stops the stage; it then returns with the passes unset, and
-// the workers, which check ctx before every job, take none. A panic in
-// the generator is raised again on the calling goroutine, where a panic
-// in the recorder surfaces anyway.
-func recordPasses(ctx context.Context, w spec.Workload, groups []*l1Group, opt Options, sw *span.Span) []trace.Ref {
-	var (
-		cfgs   []core.Config
-		direct bool
-	)
+// A done ctx stops the stage, which then returns ctx's error with the
+// passes unset. A panic in the generator is raised again on the calling
+// goroutine, where a panic in the recorder surfaces anyway.
+func recordPasses(ctx context.Context, w spec.Workload, opt Options, groups []*l1Group) ([]trace.Ref, error) {
+	var cfgs []core.Config
+	direct := false
 	for _, g := range groups {
 		if g.replay {
-			cfgs = append(cfgs, g.jobs[0].cfg)
+			cfgs = append(cfgs, g.cfgs[0])
 		} else {
 			direct = true
 		}
 	}
 	rec, err := core.NewL1Recorder(cfgs)
 	if err != nil {
-		panic(err) // groupByL1 admits only valid direct-mapped L1s
+		panic(err) // NewEvaluator groups only valid direct-mapped L1s
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // also stops the generator when the recorder panics
@@ -458,7 +514,7 @@ func recordPasses(ctx context.Context, w spec.Workload, groups []*l1Group, opt O
 	free := make(chan []trace.Ref, chunkBuffers)
 	full := make(chan []trace.Ref, chunkBuffers)
 	var genPanic any
-	gs := sw.Child("generate")
+	gs := opt.Trace.Start(opt.TraceParent, "generate")
 	go func() {
 		var n uint64 // references generated
 		defer close(full)
@@ -497,7 +553,7 @@ func recordPasses(ctx context.Context, w spec.Workload, groups []*l1Group, opt O
 		}
 	}()
 
-	rs := sw.Child("l1-record", span.Attr{Key: "passes", Value: strconv.Itoa(len(cfgs))})
+	rs := opt.Trace.Start(opt.TraceParent, "l1-record", span.Attr{Key: "passes", Value: strconv.Itoa(len(cfgs))})
 	var passSpans []*span.Span
 	for _, cfg := range cfgs {
 		passSpans = append(passSpans, rs.Child("l1-pass", span.Attr{Key: "l1", Value: cache.FormatSize(cfg.L1I.Size)}))
@@ -526,14 +582,15 @@ func recordPasses(ctx context.Context, w spec.Workload, groups []*l1Group, opt O
 	if genPanic != nil {
 		panic(genPanic)
 	}
-	if ctx.Err() != nil {
-		return nil
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	passes := rec.Finish()
 	for _, g := range groups {
 		if g.replay {
-			g.pass, passes = passes[0], passes[1:]
+			g.pass.Store(passes[0])
+			passes = passes[1:]
 		}
 	}
-	return refs
+	return refs, nil
 }

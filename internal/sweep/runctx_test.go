@@ -249,7 +249,7 @@ func TestRunContextNegativeRetries(t *testing.T) {
 	if total := len(Configs(opt)); len(points) != total {
 		t.Fatalf("sweep with Retries -1 completed %d/%d points", len(points), total)
 	}
-	if _, err := NewEvaluator(w, opt).Evaluate(context.Background(), points[0].Config); err != nil {
+	if _, err := NewEvaluator(w, opt, Configs(opt)).Evaluate(context.Background(), points[0].Config); err != nil {
 		t.Fatalf("Evaluate with Retries -1: %v", err)
 	}
 

@@ -97,11 +97,11 @@ type Options struct {
 	// nothing. Fingerprint ignores it.
 	Events *obs.EventLog
 	// Trace, when non-nil, receives a span tree of the run under
-	// RunContext and Evaluator: sweep → {generate, l1-record → l1-pass,
-	// config → {attempt → simulate, store-put}}, exportable as Chrome
-	// trace_event JSON. Nil (the
-	// default) costs nothing — span methods degrade to no-ops.
-	// Fingerprint ignores it.
+	// RunContext: sweep → {generate, l1-record → l1-pass, config →
+	// {attempt → simulate, store-put}}, exportable as Chrome trace_event
+	// JSON. An Evaluator hangs its stage and its config spans directly
+	// below TraceParent. Nil (the default) costs nothing — span methods
+	// degrade to no-ops. Fingerprint ignores it.
 	Trace *span.Tracer
 	// TraceParent, when non-nil, is the parent under which this sweep's
 	// spans nest (cmd tools hang every sweep below one "run" span; the
@@ -382,28 +382,25 @@ func evaluateWith(cfg core.Config, opt Options, simulate func() (core.Stats, err
 }
 
 // ctxStream wraps a Stream and aborts it (reporting exhaustion) once ctx
-// is done, checking every ctxCheckInterval references so a cancelled
-// simulation stops promptly without a per-reference select.
+// is done. System.Run drains it through Fill in batches of
+// trace.BatchRefs, so it checks ctx once per batch: a cancelled
+// simulation stops promptly without a per-reference check.
 type ctxStream struct {
 	st  trace.Stream
 	ctx context.Context
-	n   uint32
 	err error
 }
 
-const ctxCheckInterval = 8192
+func (c *ctxStream) Fill(buf []trace.Ref) int {
+	if c.err = c.ctx.Err(); c.err != nil {
+		return 0
+	}
+	return trace.Fill(c.st, buf)
+}
 
 func (c *ctxStream) Next() (trace.Ref, bool) {
-	if c.n++; c.n >= ctxCheckInterval {
-		c.n = 0
-		select {
-		case <-c.ctx.Done():
-			c.err = c.ctx.Err()
-			return trace.Ref{}, false
-		default:
-		}
-	}
-	return c.st.Next()
+	var r [1]trace.Ref
+	return r[0], c.Fill(r[:]) == 1
 }
 
 // Run evaluates every configuration of the sweep for one workload and

@@ -73,45 +73,48 @@ func Analyze(s Stream) Profile {
 
 	var hist []uint64
 
+	buf := make([]Ref, BatchRefs)
 	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		p.Refs++
-		switch r.Kind {
-		case Instr:
-			p.Instr++
-			iTotal++
-			line := r.Addr >> lineShiftDefault
-			iLines[line] = struct{}{}
-			iAddrs[r.Addr] = struct{}{}
-			if havePrev && r.Addr == prevInstr+4 {
-				seq++
-			}
-			prevInstr, havePrev = r.Addr, true
-		default:
-			if r.Kind == Write {
-				p.Stores++
-			} else {
-				p.Loads++
-			}
-			dAddrs[r.Addr] = struct{}{}
-			line := r.Addr >> lineShiftDefault
-			d, _, idx := dist.Access(last[line])
-			last[line] = idx
-			switch {
-			case d == 0:
-				p.ColdDataRefs++
-			case d > maxTrackedLines:
-				p.FarDataRefs++
-			default:
-				b := bits.Len64(d) - 1 // d in [2^b, 2^(b+1))
-				for len(hist) <= b {
-					hist = append(hist, 0)
+		n := Fill(s, buf)
+		for _, r := range buf[:n] {
+			p.Refs++
+			switch r.Kind {
+			case Instr:
+				p.Instr++
+				iTotal++
+				line := r.Addr >> lineShiftDefault
+				iLines[line] = struct{}{}
+				iAddrs[r.Addr] = struct{}{}
+				if havePrev && r.Addr == prevInstr+4 {
+					seq++
 				}
-				hist[b]++
+				prevInstr, havePrev = r.Addr, true
+			default:
+				if r.Kind == Write {
+					p.Stores++
+				} else {
+					p.Loads++
+				}
+				dAddrs[r.Addr] = struct{}{}
+				line := r.Addr >> lineShiftDefault
+				d, _, idx := dist.Access(last[line])
+				last[line] = idx
+				switch {
+				case d == 0:
+					p.ColdDataRefs++
+				case d > maxTrackedLines:
+					p.FarDataRefs++
+				default:
+					b := bits.Len64(d) - 1 // d in [2^b, 2^(b+1))
+					for len(hist) <= b {
+						hist = append(hist, 0)
+					}
+					hist[b]++
+				}
 			}
+		}
+		if n < len(buf) {
+			break
 		}
 	}
 	p.UniqueInstrLines = len(iLines)

@@ -224,14 +224,17 @@ func (tr *TextReader) Err() error { return tr.err }
 // WriteAll drains a stream into any per-record writer.
 func WriteAll(s Stream, write func(Ref) error) (uint64, error) {
 	var n uint64
+	buf := make([]Ref, BatchRefs)
 	for {
-		r, ok := s.Next()
-		if !ok {
+		k := Fill(s, buf)
+		for _, r := range buf[:k] {
+			if err := write(r); err != nil {
+				return n, err
+			}
+			n++
+		}
+		if k < len(buf) {
 			return n, nil
 		}
-		if err := write(r); err != nil {
-			return n, err
-		}
-		n++
 	}
 }

@@ -68,10 +68,14 @@ type filler interface {
 	Fill(buf []Ref) int
 }
 
+// BatchRefs is the batch size, 8 KB of references, in which the
+// simulators and the trace tools drain a stream through Fill.
+const BatchRefs = 512
+
 // Fill reads references from s into buf until buf is full or s ends,
 // and returns how many it read: through s's own Fill method when it has
-// one, otherwise one Next at a time. Every bulk reader of a generated
-// stream drains it through here.
+// one, otherwise one Next at a time. Every bulk reader of a stream
+// drains it through here.
 func Fill(s Stream, buf []Ref) int {
 	if f, ok := s.(filler); ok {
 		return f.Fill(buf)
@@ -103,6 +107,13 @@ func (s *SliceStream) Next() (Ref, bool) {
 	r := s.refs[s.pos]
 	s.pos++
 	return r, true
+}
+
+// Fill copies the next references of the slice into buf.
+func (s *SliceStream) Fill(buf []Ref) int {
+	n := copy(buf, s.refs[s.pos:])
+	s.pos += n
+	return n
 }
 
 // Reset rewinds the stream to the beginning.
@@ -176,33 +187,39 @@ func Collect(s Stream, max uint64) []Ref {
 // Count tallies instruction and data references in a stream, draining
 // it. Writes count as data references, as in the paper's Table 1.
 func Count(s Stream) (instr, data uint64) {
+	buf := make([]Ref, BatchRefs)
 	for {
-		r, ok := s.Next()
-		if !ok {
-			return instr, data
+		n := Fill(s, buf)
+		for _, r := range buf[:n] {
+			if r.Kind == Instr {
+				instr++
+			} else {
+				data++
+			}
 		}
-		if r.Kind == Instr {
-			instr++
-		} else {
-			data++
+		if n < len(buf) {
+			return instr, data
 		}
 	}
 }
 
 // CountKinds tallies each reference kind separately, draining the stream.
 func CountKinds(s Stream) (instr, loads, stores uint64) {
+	buf := make([]Ref, BatchRefs)
 	for {
-		r, ok := s.Next()
-		if !ok {
-			return instr, loads, stores
+		n := Fill(s, buf)
+		for _, r := range buf[:n] {
+			switch r.Kind {
+			case Instr:
+				instr++
+			case Data:
+				loads++
+			case Write:
+				stores++
+			}
 		}
-		switch r.Kind {
-		case Instr:
-			instr++
-		case Data:
-			loads++
-		case Write:
-			stores++
+		if n < len(buf) {
+			return instr, loads, stores
 		}
 	}
 }

@@ -416,14 +416,15 @@ func PointKey(workload string, cfg Hierarchy, opt SweepOptions) string {
 	return sweep.Key(workload, cfg, opt)
 }
 
-// SweepEvaluator performs repeated hardened single-configuration
-// evaluations of one workload (the per-configuration semantics of
-// SweepContext without the enumeration).
+// SweepEvaluator performs hardened single-configuration evaluations of
+// one workload over a fixed set of configurations (the per-configuration
+// semantics of SweepContext without the enumeration), sharing one trace
+// stage among them.
 type SweepEvaluator = sweep.Evaluator
 
-// NewSweepEvaluator prepares an evaluator for one workload.
-func NewSweepEvaluator(w Workload, opt SweepOptions) *SweepEvaluator {
-	return sweep.NewEvaluator(w, opt)
+// NewSweepEvaluator prepares an evaluator of cfgs for one workload.
+func NewSweepEvaluator(w Workload, opt SweepOptions, cfgs []Hierarchy) *SweepEvaluator {
+	return sweep.NewEvaluator(w, opt, cfgs)
 }
 
 // ---- Analytical fast tier ----
