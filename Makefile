@@ -33,8 +33,9 @@ cover:
 
 # fuzz runs every native fuzz target in the module for 30 s each (one
 # `go test -fuzz` per target, since Go fuzzes one at a time): the
-# L1-once differential oracles in internal/core (one geometry, and a set
-# of geometries recorded in one walk), the sweep document
+# L1-once differential oracles in internal/core (one geometry, a set
+# of geometries recorded in one walk, and followers replaying passes
+# while they record), the sweep document
 # decoder, the result store's segment replay, the reuse-distance
 # profile (twolevel-rdh/1) decoder, the trace decoders, the generator's
 # parameter validation and the packed stack-distance kernel against a
@@ -42,11 +43,13 @@ cover:
 # whole documents of several hundred bytes to a few KB, and at the
 # default 60 s budget minimizing one new input that size can take the
 # whole 30 s, so their minimization is capped at 5 s; so is the one-walk
-# recorder's, whose inputs replay up to 9 geometries each, and the stack
-# kernel's, whose naive checks are linear in the set's size.
+# recorder's and the followers', whose inputs replay up to 9 geometries
+# each, and the stack kernel's, whose naive checks are linear in the
+# set's size.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzL1PassReplay$$' -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzL1Record$$' -fuzztime 30s -fuzzminimizetime 5s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzL1PassFollow$$' -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzLoadJSON$$' -fuzztime 30s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDiskStoreReplay$$' -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/model -run '^$$' -fuzz '^FuzzLoadProfile$$' -fuzztime 30s -fuzzminimizetime 5s

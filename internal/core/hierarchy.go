@@ -282,7 +282,7 @@ func (s *System) Instrument(r *obs.Registry) {
 	s.mOffChip = r.Counter(metricOffChip)
 }
 
-// Hierarchy-level counter names (System.Instrument, L1Pass.Replay).
+// Hierarchy-level counter names (System.Instrument, Replayed.Instrument).
 const (
 	metricSwaps   = "core_exclusive_swaps_total"
 	metricVictims = "core_victim_transfers_total"

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"twolevel/internal/cache"
 	"twolevel/internal/obs"
@@ -18,10 +20,12 @@ import (
 // trace through a split direct-mapped L1 pair yields the L1 counters of
 // every such hierarchy with those L1s, plus the stream of L1 misses the
 // L2 sees (an L1Pass, which an L1Recorder records for several L1 pairs
-// in one walk); each L2 is then simulated over that stream alone
-// (L1Pass.Replay). The only L2 state an exclusive L1 takes in is the
-// dirty bit of a line that moves up, which the replay tracks per L1
-// slot. DESIGN.md "L1-once replay" states the exactness argument.
+// in one walk); each L2 is then simulated over that stream alone, by a
+// replay state stepped one chunk of the stream at a time: over a
+// finished pass (L1Pass.Replay), or behind the recorder (Follower). The
+// only L2 state an exclusive L1 takes in is the dirty bit of a line
+// that moves up, which the replay tracks per L1 slot. DESIGN.md
+// "L1-once replay" states the exactness argument.
 
 // ctxCheckInterval is how many references the recorder walks between
 // checks of its context, and the most miss events a replay runs between
@@ -61,24 +65,49 @@ type dmLine struct {
 	valid, dirty bool
 }
 
+// disjoint reports whether the missed line ranges of two L1s do not
+// overlap, so that no line has been in both.
+func disjoint(i, d *dmL1) bool { return i.hi < d.lo || d.hi < i.lo }
+
 // L1Pass records one trace through a split direct-mapped L1 pair: the L1
-// counters and the miss stream every L2 below those L1s sees. It is
-// immutable once recorded, so concurrent Replays may share it.
+// counters and the miss stream every L2 below those L1s sees. The
+// recording publishes the stream in chunks: a chunk is published once
+// it is full and is immutable from then on, and the recorder's Finish
+// publishes the last chunk and the L1 counters. A finished pass may be
+// replayed by any number of goroutines at once (Replay), or the pass
+// may be followed, while it records, by one Follower, which frees each
+// chunk once it has walked it.
 type L1Pass struct {
 	l1i, l1d cache.Config
-	st       Stats // reference and L1 counters
+	st       Stats // reference and L1 counters, set by Finish
 	icache   dmL1  // L1I counters (the lines are dropped after the pass)
 	dcache   dmL1  // L1D counters
-	chunks   []missChunk
+
+	// The recorder's side: the L1I's and the L1D's caches in the
+	// recorder, whose missed ranges a chunk's disjoint flag reads when it
+	// is published, the chunk being filled, the capacity of the next one
+	// and the most a chunk grows to.
+	src            [2]*dmL1
+	cur            missChunk
+	size, maxChunk int
+
+	mu       sync.Mutex
+	chunks   []missChunk // published, in trace order
+	finished bool
+	followed bool          // a Follower frees the chunks it walks
+	ready    chan struct{} // one token, sent on every publication
 }
 
 // missChunk is a run of a pass's miss events in trace order. Chunks
 // start at firstChunk events and double up to maxChunk, each allocated
-// at its full length once, so recording copies no event and leaves at
-// most one part-filled chunk.
+// at its full length once, so recording copies no event.
 type missChunk struct {
 	events []missEvent
 	instr  []uint64 // bit j%64 of word j/64 set: events[j] missed in the L1I
+	// disjoint reports that the L1I's and the L1D's missed line ranges
+	// did not overlap up to the chunk's last event, so that no line of
+	// the trace so far has been in both L1s.
+	disjoint bool
 }
 
 const (
@@ -150,10 +179,20 @@ func NewL1Recorder(cfgs []Config) (*L1Recorder, error) {
 		if cfg.L1I.Assoc != 1 || cfg.L1D.Assoc != 1 {
 			return nil, fmt.Errorf("core: L1 pass needs direct-mapped L1s, got %s and %s", cfg.L1I, cfg.L1D)
 		}
-		p := &L1Pass{l1i: cfg.L1I, l1d: cfg.L1D}
+		p := &L1Pass{l1i: cfg.L1I, l1d: cfg.L1D, size: firstChunk, maxChunk: maxChunk, ready: make(chan struct{}, 1)}
 		r.passes = append(r.passes, p)
 		r.sides[0] = useCache(r.sides[0], cfg.L1I, p)
 		r.sides[1] = useCache(r.sides[1], cfg.L1D, p)
+	}
+	// The caches are in place now, so their addresses hold.
+	for side, chains := range r.sides {
+		for _, ch := range chains {
+			for i := range ch.caches {
+				for _, p := range ch.caches[i].users {
+					p.src[side] = &ch.caches[i].dmL1
+				}
+			}
+		}
 	}
 	return r, nil
 }
@@ -181,6 +220,11 @@ func useCache(chains []l1Chain, c cache.Config, p *L1Pass) []l1Chain {
 	chains[i].caches = cs
 	return chains
 }
+
+// Passes returns the passes the recorder records, one per configuration
+// given to NewL1Recorder, in that order. Each may be followed while it
+// records.
+func (r *L1Recorder) Passes() []*L1Pass { return r.passes }
 
 // Record walks the next chunk of the trace through every pass. It
 // checks ctx every ctxCheckInterval references of the whole trace and
@@ -244,28 +288,55 @@ func (r *L1Recorder) walk(refs []trace.Ref) {
 	}
 }
 
-// record appends one miss event, and whether the L1I missed it.
+// record appends one miss event, and whether the L1I missed it, and
+// publishes the chunk it fills.
 func (p *L1Pass) record(ev missEvent, instr bool) {
-	k := len(p.chunks) - 1
-	if k < 0 || len(p.chunks[k].events) == cap(p.chunks[k].events) {
-		n := firstChunk
-		if k >= 0 {
-			n = min(2*cap(p.chunks[k].events), maxChunk)
-		}
-		p.chunks = append(p.chunks, missChunk{events: make([]missEvent, 0, n), instr: make([]uint64, n/64)})
-		k++
+	c := &p.cur
+	if len(c.events) == cap(c.events) {
+		n := p.size
+		p.size = min(2*n, p.maxChunk)
+		*c = missChunk{events: make([]missEvent, 0, n), instr: make([]uint64, (n+63)/64)}
 	}
-	c := &p.chunks[k]
 	if instr {
 		j := len(c.events)
 		c.instr[j/64] |= 1 << (j % 64)
 	}
 	c.events = append(c.events, ev)
+	if len(c.events) == cap(c.events) {
+		p.publish()
+	}
 }
 
-// Finish returns the recorded passes, one per configuration given to
-// NewL1Recorder, in that order, and drops the recorder's L1 arrays.
+// publish hands the chunk being filled to the pass's readers, flagged
+// with whether the L1s' missed ranges are still disjoint, and starts a
+// new one at the next event.
+func (p *L1Pass) publish() {
+	p.cur.disjoint = disjoint(p.src[0], p.src[1])
+	p.mu.Lock()
+	p.chunks = append(p.chunks, p.cur)
+	p.mu.Unlock()
+	p.cur = missChunk{}
+	p.signal()
+}
+
+// signal wakes the pass's follower, if it waits.
+func (p *L1Pass) signal() {
+	select {
+	case p.ready <- struct{}{}:
+	default:
+	}
+}
+
+// Finish publishes the last chunk and the L1 counters of every pass and
+// returns the passes, one per configuration given to NewL1Recorder, in
+// that order. It drops the recorder's L1 arrays.
 func (r *L1Recorder) Finish() []*L1Pass {
+	for _, p := range r.passes {
+		if len(p.cur.events) > 0 {
+			p.publish()
+		}
+		p.src = [2]*dmL1{}
+	}
 	for side, chains := range r.sides {
 		for _, ch := range chains {
 			for i := range ch.caches {
@@ -291,350 +362,508 @@ func (r *L1Recorder) Finish() []*L1Pass {
 			L1DHits:   p.dcache.refs - p.dcache.misses,
 			L1DMisses: p.dcache.misses,
 		}
+		p.mu.Lock()
+		p.finished = true
+		p.mu.Unlock()
+		p.signal()
 	}
 	passes := r.passes
 	*r = L1Recorder{}
 	return passes
 }
 
+// check reports why cfg cannot replay over the pass, if it cannot.
+func (p *L1Pass) check(cfg Config) error {
+	if !ReplayEligible(cfg) || cfg.L1I != p.l1i || cfg.L1D != p.l1d {
+		return fmt.Errorf("core: cannot replay %s over an L1 pass of %s and %s", cfg, p.l1i, p.l1d)
+	}
+	return cfg.Validate()
+}
+
 // Replay returns the statistics System.Run would return for cfg over the
-// recorded trace, field for field. cfg must be ReplayEligible and have
-// the pass's L1s. A two-level cfg replays the miss events into a fresh
-// l2Kernel of cfg's L2 (l2kernel.go), through the conventional or the
-// exclusive operation order, on a loop specialised for a narrow L2 when
-// the replay can take one. A single-level cfg needs no L2: every L1
-// miss is an off-chip fetch and every dirty victim an off-chip
-// write-back.
+// recorded trace, field for field. The pass must be finished and not
+// followed, and cfg must be ReplayEligible and have the pass's L1s.
+// Replay steps one replay state (newReplayer) over every chunk.
 //
 // reg, when non-nil, receives the counters System.Instrument would have
 // accumulated. Replay checks ctx before each chunk of events, so at
 // least every ctxCheckInterval events.
 func (p *L1Pass) Replay(ctx context.Context, cfg Config, reg *obs.Registry) (Stats, error) {
-	if !ReplayEligible(cfg) || cfg.L1I != p.l1i || cfg.L1D != p.l1d {
-		return Stats{}, fmt.Errorf("core: cannot replay %s over an L1 pass of %s and %s", cfg, p.l1i, p.l1d)
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := p.check(cfg); err != nil {
 		return Stats{}, err
+	}
+	p.mu.Lock()
+	chunks, finished, followed := p.chunks, p.finished, p.followed
+	p.mu.Unlock()
+	if !finished || followed {
+		return Stats{}, errors.New("core: Replay needs a finished pass that no Follower frees")
 	}
 	if err := ctx.Err(); err != nil {
 		return Stats{}, err
 	}
-	st := p.st
-	if !cfg.TwoLevel() {
-		st.OffChipFetches = st.L1Misses()
-		st.WriteBacksOffChip = p.icache.dirtyVictims + p.dcache.dirtyVictims
-		p.instrument(reg, st, [2]uint64{})
-		return st, nil
+	r := newReplayer(cfg)
+	for i := range chunks {
+		if err := ctx.Err(); err != nil {
+			return Stats{}, err
+		}
+		r.step(&chunks[i])
 	}
-	l2 := newL2Kernel(cfg.L2)
-	var upDirtyOut [2]uint64
-	var err error
-	switch {
-	case cfg.Policy == Exclusive && l2.narrow() && p.disjoint():
-		upDirtyOut, err = p.replayExclusiveNarrow(ctx, l2, &st)
-	case cfg.Policy == Exclusive:
-		upDirtyOut, err = p.replayExclusive(ctx, l2, &st)
-	case l2.narrow():
-		err = p.replayNarrow(ctx, l2, &st)
-	default:
-		err = p.replayConventional(ctx, l2, &st)
-	}
-	if err != nil {
-		return Stats{}, err
-	}
-	st.OffChipFetches = st.L2Misses
-	reg.Counter("cache_l2_hits_total").Add(st.L2Hits)
-	reg.Counter("cache_l2_misses_total").Add(st.L2Misses)
-	reg.Counter("cache_l2_evictions_total").Add(l2.evictions)
-	reg.Counter("cache_l2_dirty_writebacks_total").Add(l2.dirtyOut)
-	p.instrument(reg, st, upDirtyOut)
-	return st, nil
+	res := p.result(cfg, r)
+	res.Instrument(reg)
+	return res.Stats, nil
 }
 
-// replayConventional drives l2 through System.Access's conventional
+// A Follower replays one pass into the L2s of several configurations
+// while the pass records. It walks each published chunk through every
+// configuration's replay state in turn, chunk-major, so the chunk and
+// the L2s stay in the processor's caches, and then drops the chunk, so a
+// followed pass holds only the chunks its follower has yet to walk. A
+// Follower is used by one goroutine; the recorder runs on another.
+type Follower struct {
+	p      *L1Pass
+	cfgs   []Config
+	reps   []replayer
+	next   int    // the next chunk to walk
+	events uint64 // the miss events walked
+}
+
+// Follow returns the pass's one Follower, which replays it into every
+// configuration of cfgs: each must be ReplayEligible and have the
+// pass's L1s. The pass cannot be replayed once it is followed.
+func (p *L1Pass) Follow(cfgs []Config) (*Follower, error) {
+	f := &Follower{p: p, cfgs: cfgs}
+	for _, cfg := range cfgs {
+		if err := p.check(cfg); err != nil {
+			return nil, err
+		}
+		f.reps = append(f.reps, newReplayer(cfg))
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.followed {
+		return nil, errors.New("core: an L1 pass has one Follower")
+	}
+	p.followed = true
+	return f, nil
+}
+
+// Wait blocks until a chunk the follower has not walked is published
+// and reports true, or until the pass is finished and every chunk walked
+// and reports false. It returns ctx's error once ctx is done.
+func (f *Follower) Wait(ctx context.Context) (bool, error) {
+	p := f.p
+	for {
+		p.mu.Lock()
+		n, finished := len(p.chunks), p.finished
+		p.mu.Unlock()
+		switch {
+		case f.next < n:
+			return true, nil
+		case finished:
+			return false, nil
+		}
+		select {
+		case <-p.ready:
+		case <-ctx.Done():
+			return false, ctx.Err()
+		}
+	}
+}
+
+// Step walks the next published chunk, which Wait has reported, through
+// every configuration's L2 and frees it.
+func (f *Follower) Step() {
+	p := f.p
+	p.mu.Lock()
+	c := p.chunks[f.next]
+	p.chunks[f.next] = missChunk{}
+	p.mu.Unlock()
+	f.next++
+	f.events += uint64(len(c.events))
+	for _, r := range f.reps {
+		r.step(&c)
+	}
+}
+
+// Events reports how many miss events the follower has walked.
+func (f *Follower) Events() uint64 { return f.events }
+
+// Results returns each configuration's replay, in the order given to
+// Follow, once Wait has reported the pass finished and walked.
+func (f *Follower) Results() []Replayed {
+	out := make([]Replayed, len(f.cfgs))
+	for i, cfg := range f.cfgs {
+		out[i] = f.p.result(cfg, f.reps[i])
+	}
+	return out
+}
+
+// Replayed is one configuration's replay: the statistics System.Run
+// would return, and the counts Instrument adds.
+type Replayed struct {
+	Stats Stats
+
+	twoLevel    bool
+	l1          [2]dmL1   // the L1I's and the L1D's counters (no lines)
+	upDirtyOut  [2]uint64 // their victims dirty only from an exclusive L2
+	l2Evictions uint64
+	l2DirtyOut  uint64
+}
+
+// result completes cfg's replay state r into its Replayed.
+func (p *L1Pass) result(cfg Config, r replayer) Replayed {
+	res := Replayed{Stats: p.st, twoLevel: cfg.TwoLevel(), l1: [2]dmL1{p.icache, p.dcache}}
+	r.finish(&res)
+	return res
+}
+
+// Instrument adds the replayed hierarchy's counters to reg under the
+// names System.Instrument uses, registering the policy counters the
+// hierarchy leaves at zero, so a registry has the same shape whichever
+// path filled it. The L1 caches count the victims that were dirty only
+// because they came up dirty from an exclusive L2 as dirty write-backs
+// too. A nil reg is a no-op.
+func (r *Replayed) Instrument(reg *obs.Registry) {
+	if r.twoLevel {
+		reg.Counter("cache_l2_hits_total").Add(r.Stats.L2Hits)
+		reg.Counter("cache_l2_misses_total").Add(r.Stats.L2Misses)
+		reg.Counter("cache_l2_evictions_total").Add(r.l2Evictions)
+		reg.Counter("cache_l2_dirty_writebacks_total").Add(r.l2DirtyOut)
+	}
+	for i, name := range []string{"cache_l1i", "cache_l1d"} {
+		c := &r.l1[i]
+		reg.Counter(name + "_hits_total").Add(c.refs - c.misses)
+		reg.Counter(name + "_misses_total").Add(c.misses)
+		reg.Counter(name + "_evictions_total").Add(c.evictions)
+		reg.Counter(name + "_dirty_writebacks_total").Add(c.dirtyVictims + r.upDirtyOut[i])
+	}
+	reg.Counter(metricOffChip).Add(r.Stats.OffChipFetches)
+	reg.Counter(metricSwaps).Add(r.Stats.Swaps)
+	reg.Counter(metricVictims).Add(r.Stats.VictimsToL2)
+	reg.Counter(metricBackInv)
+}
+
+// replayer is the state of one configuration's replay: step drives it
+// through one chunk of miss events, in trace order, and finish completes
+// the Replayed, which holds the pass's reference and L1 counters, from
+// it.
+type replayer interface {
+	step(c *missChunk)
+	finish(r *Replayed)
+}
+
+// newReplayer returns cfg's replay state. A two-level cfg replays the
+// miss events into a fresh l2Kernel of its L2 (l2kernel.go), through
+// the conventional or the exclusive operation order. A single-level cfg
+// needs no L2: every L1 miss is an off-chip fetch and every dirty victim
+// an off-chip write-back.
+func newReplayer(cfg Config) replayer {
+	switch {
+	case !cfg.TwoLevel():
+		return singleLevel{}
+	case cfg.Policy == Exclusive:
+		return newExclusiveReplay(cfg, newL2Kernel(cfg.L2))
+	default:
+		return &conventionalReplay{l2: newL2Kernel(cfg.L2)}
+	}
+}
+
+type singleLevel struct{}
+
+func (singleLevel) step(*missChunk) {}
+
+func (singleLevel) finish(r *Replayed) {
+	r.Stats.OffChipFetches = r.Stats.L1Misses()
+	r.Stats.WriteBacksOffChip = r.l1[0].dirtyVictims + r.l1[1].dirtyVictims
+}
+
+// conventionalReplay drives its l2 through System.Access's conventional
 // order for every miss event: the dirty victim writes back into the
 // L2's copy if there is one (otherwise off-chip), then the missing line
-// is looked up, and filled on a miss. It serves an L2 of any geometry;
-// replayNarrow is the same loop for the common one.
-func (p *L1Pass) replayConventional(ctx context.Context, l2 *l2Kernel, st *Stats) error {
-	var hits, toL2 uint64
-	for _, c := range p.chunks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, ev := range c.events {
-			if ev.Victim != ev.Line {
-				if i := l2.find(ev.Victim); i >= 0 {
-					l2.markDirty(i)
-					toL2++
-				}
-			}
-			if i := l2.find(ev.Line); i >= 0 {
-				hits++
-				l2.touch(i)
-			} else {
-				l2.fill(ev.Line, false)
-			}
-		}
-	}
-	p.conventionalStats(st, l2, hits, toL2)
-	return nil
+// is looked up, and filled on a miss. It counts the L2 hits and the
+// write-backs into the L2.
+type conventionalReplay struct {
+	l2         *l2Kernel
+	hits, toL2 uint64
 }
 
-// replayNarrow is replayConventional for a narrow l2 (l2Kernel.narrow),
-// which covers every L2 of the paper's grid. Its probes are one inline
-// match each, with the kernel's slices held in locals, and a fill into
-// an empty way is inline too: a Go function call in this loop costs
-// the loop its registers, so it calls out only to replace a line.
-func (p *L1Pass) replayNarrow(ctx context.Context, l2 *l2Kernel, st *Stats) error {
+func (x *conventionalReplay) step(c *missChunk) {
+	if x.l2.narrow() {
+		x.stepNarrow(c)
+	} else {
+		x.stepGeneral(c)
+	}
+}
+
+// stepGeneral serves an L2 of any geometry; stepNarrow is the same loop
+// for the common one.
+func (x *conventionalReplay) stepGeneral(c *missChunk) {
+	l2 := x.l2
+	hits, toL2 := x.hits, x.toL2
+	for _, ev := range c.events {
+		if ev.Victim != ev.Line {
+			if i := l2.find(ev.Victim); i >= 0 {
+				l2.markDirty(i)
+				toL2++
+			}
+		}
+		if i := l2.find(ev.Line); i >= 0 {
+			hits++
+			l2.touch(i)
+		} else {
+			l2.fill(ev.Line, false)
+		}
+	}
+	x.hits, x.toL2 = hits, toL2
+}
+
+// stepNarrow is stepGeneral for a narrow l2 (l2Kernel.narrow), which
+// covers every L2 of the paper's grid. Its probes are one inline match
+// each, with the kernel's slices held in locals, and a fill into an
+// empty way is inline too: a Go function call in this loop costs the
+// loop its registers, so it calls out only to replace a line.
+func (x *conventionalReplay) stepNarrow(c *missChunk) {
+	l2 := x.l2
 	tags, valid, dirty, setMask := l2.tags, l2.valid, l2.dirty, l2.setMask
 	repl := &l2.repl
-	var hits, toL2 uint64
-	for _, c := range p.chunks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, ev := range c.events {
-			if ev.Victim != ev.Line {
-				base := int(ev.Victim&setMask) << probeShift
-				if m := match(tags, base, ev.Victim); m != 0 {
-					dirty[base>>6] |= m << (base & 63)
-					toL2++
-				}
+	hits, toL2 := x.hits, x.toL2
+	for _, ev := range c.events {
+		if ev.Victim != ev.Line {
+			base := int(ev.Victim&setMask) << probeShift
+			if m := match(tags, base, ev.Victim); m != 0 {
+				dirty[base>>6] |= m << (base & 63)
+				toL2++
 			}
+		}
+		base := int(ev.Line&setMask) << probeShift
+		if m := match(tags, base, ev.Line); m != 0 {
+			hits++
+			repl.Touch(base>>probeShift, bits.TrailingZeros64(m))
+		} else if e := ^(valid[base>>6] >> (base & 63)) & l2.wayMask; e != 0 {
+			l2.place(base, bits.TrailingZeros64(e), ev.Line)
+		} else {
+			l2.replace(base, ev.Line, false)
+		}
+	}
+	x.hits, x.toL2 = hits, toL2
+}
+
+// finish completes r from the L2 hits and write-backs into the L2:
+// every other event missed, and every other dirty L1 victim, like every
+// dirty L2 victim, went off-chip.
+func (x *conventionalReplay) finish(r *Replayed) {
+	st := &r.Stats
+	st.L2Hits = x.hits
+	st.L2Misses = st.L1Misses() - x.hits
+	st.WriteBacksToL2 = x.toL2
+	st.WriteBacksOffChip = r.l1[0].dirtyVictims + r.l1[1].dirtyVictims - x.toL2 + x.l2.dirtyOut
+	st.OffChipFetches = st.L2Misses
+	r.l2Evictions, r.l2DirtyOut = x.l2.evictions, x.l2.dirtyOut
+}
+
+// exclusiveReplay drives its l2 through System.accessExclusive's order
+// for every miss event: the missing line is looked up; on a hit it
+// moves up, leaving the L2 with its dirty bit; then the L1 victim, clean
+// or dirty, moves down. The victim is the line the previous miss in the
+// same L1 slot brought in, and it is dirty if it was written in the L1
+// (the event's Victim) or came up dirty from the L2 (the slot's
+// came-up-dirty bit).
+//
+// The state holds the L1 slots of both L1s, the L1I's then the L1D's,
+// as a line array plus a valid and a came-up-dirty bitset, and the
+// counts. Both of its loops keep the slots so, so a replay that starts
+// on stepDisjoint carries its state over unchanged to stepProbing at
+// the first chunk whose L1 ranges overlap.
+type exclusiveReplay struct {
+	l2      *l2Kernel
+	lines   []cache.LineAddr
+	valid   []uint64
+	upDirty []uint64
+	// Indexed by the event's L1I bit: the L1D's slot mask and first
+	// slot, then the L1I's.
+	mask                       [2]cache.LineAddr
+	off                        [2]int
+	hits, victims, toL2, swaps uint64
+	upDirtyOut                 [2]uint64 // the L1I's, then the L1D's
+}
+
+func newExclusiveReplay(cfg Config, l2 *l2Kernel) *exclusiveReplay {
+	ni, nd := cfg.L1I.Lines(), cfg.L1D.Lines()
+	words := (ni + nd + 63) / 64
+	return &exclusiveReplay{
+		l2:      l2,
+		lines:   make([]cache.LineAddr, ni+nd),
+		valid:   make([]uint64, words),
+		upDirty: make([]uint64, words),
+		mask:    [2]cache.LineAddr{cache.LineAddr(nd - 1), cache.LineAddr(ni - 1)},
+		off:     [2]int{ni, 0},
+	}
+}
+
+// step takes stepDisjoint while the L1s' missed ranges are disjoint up
+// to the chunk's end and the L2 is narrow, and stepProbing otherwise.
+// Ranges only grow, so once a chunk is not disjoint no later one is.
+func (x *exclusiveReplay) step(c *missChunk) {
+	if c.disjoint && x.l2.narrow() {
+		x.stepDisjoint(c)
+	} else {
+		x.stepProbing(c)
+	}
+}
+
+// stepProbing serves the chunks stepDisjoint cannot: those whose L1s
+// may share a line, and every chunk into an L2 that is not narrow. It
+// probes the L2 for the victim, which may already be there when the
+// other L1 holds it too; the transfer then refreshes that copy. A
+// narrow l2 takes inline probes, as in stepNarrow; any other l2 takes
+// the kernel's general methods.
+func (x *exclusiveReplay) stepProbing(c *missChunk) {
+	l2 := x.l2
+	lines, valid, upDirty, mask, off := x.lines, x.valid, x.upDirty, x.mask, x.off
+	tags, l2valid, setMask, narrow := l2.tags, l2.valid, l2.setMask, l2.narrow()
+	hits, victims, toL2, swaps, upDirtyOut := x.hits, x.victims, x.toL2, x.swaps, x.upDirtyOut
+	for j, ev := range c.events {
+		b := c.instr[j>>6] >> (j & 63) & 1
+		k := int(ev.Line&mask[b]) + off[b]
+		w, bit := k>>6, uint64(1)<<(k&63)
+		victim, hadVictim := lines[k], valid[w]&bit != 0
+		written := ev.Victim != ev.Line
+		dirty := written || upDirty[w]&bit != 0
+		lines[k] = ev.Line
+		valid[w] |= bit
+		upDirty[w] &^= bit
+		hit := -1
+		if narrow {
 			base := int(ev.Line&setMask) << probeShift
 			if m := match(tags, base, ev.Line); m != 0 {
-				hits++
-				repl.Touch(base>>probeShift, bits.TrailingZeros64(m))
-			} else if e := ^(valid[base>>6] >> (base & 63)) & l2.wayMask; e != 0 {
-				l2.place(base, bits.TrailingZeros64(e), ev.Line)
-			} else {
-				l2.replace(base, ev.Line, false)
+				hit = base + bits.TrailingZeros64(m)
+			}
+		} else {
+			hit = l2.find(ev.Line)
+		}
+		if hit >= 0 {
+			hits++
+			l2.touch(hit)
+			if l2.invalidate(hit) {
+				upDirty[w] |= bit
 			}
 		}
-	}
-	p.conventionalStats(st, l2, hits, toL2)
-	return nil
-}
-
-// conventionalStats completes st from a conventional replay's L2 hits
-// and write-backs into the L2: every other event missed, and every other
-// dirty L1 victim, like every dirty L2 victim, went off-chip.
-func (p *L1Pass) conventionalStats(st *Stats, l2 *l2Kernel, hits, toL2 uint64) {
-	st.L2Hits = hits
-	st.L2Misses = st.L1Misses() - hits
-	st.WriteBacksToL2 = toL2
-	st.WriteBacksOffChip = p.icache.dirtyVictims + p.dcache.dirtyVictims - toL2 + l2.dirtyOut
-}
-
-// exclusiveSlot is the replay's view of one L1 slot under the exclusive
-// policy: the line the slot's last miss brought in, and whether that line
-// came up dirty from the L2.
-type exclusiveSlot struct {
-	line           cache.LineAddr
-	valid, upDirty bool
-}
-
-// replayExclusive drives l2 through System.accessExclusive's order for
-// every miss event: the missing line is looked up; on a hit it moves up,
-// leaving the L2 with its dirty bit; then the L1 victim, clean or dirty,
-// moves down. The victim is the line the previous miss in the same L1
-// slot brought in, and it is dirty if it was written in the L1 (the
-// event's Victim) or came up dirty from the L2 (the slot's upDirty bit).
-// The victim may already be in the L2 when the other L1 holds it too;
-// the transfer then refreshes that copy. It returns how many of the
-// L1I's and the L1D's victims were dirty only because they came up
-// dirty. It serves the exclusive replays replayExclusiveNarrow cannot:
-// a pass whose L1s may share a line, or an L2 that is not narrow. A
-// narrow l2 takes inline probes, as in replayNarrow; any other l2 takes
-// the kernel's general methods.
-func (p *L1Pass) replayExclusive(ctx context.Context, l2 *l2Kernel, st *Stats) (upDirtyOut [2]uint64, err error) {
-	islots := make([]exclusiveSlot, p.l1i.Lines())
-	dslots := make([]exclusiveSlot, p.l1d.Lines())
-	imask, dmask := cache.LineAddr(len(islots)-1), cache.LineAddr(len(dslots)-1)
-	tags, valid, setMask, narrow := l2.tags, l2.valid, l2.setMask, l2.narrow()
-	var hits, victims, toL2, swaps uint64
-	for _, c := range p.chunks {
-		if err := ctx.Err(); err != nil {
-			return upDirtyOut, err
+		if !hadVictim {
+			continue
 		}
-		for j, ev := range c.events {
-			s, l1 := &dslots[ev.Line&dmask], 1
-			if c.instr[j/64]&(1<<(j%64)) != 0 {
-				s, l1 = &islots[ev.Line&imask], 0
+		victims++
+		if dirty {
+			toL2++
+			if !written {
+				upDirtyOut[1-b]++
 			}
-			victim, hadVictim := s.line, s.valid
-			written := ev.Victim != ev.Line
-			dirty := written || s.upDirty
-			s.line, s.valid, s.upDirty = ev.Line, true, false
-			hit := -1
-			if narrow {
-				base := int(ev.Line&setMask) << probeShift
-				if m := match(tags, base, ev.Line); m != 0 {
-					hit = base + bits.TrailingZeros64(m)
+		}
+		if hit >= 0 && victim&setMask == ev.Line&setMask {
+			swaps++
+		}
+		i := -1
+		if narrow {
+			base := int(victim&setMask) << probeShift
+			if m := match(tags, base, victim); m != 0 {
+				i = base + bits.TrailingZeros64(m)
+			} else if e := ^(l2valid[base>>6] >> (base & 63)) & l2.wayMask; e != 0 {
+				if i := l2.place(base, bits.TrailingZeros64(e), victim); dirty {
+					l2.markDirty(i)
 				}
-			} else {
-				hit = l2.find(ev.Line)
-			}
-			if hit >= 0 {
-				hits++
-				l2.touch(hit)
-				s.upDirty = l2.invalidate(hit)
-			}
-			if !hadVictim {
 				continue
 			}
-			victims++
-			if dirty {
-				toL2++
-				if !written {
-					upDirtyOut[l1]++
-				}
-			}
-			if hit >= 0 && victim&setMask == ev.Line&setMask {
-				swaps++
-			}
-			i := -1
-			if narrow {
-				base := int(victim&setMask) << probeShift
-				if m := match(tags, base, victim); m != 0 {
-					i = base + bits.TrailingZeros64(m)
-				} else if e := ^(valid[base>>6] >> (base & 63)) & l2.wayMask; e != 0 {
-					if i := l2.place(base, bits.TrailingZeros64(e), victim); dirty {
-						l2.markDirty(i)
-					}
-					continue
-				}
-			} else {
-				i = l2.find(victim)
-			}
-			if i < 0 {
-				l2.fill(victim, dirty)
-			} else if l2.touch(i); dirty {
-				l2.markDirty(i)
-			}
+		} else {
+			i = l2.find(victim)
+		}
+		if i < 0 {
+			l2.fill(victim, dirty)
+		} else if l2.touch(i); dirty {
+			l2.markDirty(i)
 		}
 	}
-	exclusiveStats(st, l2, hits, victims, toL2, swaps)
-	return upDirtyOut, nil
+	x.hits, x.victims, x.toL2, x.swaps, x.upDirtyOut = hits, victims, toL2, swaps, upDirtyOut
 }
 
-// disjoint reports whether the pass's L1I and L1D missed line ranges
-// do not overlap, so that no line was ever in both L1s.
-func (p *L1Pass) disjoint() bool {
-	return p.icache.hi < p.dcache.lo || p.dcache.hi < p.icache.lo
-}
-
-// replayExclusiveNarrow is replayExclusive for a narrow l2 over a
-// disjoint pass. Under the exclusive policy a line is in the L2 only
-// while it is in no L1, as long as no line is in both L1s at once: a
-// line leaves the L2 when it moves up, and enters it only as a victim,
-// when it leaves its L1. In a disjoint pass no line is ever in both, so
-// the victim, which is in its L1 until this event, is never in the L2:
-// it is filled without a probe. The loop holds the L1 slots of both
-// L1s, the L1I's then the L1D's, as a line array plus a valid and a
-// came-up-dirty bitset, and keeps the L2 inline as replayNarrow does.
-func (p *L1Pass) replayExclusiveNarrow(ctx context.Context, l2 *l2Kernel, st *Stats) (upDirtyOut [2]uint64, err error) {
-	ni, nd := p.l1i.Lines(), p.l1d.Lines()
-	lines := make([]cache.LineAddr, ni+nd)
-	valid := make([]uint64, (ni+nd+63)/64)
-	upDirty := make([]uint64, len(valid))
-	// Indexed by the event's L1I bit: the L1D's slots, then the L1I's.
-	mask := [2]cache.LineAddr{cache.LineAddr(nd - 1), cache.LineAddr(ni - 1)}
-	off := [2]int{ni, 0}
+// stepDisjoint is stepProbing for a narrow l2 over a chunk whose L1s
+// have not shared a line. Under the exclusive policy a line is in the
+// L2 only while it is in no L1, as long as no line is in both L1s at
+// once: a line leaves the L2 when it moves up, and enters it only as a
+// victim, when it leaves its L1. Up to the end of a disjoint chunk no
+// line has been in both, so the victim, which is in its L1 until this
+// event, is not in the L2: it is filled without a probe. The loop keeps
+// the L2 inline as stepNarrow does.
+func (x *exclusiveReplay) stepDisjoint(c *missChunk) {
+	l2 := x.l2
+	lines, valid, upDirty, mask, off := x.lines, x.valid, x.upDirty, x.mask, x.off
 	tags, l2valid, l2dirty, setMask, wayMask := l2.tags, l2.valid, l2.dirty, l2.setMask, l2.wayMask
 	repl := &l2.repl
-	var hits, victims, toL2, swaps uint64
-	for _, c := range p.chunks {
-		if err := ctx.Err(); err != nil {
-			return upDirtyOut, err
+	hits, victims, toL2, swaps, upDirtyOut := x.hits, x.victims, x.toL2, x.swaps, x.upDirtyOut
+	for j, ev := range c.events {
+		b := c.instr[j>>6] >> (j & 63) & 1
+		k := int(ev.Line&mask[b]) + off[b]
+		w, bit := k>>6, uint64(1)<<(k&63)
+		victim, hadVictim := lines[k], valid[w]&bit != 0
+		written := ev.Victim != ev.Line
+		dirty := written || upDirty[w]&bit != 0
+		lines[k] = ev.Line
+		valid[w] |= bit
+		upDirty[w] &^= bit
+		set := ev.Line & setMask
+		base := int(set) << probeShift
+		hit := false
+		if m := match(tags, base, ev.Line); m != 0 {
+			hit = true
+			hits++
+			way := bits.TrailingZeros64(m)
+			repl.Touch(base>>probeShift, way)
+			// Invalidate the way, as l2Kernel.invalidate does.
+			i := base + way
+			iw, ibit := i>>6, uint64(1)<<(i&63)
+			if l2dirty[iw]&ibit != 0 {
+				upDirty[w] |= bit
+				l2dirty[iw] &^= ibit
+			}
+			l2valid[iw] &^= ibit
+			tags[i] = (set ^ 1) & setMask
 		}
-		for j, ev := range c.events {
-			b := c.instr[j>>6] >> (j & 63) & 1
-			k := int(ev.Line&mask[b]) + off[b]
-			w, bit := k>>6, uint64(1)<<(k&63)
-			victim, hadVictim := lines[k], valid[w]&bit != 0
-			written := ev.Victim != ev.Line
-			dirty := written || upDirty[w]&bit != 0
-			lines[k] = ev.Line
-			valid[w] |= bit
-			upDirty[w] &^= bit
-			set := ev.Line & setMask
-			base := int(set) << probeShift
-			hit := false
-			if m := match(tags, base, ev.Line); m != 0 {
-				hit = true
-				hits++
-				way := bits.TrailingZeros64(m)
-				repl.Touch(base>>probeShift, way)
-				// Invalidate the way, as l2Kernel.invalidate does.
-				i := base + way
-				iw, ibit := i>>6, uint64(1)<<(i&63)
-				if l2dirty[iw]&ibit != 0 {
-					upDirty[w] |= bit
-					l2dirty[iw] &^= ibit
-				}
-				l2valid[iw] &^= ibit
-				tags[i] = (set ^ 1) & setMask
+		if !hadVictim {
+			continue
+		}
+		victims++
+		if dirty {
+			toL2++
+			if !written {
+				upDirtyOut[1-b]++
 			}
-			if !hadVictim {
-				continue
-			}
-			victims++
+		}
+		vset := victim & setMask
+		if hit && vset == set {
+			swaps++
+		}
+		vbase := int(vset) << probeShift
+		if e := ^(l2valid[vbase>>6] >> (vbase & 63)) & wayMask; e != 0 {
+			i := l2.place(vbase, bits.TrailingZeros64(e), victim)
 			if dirty {
-				toL2++
-				if !written {
-					upDirtyOut[1-b]++
-				}
+				l2dirty[i>>6] |= 1 << (i & 63)
 			}
-			vset := victim & setMask
-			if hit && vset == set {
-				swaps++
-			}
-			vbase := int(vset) << probeShift
-			if e := ^(l2valid[vbase>>6] >> (vbase & 63)) & wayMask; e != 0 {
-				i := l2.place(vbase, bits.TrailingZeros64(e), victim)
-				if dirty {
-					l2dirty[i>>6] |= 1 << (i & 63)
-				}
-			} else {
-				l2.replace(vbase, victim, dirty)
-			}
+		} else {
+			l2.replace(vbase, victim, dirty)
 		}
 	}
-	exclusiveStats(st, l2, hits, victims, toL2, swaps)
-	return upDirtyOut, nil
+	x.hits, x.victims, x.toL2, x.swaps, x.upDirtyOut = hits, victims, toL2, swaps, upDirtyOut
 }
 
-// exclusiveStats completes st from an exclusive replay's counts: every
-// other event missed in the L2, and only dirty L2 victims went off-chip.
-func exclusiveStats(st *Stats, l2 *l2Kernel, hits, victims, toL2, swaps uint64) {
-	st.L2Hits = hits
-	st.L2Misses = st.L1Misses() - hits
-	st.VictimsToL2 = victims
-	st.WriteBacksToL2 = toL2
-	st.Swaps = swaps
-	st.WriteBacksOffChip = l2.dirtyOut
-}
-
-// instrument adds one replayed hierarchy's L1 and hierarchy-level counts
-// to reg under the names System.Instrument uses, registering the policy
-// counters the hierarchy leaves at zero, so a registry has the same
-// shape whichever path filled it. upDirtyOut counts the L1I's and the
-// L1D's victims that were dirty only because they came up dirty from an
-// exclusive L2; the L1 caches count those as dirty write-backs too.
-func (p *L1Pass) instrument(reg *obs.Registry, st Stats, upDirtyOut [2]uint64) {
-	for i, l := range []struct {
-		name string
-		c    *dmL1
-	}{{"cache_l1i", &p.icache}, {"cache_l1d", &p.dcache}} {
-		reg.Counter(l.name + "_hits_total").Add(l.c.refs - l.c.misses)
-		reg.Counter(l.name + "_misses_total").Add(l.c.misses)
-		reg.Counter(l.name + "_evictions_total").Add(l.c.evictions)
-		reg.Counter(l.name + "_dirty_writebacks_total").Add(l.c.dirtyVictims + upDirtyOut[i])
-	}
-	reg.Counter(metricOffChip).Add(st.OffChipFetches)
-	reg.Counter(metricSwaps).Add(st.Swaps)
-	reg.Counter(metricVictims).Add(st.VictimsToL2)
-	reg.Counter(metricBackInv)
+// finish completes r from the counts: every other event missed in the
+// L2, and only dirty L2 victims went off-chip.
+func (x *exclusiveReplay) finish(r *Replayed) {
+	st := &r.Stats
+	st.L2Hits = x.hits
+	st.L2Misses = st.L1Misses() - x.hits
+	st.VictimsToL2 = x.victims
+	st.WriteBacksToL2 = x.toL2
+	st.Swaps = x.swaps
+	st.WriteBacksOffChip = x.l2.dirtyOut
+	st.OffChipFetches = st.L2Misses
+	r.upDirtyOut = x.upDirtyOut
+	r.l2Evictions, r.l2DirtyOut = x.l2.evictions, x.l2.dirtyOut
 }

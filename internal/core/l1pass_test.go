@@ -115,9 +115,10 @@ func separateSides(refs []trace.Ref) []trace.Ref {
 }
 
 // exclusiveLoop names the loop an exclusive replay of refs into cfg must
-// take, decided from the trace alone: "disjoint" (replayExclusiveNarrow)
-// when the L2 is narrow and the ranges of the instruction and the data
-// lines referenced do not overlap, "probing" (replayExclusive)
+// end on, decided from the trace alone: "disjoint" (stepDisjoint for
+// every chunk) when the L2 is narrow and the ranges of the instruction
+// and the data lines referenced do not overlap, "probing" (stepProbing
+// from the first chunk whose ranges overlap, or from the start)
 // otherwise. A side misses every line it references at least once, so
 // these are the ranges of its missed lines.
 func exclusiveLoop(cfg Config, refs []trace.Ref) string {
@@ -149,7 +150,7 @@ func checkExclusiveLoop(cfg Config, refs []trace.Ref) (*L1Pass, string, error) {
 		return nil, "", err
 	}
 	loop := exclusiveLoop(cfg, refs)
-	if got := newL2Kernel(cfg.L2).narrow() && pass.disjoint(); got != (loop == "disjoint") {
+	if got := newL2Kernel(cfg.L2).narrow() && disjoint(&pass.icache, &pass.dcache); got != (loop == "disjoint") {
 		return nil, "", fmt.Errorf("the pass takes the disjoint loop: %v, the trace says %s", got, loop)
 	}
 	return pass, loop, nil
@@ -454,8 +455,8 @@ func TestL1PassReplaySharedLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loop != "probing" || pass.disjoint() {
-		t.Fatalf("a pass with a shared line takes the %s loop (disjoint %v)", loop, pass.disjoint())
+	if loop != "probing" || disjoint(&pass.icache, &pass.dcache) {
+		t.Fatalf("a pass with a shared line takes the %s loop (disjoint %v)", loop, disjoint(&pass.icache, &pass.dcache))
 	}
 	want, ref, err := checkThreeWay(cfg, refs, pass)
 	if err != nil {
@@ -464,11 +465,11 @@ func TestL1PassReplaySharedLine(t *testing.T) {
 	if ref.residentVictims != 1 || want.L2Hits != 1 {
 		t.Fatalf("the case is not the one built: %d victims already in the L2, %d L2 hits", ref.residentVictims, want.L2Hits)
 	}
-	st := pass.st
-	if _, err := pass.replayExclusiveNarrow(context.Background(), newL2Kernel(cfg.L2), &st); err != nil {
-		t.Fatal(err)
+	unprobed := newExclusiveReplay(cfg, newL2Kernel(cfg.L2))
+	for i := range pass.chunks {
+		unprobed.stepDisjoint(&pass.chunks[i])
 	}
-	if st.L2Hits == want.L2Hits {
+	if st := pass.result(cfg, unprobed).Stats; st.L2Hits == want.L2Hits {
 		t.Errorf("the unprobed loop matches the oracle's %d L2 hits on a shared line", want.L2Hits)
 	}
 }

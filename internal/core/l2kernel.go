@@ -8,7 +8,8 @@ import (
 
 // l2Kernel is the L2 of one replay: a flat copy of the state a
 // cache.Cache of the same configuration keeps, cut down to the
-// operations L1Pass.Replay drives and to the counters it reports.
+// operations a replay (L1Pass.Replay, Follower) drives and to the
+// counters it reports.
 //
 // Tags are set-major with a stride of max(ways, probeWidth) slots, so
 // way w of set s is at slot s<<strideShift+w and a set narrower than a

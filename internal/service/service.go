@@ -12,11 +12,12 @@
 // sweep.RunContext (panic isolation, Options.Timeout, Options.Retries)
 // via sweep.Evaluator, RunContext's own evaluation path: one per (job,
 // workload), over the tasks the job enqueues, so they share one trace
-// stage and every eligible configuration replays its L1 pass. Identical
-// evaluations requested by concurrently running jobs are coalesced onto
-// one in-flight task. Job and task lifecycle is observable through
-// internal/obs metrics and events (see obs.go); the HTTP API over the
-// manager lives in http.go and is served by cmd/served.
+// stage and every eligible configuration takes the replay of its L1
+// pass. Identical evaluations requested by concurrently running jobs
+// are coalesced onto one in-flight task. Job and task lifecycle is
+// observable through internal/obs metrics and events (see obs.go); the
+// HTTP API over the manager lives in http.go and is served by
+// cmd/served.
 package service
 
 import (
@@ -196,10 +197,17 @@ type task struct {
 
 	mu      sync.Mutex
 	waiters []*Job
+	// claimed is set once the task's evaluation is counted off its
+	// evaluator: when a worker starts it, or when it is orphaned before
+	// that and skipped.
+	claimed bool
 }
 
 // dropWaiter removes j from the waiter list, cancelling the task's
-// context once nobody is left wanting the result.
+// context once nobody is left wanting the result. A task orphaned
+// before a worker starts it is skipped off its evaluator at once, so a
+// trace stage that runs later neither records nor replays its L1 pass
+// for it.
 func (t *task) dropWaiter(j *Job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -211,6 +219,10 @@ func (t *task) dropWaiter(j *Job) {
 	}
 	if len(t.waiters) == 0 {
 		t.cancel()
+		if !t.claimed {
+			t.claimed = true
+			t.eval.Skip(t.cfg)
+		}
 	}
 }
 
@@ -590,10 +602,12 @@ func (m *Manager) worker() {
 func (m *Manager) runTask(t *task) {
 	defer t.cancel()
 	t.mu.Lock()
-	orphaned := len(t.waiters) == 0
+	orphaned := t.claimed
+	t.claimed = true
 	t.mu.Unlock()
 	if orphaned {
-		// Every interested job was cancelled while the task was queued;
+		// Every interested job was cancelled while the task was queued,
+		// and the last one's dropWaiter skipped it off its evaluator;
 		// skip the evaluation entirely.
 		m.mu.Lock()
 		if m.inflight[t.key] == t {
@@ -834,9 +848,9 @@ func (j *Job) closeLocked(event string) {
 	// exact-only on every path (done, failed, cancelled, expired).
 	clear(j.approx)
 	// The manager keeps every job for status queries, and each task's
-	// evaluator holds its workload's L1 passes until its last task is
-	// done. Cancel and expire have already taken their snapshot of the
-	// tasks.
+	// evaluator holds its workload's replay results, and any trace it
+	// keeps, until its last task is done. Cancel and expire have already
+	// taken their snapshot of the tasks.
 	j.tasks = nil
 	// Evaluations still open (cancellation, shutdown) end with the job,
 	// marked with the state that cut them off.

@@ -426,7 +426,9 @@ func TestFinishedJobsReleaseTraces(t *testing.T) {
 // tasks runs the trace stage of A's evaluator, which a task shared with
 // job B also needs. The cancelled stage must not be used up: the shared
 // task runs the stage again, and B finishes with points byte-identical
-// to a fresh sweep's.
+// to a fresh sweep's. The re-run stage records only the L1 group the
+// shared task still wants: A's orphaned tasks were skipped off the
+// evaluator.
 func TestCancelDuringStageKeepsSharedTask(t *testing.T) {
 	optA := sweep.Options{Refs: 2_000_000, L1Sizes: []int64{1 << 10, 2 << 10}, L2Sizes: []int64{0, 16 << 10}}
 	optB := optA
@@ -493,14 +495,23 @@ func TestCancelDuringStageKeepsSharedTask(t *testing.T) {
 		}
 		m.Close()
 
-		var gens []span.Data
+		var gens, recs []span.Data
 		for _, d := range tr.Snapshot() {
-			if d.Name == "generate" {
+			switch d.Name {
+			case "generate":
 				gens = append(gens, d)
+			case "l1-record":
+				recs = append(recs, d)
 			}
 		}
 		full := strconv.FormatUint(optA.Refs, 10)
 		if len(gens) == 2 && gens[0].Attr("refs") != full && gens[1].Attr("refs") == full {
+			// A's 2 KB tasks were skipped off the evaluator when A was
+			// cancelled, so the re-run stage records the shared 1 KB
+			// group alone.
+			if len(recs) != 2 || recs[1].Attr("passes") != "1" {
+				t.Fatalf("l1-record spans %+v, want the re-run stage's to carry passes=1", recs)
+			}
 			return
 		}
 		if attempt == 5 {

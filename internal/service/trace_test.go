@@ -27,10 +27,10 @@ func indexSpans(spans []span.Data) spanIndex {
 
 // TestJobSpanTree pins the service's span shape: a fresh job yields
 // job → evaluate → store-miss, its trace stage (job → generate, job →
-// l1-record → l1-pass, once per L1 size) and job → config → attempt →
-// simulate per evaluation, and a resubmitted identical job yields job →
-// evaluate → store-hit with the evaluate spans marked cached and no
-// stage.
+// l1-record → l1-pass, once per L1 size), job → replay once per L1 size
+// and job → config → attempt → simulate per evaluation, and a
+// resubmitted identical job yields job → evaluate → store-hit with the
+// evaluate spans marked cached and no stage.
 func TestJobSpanTree(t *testing.T) {
 	tr := span.NewTracer()
 	m := New(Config{Workers: 2, Trace: tr})
@@ -123,19 +123,19 @@ func TestJobSpanTree(t *testing.T) {
 		}
 	}
 	// job + total evaluates + total store probes, the stage (generate,
-	// l1-record and one l1-pass per L1 size) and total config → attempt →
-	// simulate chains, nothing from job 2.
+	// l1-record and one l1-pass per L1 size), one replay per L1 size and
+	// total config → attempt → simulate chains, nothing from job 2.
 	l1Sizes := len(smallOptions().L1Sizes)
-	if want := 1 + 2*total + 2 + l1Sizes + 3*total; x != want {
+	if want := 1 + 2*total + 2 + 2*l1Sizes + 3*total; x != want {
 		t.Errorf("job subtree exports %d spans, want %d", x, want)
 	}
 	j1Root := ix.byName["job"][0].ID
-	for name, want := range map[string]int{"generate": 1, "l1-record": 1, "l1-pass": l1Sizes, "config": total, "attempt": total, "simulate": total} {
+	for name, want := range map[string]int{"generate": 1, "l1-record": 1, "l1-pass": l1Sizes, "replay": l1Sizes, "config": total, "attempt": total, "simulate": total} {
 		if n := len(ix.byName[name]); n != want {
 			t.Errorf("%d %s spans, want %d", n, name, want)
 		}
 	}
-	for _, name := range []string{"generate", "l1-record", "config"} {
+	for _, name := range []string{"generate", "l1-record", "replay", "config"} {
 		for _, s := range ix.byName[name] {
 			if s.Parent != j1Root {
 				t.Errorf("%s span parent %d is not the first job's span %d", name, s.Parent, j1Root)

@@ -159,8 +159,13 @@ func TestEvaluatorStageRerunsAfterCancel(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("point after a re-run stage\n%+v\nwant\n%+v", got, want)
 		}
-		gens := indexByName(opt.Trace.Snapshot())["generate"]
+		spans := indexByName(opt.Trace.Snapshot())
+		gens := spans["generate"]
 		if len(gens) == 2 && gens[0].Attr("refs") != "2000000" && gens[1].Attr("refs") == "2000000" {
+			// The cut stage stopped its follower before it returned.
+			if reps := spans["replay"]; len(reps) != 2 {
+				t.Fatalf("%d replay spans, want the cut stage's and the re-run's", len(reps))
+			}
 			return
 		}
 		if attempt == 5 {
@@ -177,9 +182,10 @@ func indexByName(spans []span.Data) map[string][]span.Data {
 	return out
 }
 
-// TestEvaluatorDropsPasses checks that a group's pass is dropped once
-// its last configuration is evaluated, and that evaluating a
-// configuration again afterwards still gives its exact point.
+// TestEvaluatorDropsPasses checks that a group's replay result is
+// dropped once its last configuration is evaluated, and that evaluating
+// a configuration again afterwards still gives its exact point, from a
+// fresh stream.
 func TestEvaluatorDropsPasses(t *testing.T) {
 	w := testWorkload(t)
 	opt := Options{Refs: 20_000}
@@ -194,8 +200,55 @@ func TestEvaluatorDropsPasses(t *testing.T) {
 		if want := Evaluate(w, cfg, opt); !reflect.DeepEqual(p, want) {
 			t.Errorf("evaluation %d (%s) differs from System.Run", i, cfg)
 		}
-		if held, want := e.groups[0].pass.Load() != nil, i == 0; held != want {
-			t.Errorf("after evaluation %d: pass held %t, want %t", i, held, want)
+		e.mu.Lock()
+		held := e.groups[0].fol != nil
+		e.mu.Unlock()
+		if want := i == 0; held != want {
+			t.Errorf("after evaluation %d: replay held %t, want %t", i, held, want)
 		}
+	}
+}
+
+// TestEvaluatorFollowerPanicFailsGroup makes every follower panic: each
+// configuration of the group must fail, after its retry, as a
+// *ConfigError that carries the panic, and never get a point from a
+// fallback simulation.
+func TestEvaluatorFollowerPanicFailsGroup(t *testing.T) {
+	w := testWorkload(t)
+	cfgs := Configs(Options{L1Sizes: []int64{1 << 10}, L2Sizes: []int64{0, 16 << 10}})
+	followTestHook = func() { panic("injected replay panic") }
+	defer func() { followTestHook = nil }()
+	reg := obs.NewRegistry()
+	e := NewEvaluator(w, Options{Refs: 20_000, Retries: 1, Metrics: reg}, cfgs)
+	for _, cfg := range cfgs {
+		p, err := e.Evaluate(context.Background(), cfg)
+		var ce *ConfigError
+		var pe panicError
+		if !errors.As(err, &ce) || !errors.As(err, &pe) || !strings.Contains(err.Error(), "injected replay panic") {
+			t.Errorf("%s: point %+v, err %v; want a *ConfigError carrying the follower's panic", cfg, p, err)
+		}
+	}
+	if got, want := reg.Snapshot().Counters[MetricPanics], uint64(2*len(cfgs)); got != want {
+		t.Errorf("%s = %d, want %d (two attempts per configuration)", MetricPanics, got, want)
+	}
+}
+
+// TestEvaluatorTimeoutBoundsTheWait checks what Options.Timeout bounds
+// on the replay path: an attempt's wait for its group's replay, which a
+// timeout that has already passed fails, but not the stage, which still
+// generates the whole trace.
+func TestEvaluatorTimeoutBoundsTheWait(t *testing.T) {
+	w := testWorkload(t)
+	cfgs := Configs(Options{L1Sizes: []int64{1 << 10}, L2Sizes: []int64{0, 16 << 10}})
+	opt := Options{Refs: 20_000, Timeout: time.Nanosecond, Trace: span.NewTracer()}
+	e := NewEvaluator(w, opt, cfgs)
+	for _, cfg := range cfgs {
+		var ce *ConfigError
+		if _, err := e.Evaluate(context.Background(), cfg); !errors.As(err, &ce) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: err = %v, want a *ConfigError wrapping context.DeadlineExceeded", cfg, err)
+		}
+	}
+	if gens := indexByName(opt.Trace.Snapshot())["generate"]; len(gens) != 1 || gens[0].Attr("refs") != "20000" {
+		t.Errorf("generate spans %+v, want one stage over the whole trace", gens)
 	}
 }

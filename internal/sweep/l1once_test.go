@@ -147,8 +147,8 @@ func hasCounter(r *obs.Registry, name string) bool {
 }
 
 // TestRunContextSingleGroupUsesEveryWorker checks that a sweep with one
-// L1 size, and so one group, replays its configurations on several
-// workers at once.
+// L1 size, and so one group and one follower, evaluates its
+// configurations on several workers at once.
 func TestRunContextSingleGroupUsesEveryWorker(t *testing.T) {
 	w := testWorkload(t)
 	opt := l1OnceOpt()
@@ -184,7 +184,7 @@ func TestRunContextSingleGroupUsesEveryWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("the group's replays never ran on two workers at once")
+		t.Fatal("the group's evaluations never ran on two workers at once")
 	}
 }
 

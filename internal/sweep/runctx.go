@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -152,7 +153,7 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 		_ = e.stage(ctx)
 		met.queueDepth.Set(int64(len(pending)))
 		// The workers take pending in order. Configs enumerates by L1
-		// size, so each pass is dropped early.
+		// size, so each group's result is dropped early.
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for n := 0; n < min(opt.Workers, len(pending)); n++ {
@@ -212,6 +213,7 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 			}()
 		}
 		wg.Wait()
+		e.close()
 		met.queueDepth.Set(0)
 	}
 
@@ -262,17 +264,17 @@ func stored(store PointStore, workload string, cfg core.Config, opt Options) (Po
 // Every attempt appears in the trace as its own child of parent, so
 // retries show up as sibling "attempt" spans.
 //
-// A non-nil pass is the recorded L1 pass of the configuration's group:
-// the attempt replays it instead of simulating the whole hierarchy over
-// refs, or, when refs is nil too, over w's stream afresh.
-func evaluateOne(ctx context.Context, w spec.Workload, refs []trace.Ref, pass *core.L1Pass, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
+// A non-nil f is the follower of the configuration's group: the attempt
+// takes its replay instead of simulating the whole hierarchy over refs,
+// or, when refs is nil too, over w's stream afresh.
+func evaluateOne(ctx context.Context, w spec.Workload, refs []trace.Ref, f *follower, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
 	var err error
 	// A negative Retries still makes the one attempt, so a ConfigError
 	// always carries the cause of a real failure.
 	for attempt := 0; attempt <= max(opt.Retries, 0); attempt++ {
 		as := parent.Child("attempt", span.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
 		var p Point
-		p, err = evaluateGuarded(ctx, w, refs, pass, cfg, opt, as)
+		p, err = evaluateGuarded(ctx, w, refs, f, cfg, opt, as)
 		if err == nil {
 			as.End()
 			p.Workload = w.Name
@@ -312,8 +314,10 @@ func evaluateOne(ctx context.Context, w spec.Workload, refs []trace.Ref, pass *c
 // per-configuration timeout is applied. The simulation proper is traced
 // as a "simulate" child of the attempt span, which carries the trace
 // length (and is ended even when the evaluation panics, so the trace
-// stays complete).
-func evaluateGuarded(ctx context.Context, w spec.Workload, refs []trace.Ref, pass *core.L1Pass, cfg core.Config, opt Options, sp *span.Span) (p Point, err error) {
+// stays complete). With a follower, the attempt waits for its group's
+// replay under the timeout; a group whose follower was stopped before
+// it finished, once its result was dropped, is simulated afresh.
+func evaluateGuarded(ctx context.Context, w spec.Workload, refs []trace.Ref, f *follower, cfg core.Config, opt Options, sp *span.Span) (p Point, err error) {
 	sim := sp.Child("simulate", span.Attr{Key: "refs", Value: strconv.FormatUint(opt.Refs, 10)})
 	defer func() {
 		if r := recover(); r != nil {
@@ -332,16 +336,18 @@ func evaluateGuarded(ctx context.Context, w spec.Workload, refs []trace.Ref, pas
 	if err := opt.Chaos.Hit(ChaosSiteEvaluate); err != nil {
 		return Point{}, err
 	}
-	switch {
-	case pass != nil:
-		return evaluateWith(cfg, opt, func() (core.Stats, error) {
-			return pass.Replay(ctx, cfg, opt.Metrics)
+	if f != nil {
+		p, err := evaluateWith(cfg, opt, func() (core.Stats, error) {
+			return f.result(ctx, cfg, opt.Metrics)
 		})
-	case refs != nil:
-		return evaluateStream(ctx, trace.NewSliceStream(refs), cfg, opt)
-	default:
-		return evaluateStream(ctx, w.Stream(opt.Refs), cfg, opt)
+		if !errors.Is(err, errStopped) {
+			return p, err
+		}
 	}
+	if refs != nil {
+		return evaluateStream(ctx, trace.NewSliceStream(refs), cfg, opt)
+	}
+	return evaluateStream(ctx, w.Stream(opt.Refs), cfg, opt)
 }
 
 // Evaluator evaluates one workload's configurations, from a set fixed
@@ -349,47 +355,81 @@ func evaluateGuarded(ctx context.Context, w spec.Workload, refs []trace.Ref, pas
 // without its enumeration; RunContext evaluates through one too. Its
 // first evaluation runs the trace stage: one walk of the trace records
 // the L1 pass of every geometry of the core.ReplayEligible
-// configurations, which replay it; the others run System.Run over the
-// trace, kept only for them. A pass is dropped once its configurations
-// are evaluated. A stage cut short by its caller's context records
-// nothing, so the next evaluation runs it again. An Evaluator is safe
-// for concurrent use; internal/service shares one per (job, workload).
+// configurations, and one follower per geometry replays the pass into
+// the L2s of its configurations while it records; the others run
+// System.Run over the trace, kept only for them. An eligible
+// configuration's evaluation waits for its follower's result and prices
+// it. A group's result is dropped once its configurations are evaluated
+// or skipped. A stage cut short by its caller's context stops its
+// followers and records nothing, so the next evaluation runs it again.
+// An Evaluator is safe for concurrent use; internal/service shares one
+// per (job, workload).
 type Evaluator struct {
 	w      spec.Workload
 	opt    Options
 	met    *runMetrics
 	groups []*l1Group
 	group  map[core.Config]*l1Group
+	// tokens holds one slot per Options.Workers: a follower holds one
+	// while it walks a chunk.
+	tokens chan struct{}
+
+	// mu guards every group's left and fol.
+	mu sync.Mutex
 
 	// staging, a one-slot semaphore held while the stage runs (a waiter
-	// can give up when its context ends), guards staged and refs.
+	// can give up when its context ends), guards staged, refs and fols.
 	staging chan struct{}
 	staged  bool
 	refs    []trace.Ref
+	fols    []*follower
 }
 
 // l1Group is a run of configurations that share one L1 pass: the
 // core.ReplayEligible configurations with one L1 geometry, or a single
-// configuration that simulates directly and has no pass. The stage sets
-// pass, dropped when left, the evaluations still to come, falls to zero.
+// configuration that simulates directly and has no pass. left counts
+// the evaluations still to come; the stage records only groups with
+// some, and sets fol, the group's follower, which is stopped and
+// dropped when left falls to zero.
 type l1Group struct {
 	cfgs   []core.Config
 	replay bool
-	pass   atomic.Pointer[core.L1Pass]
-	left   atomic.Int32
+	left   int
+	fol    *follower
 }
+
+// follower is the outcome of one group's replay behind the recorder:
+// res, one core.Replayed per configuration of cfgs, or err, set before
+// done is closed. err is errStopped once cancel stopped the follower,
+// or the panicError of a panic in it.
+type follower struct {
+	cfgs   []core.Config
+	cancel context.CancelFunc
+	done   chan struct{}
+	res    []core.Replayed
+	err    error
+}
+
+// errStopped is the result of a follower stopped before it finished.
+var errStopped = errors.New("sweep: replay stopped")
+
+// followTestHook, when non-nil, runs on a follower's goroutine before it
+// walks each chunk. Tests use it to make a follower panic.
+var followTestHook func()
 
 // NewEvaluator prepares an evaluator of the configurations cfgs for one
 // workload. Only the per-configuration fields of opt participate
 // (Timeout, Retries, Refs, Tech, OffChipNS, DualPorted, Metrics, Events,
-// Trace, TraceParent, Chaos); the enumeration fields are ignored. The
-// eligible configurations are grouped by L1 geometry; every other one,
-// and every one whose L1s are invalid, is a group of its own.
+// Trace, TraceParent, Chaos), and Workers, which bounds the followers
+// walking at once; the enumeration fields are ignored. The eligible
+// configurations are grouped by L1 geometry; every other one, and every
+// one whose L1s are invalid, is a group of its own.
 func NewEvaluator(w spec.Workload, opt Options, cfgs []core.Config) *Evaluator {
 	opt = opt.withDefaults()
 	e := &Evaluator{
 		w: w, opt: opt, met: newRunMetrics(opt.Metrics),
 		group:   make(map[core.Config]*l1Group, len(cfgs)),
+		tokens:  make(chan struct{}, max(opt.Workers, 1)),
 		staging: make(chan struct{}, 1),
 	}
 	index := map[core.Config]*l1Group{} // by L1 geometry
@@ -405,7 +445,7 @@ func NewEvaluator(w spec.Workload, opt Options, cfgs []core.Config) *Evaluator {
 			e.groups = append(e.groups, g)
 		}
 		g.cfgs = append(g.cfgs, cfg)
-		g.left.Add(1)
+		g.left++
 		e.group[cfg] = g
 	}
 	return e
@@ -418,8 +458,9 @@ func (e *Evaluator) Workload() spec.Workload { return e.w }
 // RunContext's per-configuration hardening and returns the priced point.
 // Failures arrive as *ConfigError exactly as RunContext records them,
 // and so does a configuration outside the set; a ctx cancellation is
-// returned unwrapped. Options.Timeout does not bound the stage. With
-// Options.Trace set, the stage and each call's "config" span, with its
+// returned unwrapped. Options.Timeout does not bound the stage, nor the
+// replay work done during it. With Options.Trace set, the stage, its
+// followers' "replay" spans and each call's "config" span, with its
 // attempt children, nest under Options.TraceParent.
 func (e *Evaluator) Evaluate(ctx context.Context, cfg core.Config) (Point, error) {
 	if e.group[cfg] == nil {
@@ -440,19 +481,41 @@ func (e *Evaluator) Evaluate(ctx context.Context, cfg core.Config) (Point, error
 	return p, err
 }
 
+// Skip counts off one evaluation of cfg, a member of the set, that will
+// not happen, as an evaluation that ran would be counted: a stage yet to
+// run does not record a group with no evaluations to come, and a
+// group's result is dropped once it has none. The service skips the
+// tasks of cancelled jobs this way.
+func (e *Evaluator) Skip(cfg core.Config) {
+	if g := e.group[cfg]; g != nil {
+		e.countOff(g)
+	}
+}
+
 // evaluate evaluates cfg, a member of the set, after the stage, with its
-// attempts traced under cs; once cfg's pass is dropped, it simulates.
+// attempts traced under cs; once cfg's group result is dropped, it
+// simulates.
 func (e *Evaluator) evaluate(ctx context.Context, cfg core.Config, cs *span.Span) (Point, error) {
 	g := e.group[cfg]
-	defer func() {
-		if g.left.Add(-1) == 0 {
-			g.pass.Store(nil)
-		}
-	}()
+	defer e.countOff(g)
 	if err := e.stage(ctx); err != nil {
 		return Point{}, err
 	}
-	return evaluateOne(ctx, e.w, e.refs, g.pass.Load(), cfg, e.opt, e.met, cs)
+	e.mu.Lock()
+	f := g.fol
+	e.mu.Unlock()
+	return evaluateOne(ctx, e.w, e.refs, f, cfg, e.opt, e.met, cs)
+}
+
+// countOff counts one evaluation of g off, stopping and dropping its
+// follower after the last.
+func (e *Evaluator) countOff(g *l1Group) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if g.left--; g.left == 0 && g.fol != nil {
+		g.fol.cancel()
+		g.fol = nil
+	}
 }
 
 // stage runs the trace stage unless it has run. It returns ctx's error,
@@ -465,17 +528,52 @@ func (e *Evaluator) stage(ctx context.Context) (err error) {
 	}
 	defer func() { <-e.staging }()
 	if !e.staged {
-		e.refs, err = recordPasses(ctx, e.w, e.opt, e.groups)
+		e.refs, err = e.record(ctx)
 		e.staged = err == nil
 	}
 	return err
 }
 
+// close stops every follower the stage started, as those of a cancelled
+// RunContext, whose groups keep evaluations that will not come, and
+// waits for them to end.
+func (e *Evaluator) close() {
+	e.staging <- struct{}{}
+	defer func() { <-e.staging }()
+	for _, f := range e.fols {
+		f.cancel()
+		<-f.done
+	}
+}
+
+// result waits for the follower's replay of cfg and adds its counters to
+// reg. It returns ctx's error if ctx ends first, including before the
+// wait, so a timeout that has passed fails whether or not the replay is
+// done.
+func (f *follower) result(ctx context.Context, cfg core.Config, reg *obs.Registry) (core.Stats, error) {
+	if err := ctx.Err(); err != nil {
+		return core.Stats{}, err
+	}
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		return core.Stats{}, ctx.Err()
+	}
+	if f.err != nil {
+		return core.Stats{}, f.err
+	}
+	r := f.res[slices.Index(f.cfgs, cfg)]
+	r.Instrument(reg)
+	return r.Stats, nil
+}
+
 // chunkRefs caps the references of one chunk of the trace stage, and
 // chunkBuffers is how many chunks exist at once: enough for the generator
-// to keep running while the recorder walks the chunk before.
+// to keep running while the recorder walks the chunk before. The four
+// chunks of 4Ki references take 256 KB, which stays in one core's
+// cache.
 const (
-	chunkRefs    = 64 << 10
+	chunkRefs    = 4 << 10
 	chunkBuffers = 4
 )
 
@@ -484,32 +582,57 @@ const (
 // allocate gigabytes before the stream proves that long.
 const keptPrealloc = 1 << 22
 
-// recordPasses walks w's trace once. A generator goroutine fills
-// recycled chunks of the trace, and the calling goroutine feeds each
-// chunk to one core.L1Recorder, which records the pass of every replay
-// group in a single walk. Each replay group gets its pass. The whole
-// trace is kept, and returned, only when some group simulates directly.
-// The stage's spans nest under Options.TraceParent.
+// record walks w's trace once for the groups with evaluations to come.
+// A generator goroutine fills recycled chunks of the trace, and the
+// calling goroutine feeds each chunk to one core.L1Recorder, which
+// records the pass of every replay group in a single walk, while one
+// follower per replay group replays its pass behind it. The whole trace
+// is kept, and returned, only when some group simulates directly. The
+// stage's spans nest under Options.TraceParent.
 //
-// A done ctx stops the stage, which then returns ctx's error with the
-// passes unset. A panic in the generator is raised again on the calling
-// goroutine, where a panic in the recorder surfaces anyway.
-func recordPasses(ctx context.Context, w spec.Workload, opt Options, groups []*l1Group) ([]trace.Ref, error) {
-	var cfgs []core.Config
-	direct := false
-	for _, g := range groups {
-		if g.replay {
+// A done ctx stops the stage, which then stops its followers and returns
+// ctx's error with no follower set. A panic in the generator is raised
+// again on the calling goroutine, where a panic in the recorder
+// surfaces anyway; the followers are stopped then too.
+func (e *Evaluator) record(ctx context.Context) ([]trace.Ref, error) {
+	opt := e.opt
+	var (
+		replay []*l1Group
+		cfgs   []core.Config
+		direct bool
+	)
+	e.mu.Lock()
+	for _, g := range e.groups {
+		switch {
+		case g.left <= 0:
+		case g.replay:
+			replay = append(replay, g)
 			cfgs = append(cfgs, g.cfgs[0])
-		} else {
+		default:
 			direct = true
 		}
 	}
+	e.mu.Unlock()
 	rec, err := core.NewL1Recorder(cfgs)
 	if err != nil {
 		panic(err) // NewEvaluator groups only valid direct-mapped L1s
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // also stops the generator when the recorder panics
+
+	fols := make([]*follower, len(replay))
+	for i, g := range replay {
+		fols[i] = e.follow(g, rec.Passes()[i])
+	}
+	recorded := false
+	defer func() {
+		if !recorded {
+			for _, f := range fols {
+				f.cancel()
+				<-f.done
+			}
+		}
+	}()
 
 	free := make(chan []trace.Ref, chunkBuffers)
 	full := make(chan []trace.Ref, chunkBuffers)
@@ -525,7 +648,7 @@ func recordPasses(ctx context.Context, w spec.Workload, opt Options, groups []*l
 			gs.Annotate("refs", strconv.FormatUint(n, 10))
 			gs.End()
 		}()
-		st := w.Stream(opt.Refs)
+		st := e.w.Stream(opt.Refs)
 		for made := 0; n < opt.Refs; {
 			var buf []trace.Ref
 			if made < chunkBuffers {
@@ -585,12 +708,81 @@ func recordPasses(ctx context.Context, w spec.Workload, opt Options, groups []*l
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	passes := rec.Finish()
-	for _, g := range groups {
-		if g.replay {
-			g.pass.Store(passes[0])
-			passes = passes[1:]
+	rec.Finish()
+	recorded = true
+	e.fols = fols
+	e.mu.Lock()
+	for i, g := range replay {
+		if g.left > 0 {
+			g.fol = fols[i]
+		} else {
+			fols[i].cancel()
 		}
 	}
+	e.mu.Unlock()
 	return refs, nil
+}
+
+// follow starts g's follower over pass, with a "replay" span that
+// carries the group's L1 size, its count of L2s and the miss events it
+// walked. It runs until it has replayed the whole pass or is cancelled,
+// holding one of e.tokens while it walks each chunk.
+func (e *Evaluator) follow(g *l1Group, pass *core.L1Pass) *follower {
+	fl, err := pass.Follow(g.cfgs)
+	if err != nil {
+		panic(err) // a replay group's configurations are eligible and share the pass's L1s
+	}
+	l2s := 0
+	for _, cfg := range g.cfgs {
+		if cfg.TwoLevel() {
+			l2s++
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	f := &follower{cfgs: g.cfgs, cancel: cancel, done: make(chan struct{})}
+	rs := e.opt.Trace.Start(e.opt.TraceParent, "replay",
+		span.Attr{Key: "l1", Value: cache.FormatSize(g.cfgs[0].L1I.Size)},
+		span.Attr{Key: "l2s", Value: strconv.Itoa(l2s)})
+	go func() {
+		defer close(f.done)
+		defer func() {
+			if r := recover(); r != nil {
+				f.err = panicError{v: r}
+			}
+			rs.Annotate("events", strconv.FormatUint(fl.Events(), 10))
+			if f.err != nil {
+				rs.Annotate("error", f.err.Error())
+			}
+			rs.End()
+		}()
+		for {
+			more, err := fl.Wait(ctx)
+			if err != nil {
+				f.err = errStopped
+				return
+			}
+			if !more {
+				break
+			}
+			select {
+			case e.tokens <- struct{}{}:
+			case <-ctx.Done():
+				f.err = errStopped
+				return
+			}
+			e.step(fl)
+		}
+		f.res = fl.Results()
+	}()
+	return f
+}
+
+// step walks the follower's next chunk and gives its token back, even
+// when the walk panics.
+func (e *Evaluator) step(fl *core.Follower) {
+	defer func() { <-e.tokens }()
+	if followTestHook != nil {
+		followTestHook()
+	}
+	fl.Step()
 }

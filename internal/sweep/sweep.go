@@ -62,12 +62,15 @@ type Options struct {
 	// LineSize overrides the 16-byte line size (ablation only).
 	LineSize int
 
-	// Timeout bounds the evaluation of a single configuration under
-	// RunContext (0 = unbounded). A configuration that exceeds it fails
-	// with a ConfigError wrapping context.DeadlineExceeded; the rest of
-	// the sweep continues. It does not bound the sweep-level stage that
-	// generates the trace and records the L1 passes before any
-	// configuration starts.
+	// Timeout bounds each evaluation attempt of a single configuration
+	// under RunContext (0 = unbounded): for a configuration that replays
+	// an L1 pass, its wait for its group's replay plus its pricing; for
+	// any other, its simulation. An attempt that exceeds it fails with
+	// context.DeadlineExceeded, and a configuration whose attempts all
+	// fail gets a ConfigError wrapping it; the rest of the sweep
+	// continues. It does not bound the sweep-level stage that generates
+	// the trace and records the L1 passes before any configuration
+	// starts, nor the replay work the stage's followers do during it.
 	Timeout time.Duration
 	// Retries is the number of extra evaluation attempts RunContext makes
 	// for a configuration that failed transiently (panic or
@@ -97,11 +100,12 @@ type Options struct {
 	// nothing. Fingerprint ignores it.
 	Events *obs.EventLog
 	// Trace, when non-nil, receives a span tree of the run under
-	// RunContext: sweep → {generate, l1-record → l1-pass, config →
-	// {attempt → simulate, store-put}}, exportable as Chrome trace_event
-	// JSON. An Evaluator hangs its stage and its config spans directly
-	// below TraceParent. Nil (the default) costs nothing — span methods
-	// degrade to no-ops. Fingerprint ignores it.
+	// RunContext: sweep → {generate, l1-record → l1-pass, replay, config
+	// → {attempt → simulate, store-put}}, with one l1-pass and one
+	// replay span per L1 group, exportable as Chrome trace_event JSON.
+	// An Evaluator hangs its stage, its replay spans and its config
+	// spans directly below TraceParent. Nil (the default) costs nothing
+	// — span methods degrade to no-ops. Fingerprint ignores it.
 	Trace *span.Tracer
 	// TraceParent, when non-nil, is the parent under which this sweep's
 	// spans nest (cmd tools hang every sweep below one "run" span; the

@@ -188,7 +188,9 @@ func TestRunContextExclusiveL1PassSpans(t *testing.T) {
 // checkTraceStage checks the spans of a sweep's trace stage: one
 // generate and one l1-record span under the sweep, ended before the
 // first config span starts, the generate span carrying the trace length,
-// and one l1-pass span per L1 group under l1-record.
+// one l1-pass span per L1 group under l1-record, and one replay span
+// per L1 group under the sweep, carrying its L1 size, its count of L2s
+// and the miss events it walked.
 func checkTraceStage(t *testing.T, ix spanIndex, sweep uint64, refs uint64, groups int) {
 	t.Helper()
 	gen, rec := ix.byName["generate"], ix.byName["l1-record"]
@@ -216,6 +218,18 @@ func checkTraceStage(t *testing.T, ix spanIndex, sweep uint64, refs uint64, grou
 	for _, s := range passes {
 		if s.Parent != rec[0].ID {
 			t.Errorf("l1-pass %q parent = %d, want l1-record %d", s.Attr("l1"), s.Parent, rec[0].ID)
+		}
+	}
+	replays := ix.byName["replay"]
+	if len(replays) != groups {
+		t.Errorf("trace has %d replay spans, want %d (one per L1 group)", len(replays), groups)
+	}
+	for _, s := range replays {
+		if s.Parent != sweep {
+			t.Errorf("replay %q parent = %d, want sweep %d", s.Attr("l1"), s.Parent, sweep)
+		}
+		if n, err := strconv.ParseUint(s.Attr("events"), 10, 64); err != nil || n == 0 || s.Attr("l1") == "" || s.Attr("l2s") == "" {
+			t.Errorf("replay span attrs %+v, want its L1 size, its L2 count and its events", s.Attrs)
 		}
 	}
 	for _, s := range ix.byName["simulate"] {

@@ -40,12 +40,12 @@ func refDigest(w spec.Workload, n uint64) string {
 }
 
 // fillDigest is refDigest with the stream drained through trace.Fill
-// in buffers of 64Ki references, as the sweep's trace stage drains it.
+// in buffers of 4Ki references, as the sweep's trace stage drains it.
 func fillDigest(w spec.Workload, n uint64) string {
 	h := sha256.New()
 	var b [9]byte
 	s := w.Stream(n)
-	buf := make([]trace.Ref, 1<<16)
+	buf := make([]trace.Ref, 1<<12)
 	for k := trace.Fill(s, buf); k > 0; k = trace.Fill(s, buf) {
 		for _, r := range buf[:k] {
 			b[0] = byte(r.Kind)
@@ -131,7 +131,7 @@ var sinkRef trace.Ref
 // BenchmarkGenerate times one workload's generator per reference,
 // set-up excluded: the stack-distance kernel's share of the exact
 // stage. Each workload runs through Next, one reference per call, and
-// through Fill into a 64Ki-reference buffer, as the sweep's trace stage
+// through Fill into a 4Ki-reference buffer, as the sweep's trace stage
 // drains it.
 func BenchmarkGenerate(b *testing.B) {
 	for _, name := range []string{"gcc1", "li"} {
@@ -148,7 +148,7 @@ func BenchmarkGenerate(b *testing.B) {
 		})
 		b.Run(name+"/fill", func(b *testing.B) {
 			g := trace.NewGenerator(w.Gen)
-			buf := make([]trace.Ref, 1<<16)
+			buf := make([]trace.Ref, 1<<12)
 			b.ResetTimer()
 			for left := b.N; left > 0; left -= len(buf) {
 				g.Fill(buf[:min(left, len(buf))])

@@ -84,7 +84,8 @@ echo "serve-smoke: staircase ok ($(jq '.envelope | length' <<<"$ENV") points, be
 # trace_event JSON: a displayTimeUnit, at least one complete ("X") event
 # named "job", one "evaluate" X event per evaluation, and the job's one
 # trace stage: a "generate" and an "l1-record" event, with one "l1-pass"
-# per L1 size. The document is kept (ARTIFACT_DIR) so CI can upload it
+# per L1 size, and one "replay" event per L1 size, the follower that
+# replays that size's pass into its L2s. The document is kept (ARTIFACT_DIR) so CI can upload it
 # for loading into Perfetto.
 ARTIFACT_DIR="${ARTIFACT_DIR:-$TMP}"
 mkdir -p "$ARTIFACT_DIR"
@@ -97,6 +98,7 @@ jq -e '
 	and ([.traceEvents[] | select(.ph == "X" and .name == "generate")] | length == 1)
 	and ([.traceEvents[] | select(.ph == "X" and .name == "l1-record")] | length == 1)
 	and ([.traceEvents[] | select(.ph == "X" and .name == "l1-pass")] | length == 3)
+	and ([.traceEvents[] | select(.ph == "X" and .name == "replay")] | length == 3)
 	and ([.traceEvents[] | select(.ph == "X")] | all(.ts != null and .dur != null and .pid != null and .tid != null))
 ' <"$TRACE_FILE" >/dev/null || { cat "$TRACE_FILE" >&2; fail "trace document is not a valid job span tree"; }
 echo "serve-smoke: span trace ok ($(jq '[.traceEvents[] | select(.ph == "X")] | length' <"$TRACE_FILE") spans, saved to $TRACE_FILE)"
