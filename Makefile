@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short race cover fuzz bench-smoke staticcheck serve-smoke loadgen-smoke explain-smoke chaos-smoke fast-smoke ci clean
+.PHONY: all build vet test test-short race cover fuzz bench-smoke examples staticcheck serve-smoke loadgen-smoke explain-smoke chaos-smoke fast-smoke ci clean
 
 all: build
 
@@ -65,6 +65,12 @@ fuzz:
 bench-smoke:
 	$(GO) -C bench test ./...
 
+# examples runs every program under examples/ (each a few seconds at
+# most), so the facade's documented uses keep building and running;
+# stdout is dropped, a failing example stops the target.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
+
 # staticcheck expects the binary on PATH (CI installs a pinned version).
 staticcheck:
 	staticcheck ./...
@@ -105,7 +111,7 @@ explain-smoke:
 
 # ci is what .github/workflows/ci.yml's test job runs; staticcheck and
 # cover run as separate jobs.
-ci: vet build race
+ci: vet build examples race
 
 clean:
 	$(GO) clean ./...

@@ -326,8 +326,8 @@ func benchHierarchy(b *testing.B, pol core.Policy) {
 // nil-check no-op. These benches pin both sides of that contract —
 // BenchmarkCacheAccessNilRegistry must match BenchmarkCacheAccessDM
 // (the pre-instrumentation baseline) and BenchmarkCacheAccessLiveRegistry
-// pays only the atomic increments. BENCH_obs.json records the measured
-// baseline.
+// pays only the atomic increments. Compare them with
+// go test -run '^$' -bench CacheAccess .
 
 func BenchmarkCacheAccessNilRegistry(b *testing.B) { benchCacheObs(b, false) }
 

@@ -202,70 +202,3 @@ func Count(s Stream) (instr, data uint64) {
 		}
 	}
 }
-
-// CountKinds tallies each reference kind separately, draining the stream.
-func CountKinds(s Stream) (instr, loads, stores uint64) {
-	buf := make([]Ref, BatchRefs)
-	for {
-		n := Fill(s, buf)
-		for _, r := range buf[:n] {
-			switch r.Kind {
-			case Instr:
-				instr++
-			case Data:
-				loads++
-			case Write:
-				stores++
-			}
-		}
-		if n < len(buf) {
-			return instr, loads, stores
-		}
-	}
-}
-
-// Skip discards the first n references of a stream — the standard tool
-// for excluding cache warm-up from steady-state measurements.
-type Skip struct {
-	inner Stream
-	left  uint64
-}
-
-// NewSkip returns a stream that silently consumes the first n references
-// of inner before yielding the rest.
-func NewSkip(inner Stream, n uint64) *Skip {
-	return &Skip{inner: inner, left: n}
-}
-
-// Next discards pending skips, then forwards from the inner stream.
-func (s *Skip) Next() (Ref, bool) {
-	for s.left > 0 {
-		if _, ok := s.inner.Next(); !ok {
-			s.left = 0
-			return Ref{}, false
-		}
-		s.left--
-	}
-	return s.inner.Next()
-}
-
-// Tee forwards a stream while calling observe on every reference that
-// passes through — profiling a trace while simulating it, for example.
-type Tee struct {
-	inner   Stream
-	observe func(Ref)
-}
-
-// NewTee wraps inner; observe must not retain the Ref.
-func NewTee(inner Stream, observe func(Ref)) *Tee {
-	return &Tee{inner: inner, observe: observe}
-}
-
-// Next forwards the next reference after observing it.
-func (t *Tee) Next() (Ref, bool) {
-	r, ok := t.inner.Next()
-	if ok {
-		t.observe(r)
-	}
-	return r, ok
-}

@@ -40,7 +40,15 @@ func TestWriteFracLabelsOnly(t *testing.T) {
 func TestWriteFracProportion(t *testing.T) {
 	p := testParams()
 	p.WriteFrac = 0.3
-	_, loads, stores := CountKinds(Generate(p, 200_000))
+	var loads, stores int
+	for _, r := range Collect(Generate(p, 200_000), 0) {
+		switch r.Kind {
+		case Data:
+			loads++
+		case Write:
+			stores++
+		}
+	}
 	frac := float64(stores) / float64(loads+stores)
 	if frac < 0.27 || frac > 0.33 {
 		t.Errorf("store fraction = %.3f, want ~0.30", frac)
@@ -56,19 +64,6 @@ func TestWriteFracValidate(t *testing.T) {
 	p.WriteFrac = -0.1
 	if p.Validate() == nil {
 		t.Error("negative WriteFrac accepted")
-	}
-}
-
-func TestCountKinds(t *testing.T) {
-	refs := []Ref{{Instr, 1}, {Data, 2}, {Write, 3}, {Write, 4}}
-	i, l, s := CountKinds(NewSliceStream(refs))
-	if i != 1 || l != 1 || s != 2 {
-		t.Errorf("CountKinds = %d,%d,%d", i, l, s)
-	}
-	// Count folds writes into data.
-	instr, data := Count(NewSliceStream(refs))
-	if instr != 1 || data != 3 {
-		t.Errorf("Count = %d,%d", instr, data)
 	}
 }
 

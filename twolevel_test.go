@@ -1,6 +1,9 @@
 package twolevel_test
 
 import (
+	"go/parser"
+	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -179,5 +182,25 @@ func TestFacadeCoverage(t *testing.T) {
 	}
 	if mm.L1Stages() != 2 {
 		t.Errorf("L1Stages = %d", mm.L1Stages())
+	}
+}
+
+// TestFacadeImports keeps the facade to the reproduction API: the
+// serving stack (jobs, stores, loadgen, chaos, spans, metrics, the fast
+// tier) is reached through the commands, never re-exported here.
+func TestFacadeImports(t *testing.T) {
+	allowed := map[string]bool{"io": true}
+	for _, p := range []string{"area", "cache", "core", "figures", "perf", "spec", "sweep", "timing", "trace"} {
+		allowed["twolevel/internal/"+p] = true
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "twolevel.go", nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		if !allowed[path] {
+			t.Errorf("twolevel.go imports %q, outside the reproduction API", path)
+		}
 	}
 }
