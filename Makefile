@@ -33,9 +33,11 @@ cover:
 
 # fuzz runs every native fuzz target in the module for 30 s each (one
 # `go test -fuzz` per target, since Go fuzzes one at a time): the
-# L1-once differential oracles in internal/core (one geometry, a set
-# of geometries recorded in one walk, and followers replaying passes
-# while they record), the sweep document
+# L1-once differential oracles in internal/core, each driving a pass's
+# one reader, its Follower (one geometry, whose inclusive and
+# write-through forms no follower takes are checked against System.Run
+# alone; a set of geometries recorded in one walk; and followers
+# replaying passes while they record), the sweep document
 # decoder, the result store's segment replay, the reuse-distance
 # profile (twolevel-rdh/1) decoder, the trace decoders, the generator's
 # parameter validation and the packed stack-distance kernel against a

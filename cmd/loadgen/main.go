@@ -5,7 +5,7 @@
 // Arrivals are open-loop at -rps for -duration; the class of each
 // arrival is drawn from the weighted -mix by a generator seeded with
 // -seed, so two runs offer byte-identical request sequences. Each job is
-// followed to its terminal state over the server's SSE progress stream
+// tracked to its terminal state over the server's SSE progress stream
 // (GET /v1/jobs/{id}/events), which also yields time-to-first-result;
 // -poll falls back to status polling. The run ends with a per-class
 // latency table on stderr and a twolevel-loadgen/1 JSON report on

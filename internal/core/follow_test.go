@@ -19,8 +19,8 @@ import (
 // setMaxChunk makes every pass of rec publish chunks of at most n miss
 // events, so that a short trace publishes many.
 func setMaxChunk(rec *L1Recorder, n int) {
-	for _, p := range rec.passes {
-		p.size, p.maxChunk = min(firstChunk, n), n
+	for _, f := range rec.fols {
+		f.size, f.maxChunk = min(firstChunk, n), n
 	}
 }
 
@@ -53,27 +53,33 @@ func sharedHalfway(refs []trace.Ref) []trace.Ref {
 	return append(separateSides(refs[:h]), refs[h:]...)
 }
 
+// followGroups returns the followGroup of each configuration of cfgs.
+func followGroups(cfgs []Config) [][]Config {
+	groups := make([][]Config, len(cfgs))
+	for i, cfg := range cfgs {
+		groups[i] = followGroup(cfg)
+	}
+	return groups
+}
+
 // followPasses records every geometry of cfgs in one walk over refs,
 // fed in pieces of random length, each pass publishing chunks of at
-// most maxEvents events, while one Follower per pass replays its
+// most maxEvents events, while each pass's Follower replays its
 // followGroup on a goroutine of its own. Both sides yield the processor
 // at random, so chunks publish at random points of the followers' walk.
 // It returns every follower's results, in the order of its group, after
 // checking that the follower freed every chunk it walked.
 func followPasses(rng *rand.Rand, cfgs []Config, refs []trace.Ref, maxEvents int) ([][]Replayed, error) {
-	rec, err := NewL1Recorder(cfgs)
+	rec, err := NewL1Recorder(followGroups(cfgs))
 	if err != nil {
 		return nil, err
 	}
 	setMaxChunk(rec, maxEvents)
+	fols := rec.Followers()
 	results := make([][]Replayed, len(cfgs))
 	errs := make([]error, len(cfgs))
 	var wg sync.WaitGroup
-	for i, p := range rec.Passes() {
-		f, err := p.Follow(followGroup(cfgs[i]))
-		if err != nil {
-			return nil, err
-		}
+	for i, f := range fols {
 		yield := rand.New(rand.NewPCG(rng.Uint64(), uint64(i)))
 		wg.Add(1)
 		go func() {
@@ -105,15 +111,15 @@ func followPasses(rng *rand.Rand, cfgs []Config, refs []trace.Ref, maxEvents int
 			runtime.Gosched()
 		}
 	}
-	passes := rec.Finish()
+	rec.Finish()
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	for i, p := range passes {
-		for j, c := range p.chunks {
+	for i, f := range fols {
+		for j, c := range f.chunks {
 			if c.events != nil || c.instr != nil {
-				return nil, fmt.Errorf("pass %d: the follower left chunk %d of %d allocated", i, j, len(p.chunks))
+				return nil, fmt.Errorf("pass %d: the follower left chunk %d of %d allocated", i, j, len(f.chunks))
 			}
 		}
 	}
@@ -121,34 +127,30 @@ func followPasses(rng *rand.Rand, cfgs []Config, refs []trace.Ref, maxEvents int
 }
 
 // checkFollow is the streaming oracle: every follower's result over a
-// recording of cfgs (followPasses) must equal, field by field, Replay of
-// a finished pass recorded with the same chunks, and System.Run; and
-// the counters the result adds to a registry must equal
-// System.Instrument's. It reports how many exclusive replays into a
-// narrow L2 switched from the loop without the victim probe to the
-// probing one.
+// recording of cfgs (followPasses) must equal, field by field, the
+// result of a follower that walks a pass recorded with the same chunks
+// only once it is finished, and System.Run; and the counters the result
+// adds to a registry must equal System.Instrument's. It reports how many
+// exclusive replays into a narrow L2 switched from the loop without the
+// victim probe to the probing one.
 func checkFollow(rng *rand.Rand, cfgs []Config, refs []trace.Ref, maxEvents int) (switched int, err error) {
 	results, err := followPasses(rng, cfgs, refs, maxEvents)
 	if err != nil {
 		return 0, err
 	}
-	rec, err := NewL1Recorder(cfgs)
+	fols, err := recordGroups(followGroups(cfgs), refs, 0, maxEvents)
 	if err != nil {
 		return 0, err
 	}
-	setMaxChunk(rec, maxEvents)
-	if err := rec.Record(context.Background(), refs); err != nil {
-		return 0, err
-	}
-	for i, pass := range rec.Finish() {
-		switches := len(pass.chunks) > 0 && pass.chunks[0].disjoint && !pass.chunks[len(pass.chunks)-1].disjoint
+	for i, f := range fols {
+		switches := len(f.chunks) > 0 && f.chunks[0].disjoint && !f.chunks[len(f.chunks)-1].disjoint
+		after := drain(f)
 		for k, cfg := range followGroup(cfgs[i]) {
 			got := results[i][k]
 			want := NewSystem(cfg).Run(trace.NewSliceStream(refs))
-			replayed, err := pass.Replay(context.Background(), cfg, nil)
-			if err != nil || got.Stats != want || replayed != want {
-				return switched, fmt.Errorf("geometry %d, %s (L1I %s, L1D %s, L2 %s): follower %+v\n Replay %+v (err %v)\n System.Run %+v",
-					i, cfg, cfg.L1I, cfg.L1D, cfg.L2, got.Stats, replayed, err, want)
+			if got.Stats != want || after[k].Stats != want {
+				return switched, fmt.Errorf("geometry %d, %s (L1I %s, L1D %s, L2 %s): follower %+v\n after Finish %+v\n System.Run %+v",
+					i, cfg, cfg.L1I, cfg.L1D, cfg.L2, got.Stats, after[k].Stats, want)
 			}
 			wantReg, gotReg := obs.NewRegistry(), obs.NewRegistry()
 			sys := NewSystem(cfg)
@@ -173,7 +175,8 @@ func checkFollow(rng *rand.Rand, cfgs []Config, refs []trace.Ref, maxEvents int)
 const followCases = 300
 
 // TestL1PassFollowOracle checks followers that replay passes while they
-// record against Replay of the finished passes and System.Run, over a
+// record against followers that walk the finished passes, and against
+// System.Run, over a
 // seeded table of 1–9 geometries per walk (randomRecording), each
 // replayed into narrow and wide L2s under both policies and at one
 // level, with chunks of 1–64 events. The traces come in three forms: as
@@ -202,9 +205,7 @@ func TestL1PassFollowOracle(t *testing.T) {
 	}
 }
 
-// TestL1PassFollowCancel checks a follower stopped mid-stream, and the
-// rules of following: a pass has one Follower and cannot be replayed
-// once followed, nor before it is finished.
+// TestL1PassFollowCancel checks a follower stopped mid-stream.
 func TestL1PassFollowCancel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	l1 := cache.Config{Size: 4 * 16, LineSize: 16, Assoc: 1}
@@ -213,22 +214,12 @@ func TestL1PassFollowCancel(t *testing.T) {
 	for len(refs) < 1000 {
 		refs = append(refs, randomTrace(rng, 16)...)
 	}
-	rec, err := NewL1Recorder([]Config{cfg})
+	rec, err := NewL1Recorder([][]Config{followGroup(cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	setMaxChunk(rec, 8)
-	pass := rec.Passes()[0]
-	if _, err := pass.Replay(context.Background(), cfg, nil); err == nil {
-		t.Error("Replay accepted a pass that is still recording")
-	}
-	f, err := pass.Follow(followGroup(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pass.Follow([]Config{cfg}); err == nil {
-		t.Error("a pass took a second Follower")
-	}
+	f := rec.Followers()[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	stopped := make(chan error, 1)
 	walked := make(chan struct{})
@@ -267,9 +258,6 @@ func TestL1PassFollowCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Finish()
-	if _, err := pass.Replay(context.Background(), cfg, nil); err == nil {
-		t.Error("Replay accepted a followed pass, whose chunks are freed")
-	}
 }
 
 // FuzzL1PassFollow is the fuzzing form of TestL1PassFollowOracle. geo

@@ -19,20 +19,20 @@ import (
 // alike: they are the same whatever sits below it. So one pass of a
 // trace through a split direct-mapped L1 pair yields the L1 counters of
 // every such hierarchy with those L1s, plus the stream of L1 misses the
-// L2 sees (an L1Pass, which an L1Recorder records for several L1 pairs
-// in one walk); each L2 is then simulated over that stream alone, by a
-// replay state stepped one chunk of the stream at a time: over a
-// finished pass (L1Pass.Replay), or behind the recorder (Follower). The
+// L2 sees (a pass, which an L1Recorder records for several L1 pairs in
+// one walk). Each pass has one reader, its Follower, which simulates
+// every L2 below those L1s over that stream alone, by a replay state
+// stepped one chunk of the stream at a time behind the recorder. The
 // only L2 state an exclusive L1 takes in is the dirty bit of a line
 // that moves up, which the replay tracks per L1 slot. DESIGN.md
 // "L1-once replay" states the exactness argument.
 
 // ctxCheckInterval is how many references the recorder walks between
-// checks of its context, and the most miss events a replay runs between
-// checks (one per chunk of the pass).
+// checks of its context, and the most miss events a chunk of a pass
+// holds.
 const ctxCheckInterval = 8192
 
-// ReplayEligible reports whether an L1Pass can stand in for System.Run
+// ReplayEligible reports whether a Follower can stand in for System.Run
 // on cfg: both L1s are direct-mapped, stores write back and allocate, and
 // the hierarchy is single-level, conventional or exclusive. Inclusive
 // hierarchies back-invalidate L1 lines on L2 evictions, so their L1
@@ -69,15 +69,18 @@ type dmLine struct {
 // overlap, so that no line has been in both.
 func disjoint(i, d *dmL1) bool { return i.hi < d.lo || d.hi < i.lo }
 
-// L1Pass records one trace through a split direct-mapped L1 pair: the L1
-// counters and the miss stream every L2 below those L1s sees. The
-// recording publishes the stream in chunks: a chunk is published once
-// it is full and is immutable from then on, and the recorder's Finish
-// publishes the last chunk and the L1 counters. A finished pass may be
-// replayed by any number of goroutines at once (Replay), or the pass
-// may be followed, while it records, by one Follower, which frees each
-// chunk once it has walked it.
-type L1Pass struct {
+// A Follower is one pass of an L1Recorder, the walk of a trace through
+// a split direct-mapped L1 pair, and the pass's one reader: it replays
+// the miss stream every L2 below those L1s sees into the L2s of several
+// configurations while the pass records. The recorder publishes the
+// stream in chunks: a chunk is published once it is full and is
+// immutable from then on, and the recorder's Finish publishes the last
+// chunk and the L1 counters. The follower walks each published chunk
+// through every configuration's replay state in turn, chunk-major, so
+// the chunk and the L2s stay in the processor's caches, and then frees
+// it, so a pass holds only the chunks its follower has yet to walk. A
+// Follower is used by one goroutine; the recorder runs on another.
+type Follower struct {
 	l1i, l1d cache.Config
 	st       Stats // reference and L1 counters, set by Finish
 	icache   dmL1  // L1I counters (the lines are dropped after the pass)
@@ -94,8 +97,14 @@ type L1Pass struct {
 	mu       sync.Mutex
 	chunks   []missChunk // published, in trace order
 	finished bool
-	followed bool          // a Follower frees the chunks it walks
 	ready    chan struct{} // one token, sent on every publication
+
+	// The follower's side: each configuration and its replay state, the
+	// next chunk to walk and the miss events walked.
+	cfgs   []Config
+	reps   []replayer
+	next   int
+	events uint64
 }
 
 // missChunk is a run of a pass's miss events in trace order. Chunks
@@ -115,27 +124,6 @@ const (
 	maxChunk   = ctxCheckInterval
 )
 
-// Refs reports the length of the recorded trace.
-func (p *L1Pass) Refs() uint64 { return p.st.Refs() }
-
-// RecordL1 runs refs through cfg's split L1s, which must be
-// direct-mapped; cfg's L2, policy and write mode are ignored. It checks
-// ctx every ctxCheckInterval references and returns ctx's error once it
-// is done. It is an L1Recorder of one geometry.
-func RecordL1(ctx context.Context, cfg Config, refs []trace.Ref) (*L1Pass, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	rec, err := NewL1Recorder([]Config{cfg})
-	if err != nil {
-		return nil, err
-	}
-	if err := rec.Record(ctx, refs); err != nil {
-		return nil, err
-	}
-	return rec.Finish()[0], nil
-}
-
 // L1Recorder records the L1 passes of several split direct-mapped L1
 // geometries over one trace in a single walk, fed chunk by chunk. It
 // rests on inclusion (Hill & Smith, IEEE TC 1989): a direct-mapped cache
@@ -147,7 +135,7 @@ func RecordL1(ctx context.Context, cfg Config, refs []trace.Ref) (*L1Pass, error
 // dirty bit. A miss records its event in every pass with that cache, as
 // a pass of that geometry alone would.
 type L1Recorder struct {
-	passes []*L1Pass
+	fols   []*Follower  // one per pass
 	sides  [2][]l1Chain // the L1I's caches, then the L1D's
 	refs   [2]uint64    // instruction and data references
 	writes uint64
@@ -164,32 +152,37 @@ type l1Chain struct {
 // have it as their L1 of its side.
 type recCache struct {
 	dmL1
-	users []*L1Pass
+	users []*Follower
 }
 
-// NewL1Recorder prepares a recorder with one pass per configuration, in
-// order. Only the L1s of each configuration matter: they must be valid
-// and direct-mapped, with one line size per configuration.
-func NewL1Recorder(cfgs []Config) (*L1Recorder, error) {
+// NewL1Recorder prepares a recorder with one pass per group of
+// configurations, in order, each with the Follower that replays it into
+// every configuration of its group. A group must not be empty, and each
+// of its configurations must be valid, ReplayEligible and have the
+// first one's L1s.
+func NewL1Recorder(groups [][]Config) (*L1Recorder, error) {
 	r := &L1Recorder{}
-	for _, cfg := range cfgs {
-		if err := (Config{L1I: cfg.L1I, L1D: cfg.L1D}).Validate(); err != nil {
-			return nil, err
+	for _, cfgs := range groups {
+		if len(cfgs) == 0 {
+			return nil, errors.New("core: an L1 pass needs a configuration to replay")
 		}
-		if cfg.L1I.Assoc != 1 || cfg.L1D.Assoc != 1 {
-			return nil, fmt.Errorf("core: L1 pass needs direct-mapped L1s, got %s and %s", cfg.L1I, cfg.L1D)
+		f := &Follower{l1i: cfgs[0].L1I, l1d: cfgs[0].L1D, cfgs: cfgs, size: firstChunk, maxChunk: maxChunk, ready: make(chan struct{}, 1)}
+		for _, cfg := range cfgs {
+			if err := f.check(cfg); err != nil {
+				return nil, err
+			}
+			f.reps = append(f.reps, newReplayer(cfg))
 		}
-		p := &L1Pass{l1i: cfg.L1I, l1d: cfg.L1D, size: firstChunk, maxChunk: maxChunk, ready: make(chan struct{}, 1)}
-		r.passes = append(r.passes, p)
-		r.sides[0] = useCache(r.sides[0], cfg.L1I, p)
-		r.sides[1] = useCache(r.sides[1], cfg.L1D, p)
+		r.fols = append(r.fols, f)
+		r.sides[0] = useCache(r.sides[0], f.l1i, f)
+		r.sides[1] = useCache(r.sides[1], f.l1d, f)
 	}
 	// The caches are in place now, so their addresses hold.
 	for side, chains := range r.sides {
 		for _, ch := range chains {
 			for i := range ch.caches {
-				for _, p := range ch.caches[i].users {
-					p.src[side] = &ch.caches[i].dmL1
+				for _, f := range ch.caches[i].users {
+					f.src[side] = &ch.caches[i].dmL1
 				}
 			}
 		}
@@ -197,9 +190,9 @@ func NewL1Recorder(cfgs []Config) (*L1Recorder, error) {
 	return r, nil
 }
 
-// useCache adds pass p as a user of cache c to one side's chains, adding
+// useCache adds pass f as a user of cache c to one side's chains, adding
 // the cache, and its chain, if the side has none like it.
-func useCache(chains []l1Chain, c cache.Config, p *L1Pass) []l1Chain {
+func useCache(chains []l1Chain, c cache.Config, f *Follower) []l1Chain {
 	shift := uint(bits.TrailingZeros(uint(c.LineSize)))
 	i := 0
 	for i < len(chains) && chains[i].shift != shift {
@@ -216,15 +209,14 @@ func useCache(chains []l1Chain, c cache.Config, p *L1Pass) []l1Chain {
 	if j == len(cs) || cs[j].mask != mask {
 		cs = slices.Insert(cs, j, recCache{dmL1: dmL1{lines: make([]dmLine, c.Lines()), mask: mask, lo: ^cache.LineAddr(0)}})
 	}
-	cs[j].users = append(cs[j].users, p)
+	cs[j].users = append(cs[j].users, f)
 	chains[i].caches = cs
 	return chains
 }
 
-// Passes returns the passes the recorder records, one per configuration
-// given to NewL1Recorder, in that order. Each may be followed while it
-// records.
-func (r *L1Recorder) Passes() []*L1Pass { return r.passes }
+// Followers returns the followers of the passes the recorder records,
+// one per group given to NewL1Recorder, in that order.
+func (r *L1Recorder) Followers() []*Follower { return r.fols }
 
 // Record walks the next chunk of the trace through every pass. It
 // checks ctx every ctxCheckInterval references of the whole trace and
@@ -275,8 +267,8 @@ func (r *L1Recorder) walk(refs []trace.Ref) {
 					}
 				}
 				*e = dmLine{tag: l, valid: true, dirty: write}
-				for _, p := range c.users {
-					p.record(ev, side == 0)
+				for _, f := range c.users {
+					f.record(ev, side == 0)
 				}
 			}
 			// The line hit in cs[k], so it is in every larger cache too.
@@ -290,11 +282,11 @@ func (r *L1Recorder) walk(refs []trace.Ref) {
 
 // record appends one miss event, and whether the L1I missed it, and
 // publishes the chunk it fills.
-func (p *L1Pass) record(ev missEvent, instr bool) {
-	c := &p.cur
+func (f *Follower) record(ev missEvent, instr bool) {
+	c := &f.cur
 	if len(c.events) == cap(c.events) {
-		n := p.size
-		p.size = min(2*n, p.maxChunk)
+		n := f.size
+		f.size = min(2*n, f.maxChunk)
 		*c = missChunk{events: make([]missEvent, 0, n), instr: make([]uint64, (n+63)/64)}
 	}
 	if instr {
@@ -303,159 +295,88 @@ func (p *L1Pass) record(ev missEvent, instr bool) {
 	}
 	c.events = append(c.events, ev)
 	if len(c.events) == cap(c.events) {
-		p.publish()
+		f.publish()
 	}
 }
 
-// publish hands the chunk being filled to the pass's readers, flagged
-// with whether the L1s' missed ranges are still disjoint, and starts a
-// new one at the next event.
-func (p *L1Pass) publish() {
-	p.cur.disjoint = disjoint(p.src[0], p.src[1])
-	p.mu.Lock()
-	p.chunks = append(p.chunks, p.cur)
-	p.mu.Unlock()
-	p.cur = missChunk{}
-	p.signal()
+// publish hands the chunk being filled to the follower, flagged with
+// whether the L1s' missed ranges are still disjoint, and starts a new
+// one at the next event.
+func (f *Follower) publish() {
+	f.cur.disjoint = disjoint(f.src[0], f.src[1])
+	f.mu.Lock()
+	f.chunks = append(f.chunks, f.cur)
+	f.mu.Unlock()
+	f.cur = missChunk{}
+	f.signal()
 }
 
-// signal wakes the pass's follower, if it waits.
-func (p *L1Pass) signal() {
+// signal wakes the follower, if it waits.
+func (f *Follower) signal() {
 	select {
-	case p.ready <- struct{}{}:
+	case f.ready <- struct{}{}:
 	default:
 	}
 }
 
-// Finish publishes the last chunk and the L1 counters of every pass and
-// returns the passes, one per configuration given to NewL1Recorder, in
-// that order. It drops the recorder's L1 arrays.
-func (r *L1Recorder) Finish() []*L1Pass {
-	for _, p := range r.passes {
-		if len(p.cur.events) > 0 {
-			p.publish()
+// Finish publishes the last chunk and the L1 counters of every pass. It
+// drops the recorder's L1 arrays.
+func (r *L1Recorder) Finish() {
+	for _, f := range r.fols {
+		if len(f.cur.events) > 0 {
+			f.publish()
 		}
-		p.src = [2]*dmL1{}
+		f.src = [2]*dmL1{}
 	}
 	for side, chains := range r.sides {
 		for _, ch := range chains {
 			for i := range ch.caches {
 				c := &ch.caches[i]
 				c.lines, c.refs = nil, r.refs[side]
-				for _, p := range c.users {
+				for _, f := range c.users {
 					if side == 0 {
-						p.icache = c.dmL1
+						f.icache = c.dmL1
 					} else {
-						p.dcache = c.dmL1
+						f.dcache = c.dmL1
 					}
 				}
 			}
 		}
 	}
-	for _, p := range r.passes {
-		p.st = Stats{
-			InstrRefs: p.icache.refs,
-			DataRefs:  p.dcache.refs,
+	for _, f := range r.fols {
+		f.st = Stats{
+			InstrRefs: f.icache.refs,
+			DataRefs:  f.dcache.refs,
 			WriteRefs: r.writes,
-			L1IHits:   p.icache.refs - p.icache.misses,
-			L1IMisses: p.icache.misses,
-			L1DHits:   p.dcache.refs - p.dcache.misses,
-			L1DMisses: p.dcache.misses,
+			L1IHits:   f.icache.refs - f.icache.misses,
+			L1IMisses: f.icache.misses,
+			L1DHits:   f.dcache.refs - f.dcache.misses,
+			L1DMisses: f.dcache.misses,
 		}
-		p.mu.Lock()
-		p.finished = true
-		p.mu.Unlock()
-		p.signal()
+		f.mu.Lock()
+		f.finished = true
+		f.mu.Unlock()
+		f.signal()
 	}
-	passes := r.passes
 	*r = L1Recorder{}
-	return passes
 }
 
 // check reports why cfg cannot replay over the pass, if it cannot.
-func (p *L1Pass) check(cfg Config) error {
-	if !ReplayEligible(cfg) || cfg.L1I != p.l1i || cfg.L1D != p.l1d {
-		return fmt.Errorf("core: cannot replay %s over an L1 pass of %s and %s", cfg, p.l1i, p.l1d)
+func (f *Follower) check(cfg Config) error {
+	if !ReplayEligible(cfg) || cfg.L1I != f.l1i || cfg.L1D != f.l1d {
+		return fmt.Errorf("core: cannot replay %s over an L1 pass of %s and %s", cfg, f.l1i, f.l1d)
 	}
 	return cfg.Validate()
-}
-
-// Replay returns the statistics System.Run would return for cfg over the
-// recorded trace, field for field. The pass must be finished and not
-// followed, and cfg must be ReplayEligible and have the pass's L1s.
-// Replay steps one replay state (newReplayer) over every chunk.
-//
-// reg, when non-nil, receives the counters System.Instrument would have
-// accumulated. Replay checks ctx before each chunk of events, so at
-// least every ctxCheckInterval events.
-func (p *L1Pass) Replay(ctx context.Context, cfg Config, reg *obs.Registry) (Stats, error) {
-	if err := p.check(cfg); err != nil {
-		return Stats{}, err
-	}
-	p.mu.Lock()
-	chunks, finished, followed := p.chunks, p.finished, p.followed
-	p.mu.Unlock()
-	if !finished || followed {
-		return Stats{}, errors.New("core: Replay needs a finished pass that no Follower frees")
-	}
-	if err := ctx.Err(); err != nil {
-		return Stats{}, err
-	}
-	r := newReplayer(cfg)
-	for i := range chunks {
-		if err := ctx.Err(); err != nil {
-			return Stats{}, err
-		}
-		r.step(&chunks[i])
-	}
-	res := p.result(cfg, r)
-	res.Instrument(reg)
-	return res.Stats, nil
-}
-
-// A Follower replays one pass into the L2s of several configurations
-// while the pass records. It walks each published chunk through every
-// configuration's replay state in turn, chunk-major, so the chunk and
-// the L2s stay in the processor's caches, and then drops the chunk, so a
-// followed pass holds only the chunks its follower has yet to walk. A
-// Follower is used by one goroutine; the recorder runs on another.
-type Follower struct {
-	p      *L1Pass
-	cfgs   []Config
-	reps   []replayer
-	next   int    // the next chunk to walk
-	events uint64 // the miss events walked
-}
-
-// Follow returns the pass's one Follower, which replays it into every
-// configuration of cfgs: each must be ReplayEligible and have the
-// pass's L1s. The pass cannot be replayed once it is followed.
-func (p *L1Pass) Follow(cfgs []Config) (*Follower, error) {
-	f := &Follower{p: p, cfgs: cfgs}
-	for _, cfg := range cfgs {
-		if err := p.check(cfg); err != nil {
-			return nil, err
-		}
-		f.reps = append(f.reps, newReplayer(cfg))
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.followed {
-		return nil, errors.New("core: an L1 pass has one Follower")
-	}
-	p.followed = true
-	return f, nil
 }
 
 // Wait blocks until a chunk the follower has not walked is published
 // and reports true, or until the pass is finished and every chunk walked
 // and reports false. It returns ctx's error once ctx is done.
 func (f *Follower) Wait(ctx context.Context) (bool, error) {
-	p := f.p
 	for {
-		p.mu.Lock()
-		n, finished := len(p.chunks), p.finished
-		p.mu.Unlock()
+		f.mu.Lock()
+		n, finished := len(f.chunks), f.finished
+		f.mu.Unlock()
 		switch {
 		case f.next < n:
 			return true, nil
@@ -463,7 +384,7 @@ func (f *Follower) Wait(ctx context.Context) (bool, error) {
 			return false, nil
 		}
 		select {
-		case <-p.ready:
+		case <-f.ready:
 		case <-ctx.Done():
 			return false, ctx.Err()
 		}
@@ -473,11 +394,10 @@ func (f *Follower) Wait(ctx context.Context) (bool, error) {
 // Step walks the next published chunk, which Wait has reported, through
 // every configuration's L2 and frees it.
 func (f *Follower) Step() {
-	p := f.p
-	p.mu.Lock()
-	c := p.chunks[f.next]
-	p.chunks[f.next] = missChunk{}
-	p.mu.Unlock()
+	f.mu.Lock()
+	c := f.chunks[f.next]
+	f.chunks[f.next] = missChunk{}
+	f.mu.Unlock()
 	f.next++
 	f.events += uint64(len(c.events))
 	for _, r := range f.reps {
@@ -488,12 +408,13 @@ func (f *Follower) Step() {
 // Events reports how many miss events the follower has walked.
 func (f *Follower) Events() uint64 { return f.events }
 
-// Results returns each configuration's replay, in the order given to
-// Follow, once Wait has reported the pass finished and walked.
+// Results returns each configuration's replay, in the order of its
+// group, once Wait has reported the pass finished and walked.
 func (f *Follower) Results() []Replayed {
 	out := make([]Replayed, len(f.cfgs))
 	for i, cfg := range f.cfgs {
-		out[i] = f.p.result(cfg, f.reps[i])
+		out[i] = Replayed{Stats: f.st, twoLevel: cfg.TwoLevel(), l1: [2]dmL1{f.icache, f.dcache}}
+		f.reps[i].finish(&out[i])
 	}
 	return out
 }
@@ -508,13 +429,6 @@ type Replayed struct {
 	upDirtyOut  [2]uint64 // their victims dirty only from an exclusive L2
 	l2Evictions uint64
 	l2DirtyOut  uint64
-}
-
-// result completes cfg's replay state r into its Replayed.
-func (p *L1Pass) result(cfg Config, r replayer) Replayed {
-	res := Replayed{Stats: p.st, twoLevel: cfg.TwoLevel(), l1: [2]dmL1{p.icache, p.dcache}}
-	r.finish(&res)
-	return res
 }
 
 // Instrument adds the replayed hierarchy's counters to reg under the

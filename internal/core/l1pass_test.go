@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,48 +142,97 @@ func exclusiveLoop(cfg Config, refs []trace.Ref) string {
 	return "probing"
 }
 
+// recordGroups records refs in one walk, fed in pieces of at most piece
+// references (0 for one piece), with one pass per group of groups, and
+// finishes the recording. A maxEvents above zero caps every pass's
+// chunks at that many miss events. It returns the passes' followers,
+// none of which has walked a chunk yet.
+func recordGroups(groups [][]Config, refs []trace.Ref, piece, maxEvents int) ([]*Follower, error) {
+	rec, err := NewL1Recorder(groups)
+	if err != nil {
+		return nil, err
+	}
+	if maxEvents > 0 {
+		setMaxChunk(rec, maxEvents)
+	}
+	fols := rec.Followers()
+	for rest := refs; len(rest) > 0; {
+		k := len(rest)
+		if piece > 0 {
+			k = min(piece, k)
+		}
+		if err := rec.Record(context.Background(), rest[:k]); err != nil {
+			return nil, err
+		}
+		rest = rest[k:]
+	}
+	rec.Finish()
+	return fols, nil
+}
+
+// drain walks every chunk of a finished recording through f and returns
+// f's results, in the order of its group.
+func drain(f *Follower) []Replayed {
+	for {
+		if more, _ := f.Wait(context.Background()); !more {
+			return f.Results()
+		}
+		f.Step()
+	}
+}
+
+// threeWayGroup is the group checkThreeWay replays: cfg, and the
+// single-level hierarchy with cfg's L1s.
+func threeWayGroup(cfg Config) []Config {
+	single := cfg
+	single.L2 = cache.Config{}
+	return []Config{cfg, single}
+}
+
 // checkExclusiveLoop records refs through cfg's L1s and checks that the
-// pass takes the loop exclusiveLoop names, returning the pass and the
-// loop's name.
-func checkExclusiveLoop(cfg Config, refs []trace.Ref) (*L1Pass, string, error) {
-	pass, err := RecordL1(context.Background(), cfg, refs)
+// pass takes the loop exclusiveLoop names, returning the pass's
+// follower, of cfg's threeWayGroup, and the loop's name.
+func checkExclusiveLoop(cfg Config, refs []trace.Ref) (*Follower, string, error) {
+	fols, err := recordGroups([][]Config{threeWayGroup(cfg)}, refs, 0, 0)
 	if err != nil {
 		return nil, "", err
 	}
-	loop := exclusiveLoop(cfg, refs)
-	if got := newL2Kernel(cfg.L2).narrow() && disjoint(&pass.icache, &pass.dcache); got != (loop == "disjoint") {
+	f, loop := fols[0], exclusiveLoop(cfg, refs)
+	if got := newL2Kernel(cfg.L2).narrow() && disjoint(&f.icache, &f.dcache); got != (loop == "disjoint") {
 		return nil, "", fmt.Errorf("the pass takes the disjoint loop: %v, the trace says %s", got, loop)
 	}
-	return pass, loop, nil
+	return f, loop, nil
 }
 
 // checkThreeWay compares every Stats field of the reference simulator,
-// System.Run, and an L1 pass replayed into cfg and into the single-level
-// hierarchy with the same L1s. It returns the reference simulator's
-// statistics and hierarchy.
+// System.Run, and, when cfg is ReplayEligible, an L1 pass replayed into
+// cfg and into the single-level hierarchy with the same L1s. It returns
+// the reference simulator's statistics and hierarchy.
 //
-// pass is the L1 pass of cfg's L1s over refs, or nil to record it with
-// RecordL1.
-func checkThreeWay(cfg Config, refs []trace.Ref, pass *L1Pass) (Stats, *refHierarchy, error) {
+// f is the unwalked follower of a pass of cfg's L1s over refs that
+// replays cfg's threeWayGroup, or nil to record one.
+func checkThreeWay(cfg Config, refs []trace.Ref, f *Follower) (Stats, *refHierarchy, error) {
 	want, ref := refRun(cfg, refs)
 	if got := NewSystem(cfg).Run(trace.NewSliceStream(refs)); got != want {
 		return want, ref, fmt.Errorf("System.Run %+v\n oracle %+v", got, want)
 	}
-	ctx := context.Background()
-	if pass == nil {
-		var err error
-		if pass, err = RecordL1(ctx, cfg, refs); err != nil {
+	if !ReplayEligible(cfg) {
+		return want, ref, nil
+	}
+	if f == nil {
+		fols, err := recordGroups([][]Config{threeWayGroup(cfg)}, refs, 0, 0)
+		if err != nil {
 			return want, ref, err
 		}
+		f = fols[0]
 	}
-	if got, err := pass.Replay(ctx, cfg, nil); err != nil || got != want {
-		return want, ref, fmt.Errorf("Replay %+v (err %v)\n oracle %+v", got, err, want)
+	res := drain(f)
+	if got := res[0].Stats; got != want {
+		return want, ref, fmt.Errorf("replay %+v\n oracle %+v", got, want)
 	}
-	single := cfg
-	single.L2 = cache.Config{}
-	wantSingle, _ := refRun(single, refs)
-	if got, err := pass.Replay(ctx, single, nil); err != nil || got != wantSingle {
-		return want, ref, fmt.Errorf("single-level Replay %+v (err %v)\n oracle %+v", got, err, wantSingle)
+	wantSingle, _ := refRun(threeWayGroup(cfg)[1], refs)
+	if got := res[1].Stats; got != wantSingle {
+		return want, ref, fmt.Errorf("single-level replay %+v\n oracle %+v", got, wantSingle)
 	}
 	return want, ref, nil
 }
@@ -192,22 +242,29 @@ func checkThreeWay(cfg Config, refs []trace.Ref, pass *L1Pass) (Stats, *refHiera
 // pass and replay, System.Run and the naive reference simulator must
 // agree on every counter. It runs until it has checked differentialCases
 // two-level hierarchies under each of the conventional and exclusive
-// policies. A second source, drawn after each case so that the table's
-// cases and totals stay those of its first version, adds a copy of
-// half the exclusive cases with their sides' lines apart
-// (separateSides), and the table must drive both exclusive loops over
-// L2 hits, swaps and victims, with the probing loop finding victims
-// already in the L2 and the disjoint loop never able to. The cases are
-// drawn in order on one goroutine and checked on GOMAXPROCS goroutines.
+// policies. Two more sources, drawn after each case so that the table's
+// cases and totals stay those of its first version, add copies of
+// cases. The first adds a copy of half the exclusive cases with their
+// sides' lines apart (separateSides), and the table must drive both
+// exclusive loops over L2 hits, swaps and victims, with the probing loop
+// finding victims already in the L2 and the disjoint loop never able to.
+// The second adds a copy of three cases in four under the inclusive
+// policy, write-through stores or both, which no replay takes: on those
+// System.Run and the reference simulator alone must agree, and they must
+// back-invalidate L1 lines, dirty ones too, and write stores through
+// into the L2 and off-chip. The cases are drawn in order on one
+// goroutine and checked on GOMAXPROCS goroutines.
 func TestL1PassReplayOracle(t *testing.T) {
 	type oracleCase struct {
 		i     int
 		cfg   Config
 		refs  []trace.Ref
 		split bool // a separateSides copy of case i
+		other bool // a copy of case i that no replay takes
 	}
 	rng := rand.New(rand.NewPCG(12, 1994))
 	split := rand.New(rand.NewPCG(12, 2025))
+	other := rand.New(rand.NewPCG(12, 2029))
 	var cases [2]int
 	todo := make(chan oracleCase, 64)
 	go func() {
@@ -217,9 +274,19 @@ func TestL1PassReplayOracle(t *testing.T) {
 			if cfg.TwoLevel() {
 				cases[cfg.Policy]++
 			}
-			todo <- oracleCase{i, cfg, refs, false}
+			todo <- oracleCase{i, cfg, refs, false, false}
 			if cfg.TwoLevel() && cfg.Policy == Exclusive && split.IntN(2) == 0 {
-				todo <- oracleCase{i, cfg, separateSides(refs), true}
+				todo <- oracleCase{i, cfg, separateSides(refs), true, false}
+			}
+			k, c := other.IntN(4), cfg
+			if k&1 != 0 && cfg.TwoLevel() {
+				c.Policy = Inclusive
+			}
+			if k&2 != 0 {
+				c.Writes = WriteThroughNoAllocate
+			}
+			if c != cfg {
+				todo <- oracleCase{i, c, refs, false, true}
 			}
 		}
 	}()
@@ -232,8 +299,13 @@ func TestL1PassReplayOracle(t *testing.T) {
 		sum     [2]Stats
 		upDirty uint64 // victims dirty only because they came up dirty
 		loops   = map[string]*loopSum{"disjoint": {}, "probing": {}}
-		failed  atomic.Bool
-		wg      sync.WaitGroup
+		// The copies under the inclusive policy and with write-through
+		// stores: their counts, their back-invalidations (of dirty lines,
+		// too) and the write-through copies' totals.
+		nIncl, nWT, backInv, dirtyBackInv uint64
+		wt                                Stats
+		failed                            atomic.Bool
+		wg                                sync.WaitGroup
 	)
 	for range runtime.GOMAXPROCS(0) {
 		wg.Add(1)
@@ -245,22 +317,38 @@ func TestL1PassReplayOracle(t *testing.T) {
 				}
 				cfg := c.cfg
 				var (
-					pass *L1Pass
+					f    *Follower
 					loop string
 					err  error
 				)
-				exclusive := cfg.TwoLevel() && cfg.Policy == Exclusive
+				exclusive := cfg.TwoLevel() && cfg.Policy == Exclusive && ReplayEligible(cfg)
 				if exclusive {
-					pass, loop, err = checkExclusiveLoop(cfg, c.refs)
+					f, loop, err = checkExclusiveLoop(cfg, c.refs)
 				}
 				var st Stats
 				var ref *refHierarchy
 				if err == nil {
-					st, ref, err = checkThreeWay(cfg, c.refs, pass)
+					st, ref, err = checkThreeWay(cfg, c.refs, f)
 				}
 				if err != nil {
 					failed.Store(true)
-					t.Errorf("case %d (split %v), %s (L1I %s, L1D %s, L2 %s), %d refs: %v", c.i, c.split, cfg, cfg.L1I, cfg.L1D, cfg.L2, len(c.refs), err)
+					t.Errorf("case %d (split %v), %s %s (L1I %s, L1D %s, L2 %s), %d refs: %v", c.i, c.split, cfg, cfg.Writes, cfg.L1I, cfg.L1D, cfg.L2, len(c.refs), err)
+					continue
+				}
+				if c.other {
+					mu.Lock()
+					if cfg.Policy == Inclusive && cfg.TwoLevel() {
+						nIncl++
+						backInv += st.BackInvalidations
+						dirtyBackInv += ref.dirtyBackInvalidations
+					}
+					if cfg.Writes == WriteThroughNoAllocate {
+						nWT++
+						wt.WriteThroughs += st.WriteThroughs
+						wt.WriteBacksToL2 += st.WriteBacksToL2
+						wt.WriteBacksOffChip += st.WriteBacksOffChip
+					}
+					mu.Unlock()
 					continue
 				}
 				if !cfg.TwoLevel() {
@@ -321,6 +409,13 @@ func TestL1PassReplayOracle(t *testing.T) {
 	if loops["probing"].residentVicts == 0 {
 		t.Error("the probing exclusive loop never finds its victim in the L2")
 	}
+	if backInv == 0 || dirtyBackInv == 0 {
+		t.Errorf("%d inclusive copies back-invalidate %d L1 lines, %d of them dirty", nIncl, backInv, dirtyBackInv)
+	}
+	if wt.WriteThroughs == 0 || wt.WriteBacksToL2 == 0 || wt.WriteBacksOffChip == 0 {
+		t.Errorf("the write-through copies leave a path unexercised: %+v", wt)
+	}
+	t.Logf("%d inclusive copies: %d back-invalidations, %d of dirty lines; %d write-through copies: %+v", nIncl, backInv, dirtyBackInv, nWT, wt)
 	if n := loops["disjoint"].residentVicts; n != 0 {
 		t.Errorf("the reference simulator found %d victims already in the L2 on traces whose sides share no line", n)
 	}
@@ -379,19 +474,19 @@ func TestL1PassReplayWidthOracle(t *testing.T) {
 	hits, evicted := map[key]uint64{}, map[key]uint64{}
 	check := func(i int, cfg Config, refs []trace.Ref) {
 		t.Helper()
-		var pass *L1Pass
+		var f *Follower
 		path := replayPath(cfg.L2)
 		if cfg.Policy == Exclusive {
 			var loop string
 			var err error
-			if pass, loop, err = checkExclusiveLoop(cfg, refs); err != nil {
+			if f, loop, err = checkExclusiveLoop(cfg, refs); err != nil {
 				t.Fatalf("case %d, %s (L1I %s, L1D %s, L2 %s): %v", i, cfg, cfg.L1I, cfg.L1D, cfg.L2, err)
 			}
 			if loop == "disjoint" {
 				path += " disjoint"
 			}
 		}
-		st, ref, err := checkThreeWay(cfg, refs, pass)
+		st, ref, err := checkThreeWay(cfg, refs, f)
 		if err != nil {
 			t.Fatalf("case %d, %s (L1I %s, L1D %s, L2 %s), %d refs: %v", i, cfg, cfg.L1I, cfg.L1D, cfg.L2, len(refs), err)
 		}
@@ -451,14 +546,15 @@ func TestL1PassReplaySharedLine(t *testing.T) {
 		{Kind: trace.Instr, Addr: x}, // x moves up from the L2
 		{Kind: trace.Data, Addr: x},  // and misses it now
 	}
-	pass, loop, err := checkExclusiveLoop(cfg, refs)
+	f, loop, err := checkExclusiveLoop(cfg, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loop != "probing" || disjoint(&pass.icache, &pass.dcache) {
-		t.Fatalf("a pass with a shared line takes the %s loop (disjoint %v)", loop, disjoint(&pass.icache, &pass.dcache))
+	if loop != "probing" || disjoint(&f.icache, &f.dcache) {
+		t.Fatalf("a pass with a shared line takes the %s loop (disjoint %v)", loop, disjoint(&f.icache, &f.dcache))
 	}
-	want, ref, err := checkThreeWay(cfg, refs, pass)
+	chunks := slices.Clone(f.chunks) // the follower frees them as it walks
+	want, ref, err := checkThreeWay(cfg, refs, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,62 +562,11 @@ func TestL1PassReplaySharedLine(t *testing.T) {
 		t.Fatalf("the case is not the one built: %d victims already in the L2, %d L2 hits", ref.residentVictims, want.L2Hits)
 	}
 	unprobed := newExclusiveReplay(cfg, newL2Kernel(cfg.L2))
-	for i := range pass.chunks {
-		unprobed.stepDisjoint(&pass.chunks[i])
+	for i := range chunks {
+		unprobed.stepDisjoint(&chunks[i])
 	}
-	if st := pass.result(cfg, unprobed).Stats; st.L2Hits == want.L2Hits {
+	if unprobed.hits == want.L2Hits {
 		t.Errorf("the unprobed loop matches the oracle's %d L2 hits on a shared line", want.L2Hits)
-	}
-}
-
-// TestL1PassReplayConcurrent replays one shared pass from several
-// goroutines at once, each into L2s of its own geometry and policy, and
-// requires every result to equal System.Run's. Under the race detector
-// it also checks that a replay writes nothing the pass shares.
-func TestL1PassReplayConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewPCG(22, 1994))
-	const line = 16
-	var refs []trace.Ref
-	for len(refs) < 5000 {
-		refs = append(refs, randomTrace(rng, line)...)
-	}
-	l1 := cache.Config{Size: 32 * line, LineSize: line, Assoc: 1}
-	pass, err := RecordL1(context.Background(), Config{L1I: l1, L1D: l1}, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cfgs []Config
-	for _, ways := range []int{1, 2, 4, 8, 64} {
-		for _, policy := range []Policy{Conventional, Exclusive} {
-			cfgs = append(cfgs, Config{
-				L1I: l1, L1D: l1, Policy: policy,
-				L2: cache.Config{Size: 256 * line, LineSize: line, Assoc: ways, Policy: cache.ReplacementPolicy(ways % 3)},
-			})
-		}
-	}
-	want := make([]Stats, len(cfgs))
-	for i, cfg := range cfgs {
-		want[i] = NewSystem(cfg).Run(trace.NewSliceStream(refs))
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(cfgs))
-	for i, cfg := range cfgs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range 3 {
-				if got, err := pass.Replay(context.Background(), cfg, nil); err != nil || got != want[i] {
-					errs[i] = fmt.Errorf("%s (L2 %s): Replay %+v (err %v)\n System.Run %+v", cfg, cfg.L2, got, err, want[i])
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Error(err)
-		}
 	}
 }
 
@@ -532,7 +577,10 @@ func TestL1PassReplayConcurrent(t *testing.T) {
 // reference: a kind byte whose high bits pick a high address region, and
 // a 16-bit offset. A wayLog below 128 gives 1–8 ways; with its top bit
 // set it gives 16–256, so that the kernel's general probe is fuzzed too
-// (with l2Log%9 == 1, a fully associative L2).
+// (with l2Log%9 == 1, a fully associative L2). A policy of 240 or more
+// with bit 0 set picks the inclusive policy instead, and one with bit 1
+// set write-through stores; neither replays, so those inputs check
+// System.Run against the reference simulator alone.
 func FuzzL1PassReplay(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(6), uint8(2), uint8(0), []byte("\x00\x00\x10\x01\x00\x20\x02\x10\x00\x00\x00\x10"))
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), []byte("\x02\x01\x00\x02\x02\x00\x02\x01\x00"))
@@ -551,6 +599,14 @@ func FuzzL1PassReplay(f *testing.F) {
 	f.Add(uint8(2), uint8(4), uint8(4), uint8(2), uint8(3), disjointSeed())
 	f.Add(uint8(2), uint8(4), uint8(5), uint8(0), uint8(4), disjointSeed())
 	f.Add(uint8(2), uint8(4), uint8(5), uint8(1), uint8(5), disjointSeed())
+	// An inclusive 2-way LRU L2 of 4 lines below L1s of 2 lines: a
+	// store, then two fetches that evict the stored line from the L2 and
+	// so back-invalidate its dirty L1D copy, then the disjoint trace.
+	// And write-through stores into a 4-way random L2 of 32 lines: two
+	// that find the line's L2 copy, one in the L1D and one not, and one
+	// that finds none.
+	f.Add(uint8(1), uint8(4), uint8(2), uint8(1), uint8(241), append([]byte("\x02\x00\x00\x00\x20\x00\x00\x40\x00\x01\x00\x00"), disjointSeed()...))
+	f.Add(uint8(2), uint8(4), uint8(4), uint8(2), uint8(246), []byte("\x01\x00\x00\x02\x00\x00\x01\x00\x01\x02\x00\x00\x02\x00\x02"))
 	f.Fuzz(func(t *testing.T, l1Log, lineLog, l2Log, wayLog, policy uint8, data []byte) {
 		line := 1 << (lineLog % 6)
 		assoc := 1 << (wayLog % 4)
@@ -568,6 +624,12 @@ func FuzzL1PassReplay(f *testing.F) {
 				Policy: cache.ReplacementPolicy(policy % 3),
 			}
 			cfg.Policy = Policy(policy / 3 % 2)
+			if policy >= 240 && policy&1 != 0 {
+				cfg.Policy = Inclusive
+			}
+		}
+		if policy >= 240 && policy&2 != 0 {
+			cfg.Writes = WriteThroughNoAllocate
 		}
 		refs := make([]trace.Ref, 0, len(data)/3)
 		for ; len(data) >= 3; data = data[3:] {
@@ -576,14 +638,14 @@ func FuzzL1PassReplay(f *testing.F) {
 				Addr: uint64(data[0]>>2)<<40 | uint64(binary.LittleEndian.Uint16(data[1:])),
 			})
 		}
-		var pass *L1Pass
-		if cfg.TwoLevel() && cfg.Policy == Exclusive {
+		var f *Follower
+		if cfg.TwoLevel() && cfg.Policy == Exclusive && ReplayEligible(cfg) {
 			var err error
-			if pass, _, err = checkExclusiveLoop(cfg, refs); err != nil {
+			if f, _, err = checkExclusiveLoop(cfg, refs); err != nil {
 				t.Fatalf("%s (L1 %s, L2 %s), %d refs: %v", cfg, cfg.L1I, cfg.L2, len(refs), err)
 			}
 		}
-		if _, _, err := checkThreeWay(cfg, refs, pass); err != nil {
+		if _, _, err := checkThreeWay(cfg, refs, f); err != nil {
 			t.Fatalf("%s (L1 %s, L2 %s), %d refs: %v", cfg, cfg.L1I, cfg.L2, len(refs), err)
 		}
 	})
@@ -591,7 +653,7 @@ func FuzzL1PassReplay(f *testing.F) {
 
 // disjointSeed is the trace of the fuzz seeds with disjoint sides, in
 // their three bytes per reference: 120 instruction fetches walking 256
-// bytes of code in the low region, each followed by a load or, every
+// bytes of code in the low region, each trailed by a load or, every
 // third, a store to one of 24 lines of 16 bytes in the region above it,
 // drawn so that they collide in small L1s and L2s.
 func disjointSeed() []byte {
@@ -655,7 +717,11 @@ func randomRecording(rng *rand.Rand) ([]Config, []trace.Ref) {
 // the walk had several chains and how many of its caches served several
 // passes.
 func checkRecording(cfgs []Config, refs []trace.Ref, chunk int) (chains, shared int, err error) {
-	rec, err := NewL1Recorder(cfgs)
+	var groups [][]Config
+	for _, cfg := range cfgs {
+		groups = append(groups, threeWayGroup(cfg))
+	}
+	rec, err := NewL1Recorder(groups)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -671,14 +737,13 @@ func checkRecording(cfgs []Config, refs []trace.Ref, chunk int) (chains, shared 
 			}
 		}
 	}
-	for rest := refs; len(rest) > 0; rest = rest[min(chunk, len(rest)):] {
-		if err := rec.Record(context.Background(), rest[:min(chunk, len(rest))]); err != nil {
-			return chains, shared, err
-		}
+	fols, err := recordGroups(groups, refs, chunk, 0)
+	if err != nil {
+		return chains, shared, err
 	}
-	for i, pass := range rec.Finish() {
+	for i, f := range fols {
 		cfg := cfgs[i]
-		if _, _, err := checkThreeWay(cfg, refs, pass); err != nil {
+		if _, _, err := checkThreeWay(cfg, refs, f); err != nil {
 			return chains, shared, fmt.Errorf("geometry %d of %d, %s (L1I %s, L1D %s, L2 %s): %w", i, len(cfgs), cfg, cfg.L1I, cfg.L1D, cfg.L2, err)
 		}
 	}
@@ -765,7 +830,7 @@ func FuzzL1Record(f *testing.F) {
 	})
 }
 
-// TestL1PassReplayInstrument checks that Replay fills a registry as
+// TestL1PassReplayInstrument checks that a replay fills a registry as
 // System.Instrument does, under both policies: every counter equal,
 // including the policy counters a hierarchy leaves at zero and the L1
 // dirty write-backs of lines that came up dirty from an exclusive L2.
@@ -780,16 +845,15 @@ func TestL1PassReplayInstrument(t *testing.T) {
 		sys.Run(trace.NewSliceStream(refs))
 
 		got := obs.NewRegistry()
-		pass, err := RecordL1(context.Background(), cfg, refs)
+		fols, err := recordGroups([][]Config{{cfg}}, refs, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pass.Replay(context.Background(), cfg, got); err != nil {
-			t.Fatal(err)
-		}
+		res := drain(fols[0])[0]
+		res.Instrument(got)
 		w, g := want.Snapshot().Counters, got.Snapshot().Counters
 		if len(w) != len(g) {
-			t.Fatalf("case %d: Replay registers %d counters, System.Instrument %d", i, len(g), len(w))
+			t.Fatalf("case %d: the replay registers %d counters, System.Instrument %d", i, len(g), len(w))
 		}
 		for name, v := range w {
 			if gv, ok := g[name]; !ok || gv != v {
@@ -819,53 +883,53 @@ func TestL1PassReplayInstrument(t *testing.T) {
 	}
 }
 
-// TestL1PassContext checks that both loops stop on a done context.
+// TestL1PassContext checks that the recorder and a follower waiting for
+// it stop on a done context.
 func TestL1PassContext(t *testing.T) {
 	cfg, refs := randomCase(rand.New(rand.NewPCG(5, 6)))
 	cfg.L2 = cache.Config{Size: 1 << 10, LineSize: cfg.L1I.LineSize, Assoc: 1}
 	cfg.Policy = Exclusive
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RecordL1(done, cfg, refs); !errors.Is(err, context.Canceled) {
-		t.Errorf("RecordL1 on a cancelled context: %v", err)
-	}
-	pass, err := RecordL1(context.Background(), cfg, refs)
+	rec, err := NewL1Recorder([][]Config{{cfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pass.Replay(done, cfg, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("Replay on a cancelled context: %v", err)
+	if err := rec.Record(done, refs); !errors.Is(err, context.Canceled) {
+		t.Errorf("Record on a cancelled context: %v", err)
+	}
+	if _, err := rec.Followers()[0].Wait(done); !errors.Is(err, context.Canceled) {
+		t.Errorf("Wait on a cancelled context: %v", err)
 	}
 }
 
-// TestL1PassRejects checks the eligibility rule and the L1 match.
+// TestL1PassRejects checks the eligibility rule and the L1 match of a
+// group.
 func TestL1PassRejects(t *testing.T) {
 	cfg := Config{
 		L1I: cache.Config{Size: 1 << 10, LineSize: 16, Assoc: 1},
 		L1D: cache.Config{Size: 1 << 10, LineSize: 16, Assoc: 1},
 		L2:  cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 4},
 	}
-	refs := []trace.Ref{{Kind: trace.Write, Addr: 64}}
-	pass, err := RecordL1(context.Background(), cfg, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sa := cfg
 	sa.L1D.Assoc = 2
-	if _, err := RecordL1(context.Background(), sa, refs); err == nil {
-		t.Error("RecordL1 accepted a set-associative L1")
+	if _, err := NewL1Recorder([][]Config{{sa}}); err == nil {
+		t.Error("NewL1Recorder accepted a set-associative L1")
+	}
+	if _, err := NewL1Recorder([][]Config{{cfg}, {}}); err == nil {
+		t.Error("NewL1Recorder accepted an empty group")
 	}
 	other := cfg
 	other.L1D.Size = 2 << 10
 	excl, incl, wt := cfg, cfg, cfg
 	excl.Policy, incl.Policy, wt.Writes = Exclusive, Inclusive, WriteThroughNoAllocate
 	for _, c := range []Config{sa, other, incl, wt} {
-		if _, err := pass.Replay(context.Background(), c, nil); err == nil {
-			t.Errorf("Replay accepted %s (L1D %s, policy %s, writes %s)", c, c.L1D, c.Policy, c.Writes)
+		if _, err := NewL1Recorder([][]Config{{cfg, c}}); err == nil {
+			t.Errorf("a group of %s took %s (L1D %s, policy %s, writes %s)", cfg, c, c.L1D, c.Policy, c.Writes)
 		}
 	}
-	if _, err := pass.Replay(context.Background(), excl, nil); err != nil {
-		t.Errorf("Replay rejected an exclusive hierarchy: %v", err)
+	if _, err := NewL1Recorder([][]Config{{cfg, excl}}); err != nil {
+		t.Errorf("a group rejected an exclusive hierarchy: %v", err)
 	}
 	if !ReplayEligible(cfg) || !ReplayEligible(excl) || ReplayEligible(incl) || ReplayEligible(wt) || ReplayEligible(sa) {
 		t.Error("ReplayEligible disagrees with the eligibility rule")

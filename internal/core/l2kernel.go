@@ -8,8 +8,7 @@ import (
 
 // l2Kernel is the L2 of one replay: a flat copy of the state a
 // cache.Cache of the same configuration keeps, cut down to the
-// operations a replay (L1Pass.Replay, Follower) drives and to the
-// counters it reports.
+// operations a Follower's replay drives and to the counters it reports.
 //
 // Tags are set-major with a stride of max(ways, probeWidth) slots, so
 // way w of set s is at slot s<<strideShift+w and a set narrower than a
@@ -22,8 +21,8 @@ import (
 // (the LFSR, LRU stamps and FIFO pointers) replaces exactly the way a
 // cache.Cache would.
 //
-// A kernel belongs to one replay; the pass it replays stays shared and
-// immutable.
+// A kernel belongs to one replay; the chunks of the pass it replays are
+// immutable once published.
 type l2Kernel struct {
 	tags         []cache.LineAddr
 	valid, dirty []uint64 // bit i%64 of word i/64 is slot i's

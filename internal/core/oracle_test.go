@@ -6,11 +6,12 @@ import (
 )
 
 // This file is a deliberately naive reference simulator for the
-// write-back hierarchy under the conventional and exclusive policies,
-// kept independent of internal/cache and of the L1 pass: per-set slices
-// of blocks, set index and tag by division and remainder, and victims
-// found by scanning stamps (LRU) or by a per-set pointer (FIFO). It is
-// slow and obvious so that it can judge the fast paths.
+// hierarchy under the conventional, exclusive and inclusive policies,
+// with write-back or write-through stores, kept independent of
+// internal/cache and of the L1 pass: per-set slices of blocks, set
+// index and tag by division and remainder, and victims found by
+// scanning stamps (LRU) or by a per-set pointer (FIFO). It is slow and
+// obvious so that it can judge the fast paths.
 
 // refBlock is one way of a reference cache.
 type refBlock struct {
@@ -161,23 +162,31 @@ func (c *refCache) victimWay(set []refBlock, next *int) int {
 	return int(c.lfsr % uint32(len(set)))
 }
 
-// refHierarchy is the reference write-back, write-allocate hierarchy:
-// split L1s and an optional L2, conventional or exclusive.
+// refHierarchy is the reference hierarchy: split L1s and an optional
+// L2, conventional, exclusive or inclusive, with write-back,
+// write-allocate or write-through, no-allocate stores.
 type refHierarchy struct {
 	l1i, l1d, l2 *refCache
 	exclusive    bool
+	inclusive    bool
+	writeThrough bool
 	lineSize     uint64
 	st           Stats
 	// residentVictims counts exclusive victims the L2 already held.
 	residentVictims uint64
+	// dirtyBackInvalidations counts inclusive back-invalidations of a
+	// dirty L1 line.
+	dirtyBackInvalidations uint64
 }
 
 func newRefHierarchy(cfg Config) *refHierarchy {
 	h := &refHierarchy{
-		l1i:       newRefCache(cfg.L1I),
-		l1d:       newRefCache(cfg.L1D),
-		exclusive: cfg.TwoLevel() && cfg.Policy == Exclusive,
-		lineSize:  uint64(cfg.L1I.LineSize),
+		l1i:          newRefCache(cfg.L1I),
+		l1d:          newRefCache(cfg.L1D),
+		exclusive:    cfg.TwoLevel() && cfg.Policy == Exclusive,
+		inclusive:    cfg.TwoLevel() && cfg.Policy == Inclusive,
+		writeThrough: cfg.Writes == WriteThroughNoAllocate,
+		lineSize:     uint64(cfg.L1I.LineSize),
 	}
 	if cfg.TwoLevel() {
 		h.l2 = newRefCache(cfg.L2)
@@ -185,8 +194,8 @@ func newRefHierarchy(cfg Config) *refHierarchy {
 	return h
 }
 
-// refRun simulates refs through cfg's write-back hierarchy on the
-// reference simulator.
+// refRun simulates refs through cfg's hierarchy on the reference
+// simulator.
 func refRun(cfg Config, refs []trace.Ref) (Stats, *refHierarchy) {
 	h := newRefHierarchy(cfg)
 	for _, r := range refs {
@@ -209,6 +218,10 @@ func (h *refHierarchy) access(r trace.Ref) {
 		h.st.DataRefs++
 	}
 	line := r.Addr / h.lineSize
+	if write && h.writeThrough {
+		h.storeThrough(line)
+		return
+	}
 	if b := l1.find(line); b != nil {
 		l1.use(b)
 		if write {
@@ -252,9 +265,48 @@ func (h *refHierarchy) access(r trace.Ref) {
 	}
 	h.st.L2Misses++
 	h.st.OffChipFetches++
-	if _, valid, dirty := h.l2.fill(line, false); valid && dirty {
+	victim, valid, dirty = h.l2.fill(line, false)
+	if valid && dirty {
 		h.st.WriteBacksOffChip++
 	}
+	if h.inclusive && valid {
+		// Strict inclusion: the L2's victim leaves both L1s, and a dirty
+		// L1 copy goes off-chip.
+		h.backInvalidate(h.l1i, victim)
+		h.backInvalidate(h.l1d, victim)
+	}
+}
+
+// backInvalidate removes line from l1 if it is there.
+func (h *refHierarchy) backInvalidate(l1 *refCache, line uint64) {
+	b := l1.find(line)
+	if b == nil {
+		return
+	}
+	h.st.BackInvalidations++
+	if b.dirty {
+		h.dirtyBackInvalidations++
+		h.st.WriteBacksOffChip++
+	}
+	*b = refBlock{}
+}
+
+// storeThrough is a store under write-through, no-allocate: it updates
+// the L1D's copy if there is one, allocating nothing, and goes on to the
+// L2's copy when the policy is not exclusive and the L2 holds one, and
+// off-chip otherwise.
+func (h *refHierarchy) storeThrough(line uint64) {
+	if h.l1d.probe(line) {
+		h.st.L1DHits++
+	} else {
+		h.st.L1DMisses++
+	}
+	h.st.WriteThroughs++
+	if h.l2 != nil && !h.exclusive && h.l2.markDirty(line) {
+		h.st.WriteBacksToL2++
+		return
+	}
+	h.st.WriteBacksOffChip++
 }
 
 // exclusiveMiss finishes an L1 miss on line under the §8 exclusive

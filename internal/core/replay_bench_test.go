@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -10,13 +9,15 @@ import (
 	"twolevel/internal/trace"
 )
 
-// BenchmarkL1PassReplay times L1Pass.Replay alone on the paper grid:
-// a 2M-reference gcc1 trace recorded once for every paper L1 size (1K
-// to 256K, direct-mapped, 16 B lines), each pass replayed into every
-// paper L2 of at least twice its L1 (4-way random) under the
-// conventional and the exclusive policy. It reports ns per replayed
-// miss event; the recording is outside the timer. The 256K L1 has no
-// L2 on the grid, so it has no case.
+// BenchmarkL1PassReplay times the Follower's replay alone on the paper
+// grid: a 2M-reference gcc1 trace recorded for every paper L1 size (1K
+// to 128K, direct-mapped, 16 B lines), with one pass and follower per
+// paper L2 of at least twice the L1 (4-way random) under the
+// conventional or the exclusive policy, all in one walk. Once the
+// recording is finished, the followers replay their passes one after
+// the other, so each L2 runs over the whole stream alone. It reports ns
+// per replayed miss event; each operation's recording is outside the
+// timer. The 256K L1 has no L2 on the grid, so it has no case.
 //
 // gcc1's code and data lie apart, so its exclusive replays take the
 // loop that skips the victim probe. The exclusive-shared cases replay
@@ -42,46 +43,36 @@ func BenchmarkL1PassReplay(b *testing.B) {
 		}
 		shared[i] = r
 	}
-	var cfgs []Config
-	for l1 := int64(1 << 10); l1 <= 256<<10; l1 *= 2 {
-		cfgs = append(cfgs, Config{
-			L1I: cache.Config{Size: l1, LineSize: 16, Assoc: 1},
-			L1D: cache.Config{Size: l1, LineSize: 16, Assoc: 1},
-		})
-	}
-	record := func(refs []trace.Ref) []*L1Pass {
-		rec, err := NewL1Recorder(cfgs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rec.Record(context.Background(), refs); err != nil {
-			b.Fatal(err)
-		}
-		return rec.Finish()
-	}
-	passes, sharedPasses := record(trc), record(shared)
 	for _, c := range []struct {
 		name   string
 		policy Policy
-		passes []*L1Pass
+		refs   []trace.Ref
 	}{
-		{"conventional", Conventional, passes},
-		{"exclusive", Exclusive, passes},
-		{"exclusive-shared", Exclusive, sharedPasses},
+		{"conventional", Conventional, trc},
+		{"exclusive", Exclusive, trc},
+		{"exclusive-shared", Exclusive, shared},
 	} {
-		for i, pass := range c.passes[:len(c.passes)-1] {
-			cfg := cfgs[i]
-			cfg.Policy = c.policy
-			name := fmt.Sprintf("%s/L1=%s", c.name, cache.FormatSize(cfg.L1I.Size))
-			b.Run(name, func(b *testing.B) {
+		for l1 := int64(1 << 10); l1 < 256<<10; l1 *= 2 {
+			l1c := cache.Config{Size: l1, LineSize: 16, Assoc: 1}
+			var groups [][]Config
+			for l2 := 2 * l1; l2 <= 256<<10; l2 *= 2 {
+				groups = append(groups, []Config{{
+					L1I: l1c, L1D: l1c, Policy: c.policy,
+					L2: cache.Config{Size: l2, LineSize: 16, Assoc: 4, Policy: cache.Random},
+				}})
+			}
+			b.Run(fmt.Sprintf("%s/L1=%s", c.name, cache.FormatSize(l1)), func(b *testing.B) {
 				var events uint64
 				for n := 0; n < b.N; n++ {
-					for l2 := 2 * cfg.L1I.Size; l2 <= 256<<10; l2 *= 2 {
-						cfg.L2 = cache.Config{Size: l2, LineSize: 16, Assoc: 4, Policy: cache.Random}
-						if _, err := pass.Replay(context.Background(), cfg, nil); err != nil {
-							b.Fatal(err)
-						}
-						events += pass.st.L1Misses()
+					b.StopTimer()
+					fols, err := recordGroups(groups, c.refs, 0, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					for _, f := range fols {
+						drain(f)
+						events += f.Events()
 					}
 				}
 				if events > 0 {

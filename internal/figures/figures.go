@@ -698,8 +698,8 @@ func (h *Harness) Figure26() Figure {
 
 // ---- Registry and rendering ----
 
-// IDs lists every figure and table identifier in paper order, followed
-// by the extension figures.
+// IDs lists every figure and table identifier in paper order, then the
+// extension figures.
 func IDs() []string {
 	ids := []string{"table1", "fig1", "fig2"}
 	for i := 3; i <= 26; i++ {

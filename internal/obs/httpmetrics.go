@@ -98,7 +98,7 @@ func NormalizeRoute(method, path string) string {
 }
 
 // idSegment reports whether a path segment looks like an identifier
-// (all digits, or a one-letter prefix followed by digits — the job-id
+// (all digits, or a one-letter prefix then digits — the job-id
 // shape "j42"). API version segments ("v1") share that shape but name a
 // route, not an instance, so 'v' prefixes are exempt.
 func idSegment(seg string) bool {

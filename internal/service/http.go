@@ -90,6 +90,12 @@ type optionsSpec struct {
 	Retries         int     `json:"retries,omitempty"`
 }
 
+// maxCacheKB caps each l1_kb and l2_kb entry of a job: 64 MB, far above
+// the paper's largest cache (256 KB). It is checked before the entry is
+// shifted to bytes, so no entry can overflow into a huge or a zero-byte
+// cache.
+const maxCacheKB = 64 << 10
+
 // toOptions validates the wire form and builds the sweep options.
 func (s optionsSpec) toOptions() (sweep.Options, error) {
 	opt := sweep.Options{
@@ -123,14 +129,14 @@ func (s optionsSpec) toOptions() (sweep.Options, error) {
 		return opt, fmt.Errorf("unknown l2_policy %q", s.L2Policy)
 	}
 	for _, kb := range s.L1KB {
-		if kb <= 0 {
-			return opt, fmt.Errorf("bad l1_kb entry %d", kb)
+		if kb <= 0 || kb > maxCacheKB {
+			return opt, fmt.Errorf("bad l1_kb entry %d (want 1 to %d)", kb, maxCacheKB)
 		}
 		opt.L1Sizes = append(opt.L1Sizes, kb<<10)
 	}
 	for _, kb := range s.L2KB {
-		if kb < 0 {
-			return opt, fmt.Errorf("bad l2_kb entry %d", kb)
+		if kb < 0 || kb > maxCacheKB {
+			return opt, fmt.Errorf("bad l2_kb entry %d (want 0 to %d)", kb, maxCacheKB)
 		}
 		opt.L2Sizes = append(opt.L2Sizes, kb<<10)
 	}

@@ -279,6 +279,48 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
+// TestAPIOversizedCacheRejected: a cache size above maxCacheKB is
+// refused with a 400 before any job exists, and the same manager then
+// completes a normal job. A 2^40 KB L1 used to be accepted and to panic
+// in the trace stage, which took the whole process down.
+func TestAPIOversizedCacheRejected(t *testing.T) {
+	srv, _ := newTestServer(t)
+	var e struct {
+		Error string `json:"error"`
+	}
+	body := `{"workloads":["gcc1"],"options":{"refs":1000,"l1_kb":[1099511627776],"l2_kb":[0]}}`
+	if code := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", body, &e); code != http.StatusBadRequest || e.Error == "" {
+		t.Fatalf("a 2^40 KB L1: status %d, error %q, want 400 with a message", code, e.Error)
+	}
+	var st Status
+	if code := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", tinyJob, &st); code != http.StatusAccepted {
+		t.Fatalf("a normal job after it: status %d", code)
+	}
+	if st = pollDone(t, srv.URL, st.ID); st.State != StateDone {
+		t.Fatalf("a normal job after it ended %s", st.State)
+	}
+}
+
+// TestToOptionsCapsCacheSizes: toOptions refuses any size above
+// maxCacheKB before shifting it to bytes, where 2^54 KB would wrap to a
+// zero-byte L1 (whose L2 sizes never end), and takes the cap itself.
+func TestToOptionsCapsCacheSizes(t *testing.T) {
+	for _, s := range []optionsSpec{
+		{L1KB: []int64{1 << 54}},
+		{L2KB: []int64{1 << 54}},
+		{L1KB: []int64{maxCacheKB + 1}},
+		{L2KB: []int64{maxCacheKB + 1}},
+	} {
+		if _, err := s.toOptions(); err == nil {
+			t.Errorf("toOptions accepted l1_kb %v, l2_kb %v", s.L1KB, s.L2KB)
+		}
+	}
+	opt, err := optionsSpec{L1KB: []int64{maxCacheKB}, L2KB: []int64{maxCacheKB}}.toOptions()
+	if err != nil || opt.L1Sizes[0] != 64<<20 || opt.L2Sizes[0] != 64<<20 {
+		t.Errorf("toOptions at the cap: %v, %v, %v", opt.L1Sizes, opt.L2Sizes, err)
+	}
+}
+
 // TestAPIEnvelopeAcrossWorkloadsNeedsFilter: mixing workloads in one
 // staircase is refused with a usable error.
 func TestAPIEnvelopeAcrossWorkloadsNeedsFilter(t *testing.T) {

@@ -94,18 +94,29 @@ func TestEvaluatorConfigError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := core.Config{
-		L1I: cache.Config{Size: 3000, LineSize: 16, Assoc: 1}, // not a power of two
+	l1 := cache.Config{Size: 1 << 10, LineSize: 16, Assoc: 1}
+	good := core.Config{L1I: l1, L1D: l1, L2: cache.Config{Size: 4 << 10, LineSize: 16, Assoc: 4}}
+	// L1s that are not a power of two, and one such L2 below
+	// valid, eligible L1s, which must not take good's pass down with it.
+	badL1 := core.Config{
+		L1I: cache.Config{Size: 3000, LineSize: 16, Assoc: 1},
 		L1D: cache.Config{Size: 3000, LineSize: 16, Assoc: 1},
 	}
-	ev := NewEvaluator(w, Options{Refs: 1000}, []core.Config{bad})
-	_, err = ev.Evaluate(context.Background(), bad)
-	var ce *ConfigError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *ConfigError", err)
+	badL2 := good
+	badL2.L2.Size = 3 << 10
+	ev := NewEvaluator(w, Options{Refs: 1000}, []core.Config{badL1, good, badL2})
+	for _, bad := range []core.Config{badL1, badL2} {
+		_, err = ev.Evaluate(context.Background(), bad)
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: err = %v, want *ConfigError", Label(bad), err)
+		}
+		if ce.Workload != "li" {
+			t.Fatalf("ConfigError workload = %q", ce.Workload)
+		}
 	}
-	if ce.Workload != "li" {
-		t.Fatalf("ConfigError workload = %q", ce.Workload)
+	if _, err := ev.Evaluate(context.Background(), good); err != nil {
+		t.Fatalf("%s beside invalid configurations: %v", Label(good), err)
 	}
 }
 

@@ -386,8 +386,8 @@ type Evaluator struct {
 }
 
 // l1Group is a run of configurations that share one L1 pass: the
-// core.ReplayEligible configurations with one L1 geometry, or a single
-// configuration that simulates directly and has no pass. left counts
+// valid core.ReplayEligible configurations with one L1 geometry, or a
+// single configuration that simulates directly and has no pass. left counts
 // the evaluations still to come; the stage records only groups with
 // some, and sets fol, the group's follower, which is stopped and
 // dropped when left falls to zero.
@@ -423,7 +423,7 @@ var followTestHook func()
 // Trace, TraceParent, Chaos), and Workers, which bounds the followers
 // walking at once; the enumeration fields are ignored. The eligible
 // configurations are grouped by L1 geometry; every other one, and every
-// one whose L1s are invalid, is a group of its own.
+// invalid one, is a group of its own.
 func NewEvaluator(w spec.Workload, opt Options, cfgs []core.Config) *Evaluator {
 	opt = opt.withDefaults()
 	e := &Evaluator{
@@ -436,7 +436,7 @@ func NewEvaluator(w spec.Workload, opt Options, cfgs []core.Config) *Evaluator {
 	for _, cfg := range cfgs {
 		key := core.Config{L1I: cfg.L1I, L1D: cfg.L1D}
 		g := index[key]
-		if !core.ReplayEligible(cfg) || key.Validate() != nil {
+		if !core.ReplayEligible(cfg) || cfg.Validate() != nil {
 			g = &l1Group{}
 			e.groups = append(e.groups, g)
 		} else if g == nil {
@@ -598,7 +598,7 @@ func (e *Evaluator) record(ctx context.Context) ([]trace.Ref, error) {
 	opt := e.opt
 	var (
 		replay []*l1Group
-		cfgs   []core.Config
+		groups [][]core.Config
 		direct bool
 	)
 	e.mu.Lock()
@@ -607,22 +607,22 @@ func (e *Evaluator) record(ctx context.Context) ([]trace.Ref, error) {
 		case g.left <= 0:
 		case g.replay:
 			replay = append(replay, g)
-			cfgs = append(cfgs, g.cfgs[0])
+			groups = append(groups, g.cfgs)
 		default:
 			direct = true
 		}
 	}
 	e.mu.Unlock()
-	rec, err := core.NewL1Recorder(cfgs)
+	rec, err := core.NewL1Recorder(groups)
 	if err != nil {
-		panic(err) // NewEvaluator groups only valid direct-mapped L1s
+		panic(err) // NewEvaluator groups only valid, eligible configurations by L1s
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // also stops the generator when the recorder panics
 
 	fols := make([]*follower, len(replay))
 	for i, g := range replay {
-		fols[i] = e.follow(g, rec.Passes()[i])
+		fols[i] = e.follow(g, rec.Followers()[i])
 	}
 	recorded := false
 	defer func() {
@@ -676,10 +676,10 @@ func (e *Evaluator) record(ctx context.Context) ([]trace.Ref, error) {
 		}
 	}()
 
-	rs := opt.Trace.Start(opt.TraceParent, "l1-record", span.Attr{Key: "passes", Value: strconv.Itoa(len(cfgs))})
+	rs := opt.Trace.Start(opt.TraceParent, "l1-record", span.Attr{Key: "passes", Value: strconv.Itoa(len(replay))})
 	var passSpans []*span.Span
-	for _, cfg := range cfgs {
-		passSpans = append(passSpans, rs.Child("l1-pass", span.Attr{Key: "l1", Value: cache.FormatSize(cfg.L1I.Size)}))
+	for _, g := range replay {
+		passSpans = append(passSpans, rs.Child("l1-pass", span.Attr{Key: "l1", Value: cache.FormatSize(g.cfgs[0].L1I.Size)}))
 	}
 	defer func() {
 		for _, ps := range passSpans {
@@ -723,15 +723,12 @@ func (e *Evaluator) record(ctx context.Context) ([]trace.Ref, error) {
 	return refs, nil
 }
 
-// follow starts g's follower over pass, with a "replay" span that
-// carries the group's L1 size, its count of L2s and the miss events it
-// walked. It runs until it has replayed the whole pass or is cancelled,
-// holding one of e.tokens while it walks each chunk.
-func (e *Evaluator) follow(g *l1Group, pass *core.L1Pass) *follower {
-	fl, err := pass.Follow(g.cfgs)
-	if err != nil {
-		panic(err) // a replay group's configurations are eligible and share the pass's L1s
-	}
+// follow starts g's follower, which replays g's pass through fl, with a
+// "replay" span that carries the group's L1 size, its count of L2s and
+// the miss events it walked. It runs until it has replayed the whole
+// pass or is cancelled, holding one of e.tokens while it walks each
+// chunk.
+func (e *Evaluator) follow(g *l1Group, fl *core.Follower) *follower {
 	l2s := 0
 	for _, cfg := range g.cfgs {
 		if cfg.TwoLevel() {

@@ -209,7 +209,7 @@ func (g *Generator) Next() (Ref, bool) {
 }
 
 // Fill writes the next len(buf) references into buf and returns
-// len(buf): the stream never ends. An instruction fetch is followed by
+// len(buf): the stream never ends. An instruction fetch is succeeded by
 // a data reference with probability (1-InstrFrac)/InstrFrac; one that
 // does not fit in buf is held for the next call.
 func (g *Generator) Fill(buf []Ref) int {

@@ -11,7 +11,7 @@ import (
 )
 
 // genDigests pins the SHA-256 of the first spec.DefaultRefs references
-// of every workload, each hashed as a kind byte followed by the address
+// of every workload, each hashed as a kind byte, then the address
 // as 8 little-endian bytes. Any change to the generator or to the
 // stack-distance kernel under it that moves a single reference moves
 // these digests; the sweep goldens only see the references through a

@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// Binary trace format: the 8-byte magic header "TLTRACE1" followed by one
+// Binary trace format: the 8-byte magic header "TLTRACE1", then one
 // record per reference — a kind byte (0 instr, 1 data read, 2 data write)
 // and the address as an unsigned varint. Compact, deterministic, and
 // stream-decodable.
