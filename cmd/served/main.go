@@ -14,7 +14,9 @@
 //	GET    /v1/jobs/{id}/events  live progress over Server-Sent Events
 //	                             (snapshot, per-task events, terminal
 //	                             state; -sse-heartbeat sets the keepalive)
-//	GET    /v1/jobs/{id}/trace   span tree (Chrome trace_event JSON)
+//	GET    /v1/jobs/{id}/trace   span tree (Chrome trace_event JSON) of a
+//	                             running job or one of the last
+//	                             service.KeptTraces finished ones
 //	DELETE /v1/jobs/{id}         cancel a job
 //	GET    /v1/envelope          ?area=<rbe>[&workload=][&job=] budget query
 //	GET    /metrics, /progress, /debug/pprof/  observability
@@ -80,7 +82,7 @@ func run() int {
 		maxBody    = flag.Int64("max-body-bytes", 0, "refuse larger POST /v1/jobs bodies with 413 (0 = 1MB default)")
 		metricsOut = flag.String("metrics", "", "write the final metrics snapshot as JSON to this file")
 		eventsOut  = flag.String("events", "", "append the job/run event journal (JSONL) to this file")
-		traceOut   = flag.String("trace", "", "write the service span trace (Chrome trace_event JSON) to this file at shutdown")
+		traceOut   = flag.String("trace", "", fmt.Sprintf("write the service span trace (Chrome trace_event JSON) to this file at shutdown; it holds the running jobs and the last %d finished ones", service.KeptTraces))
 		sloSpec    = flag.String("slo", "", "latency objectives evaluated on Prometheus scrapes, e.g. p99:evaluate:500ms,p50:job:2s")
 	)
 	flag.Parse()
@@ -128,8 +130,9 @@ func run() int {
 	}
 
 	// The manager traces every job regardless (GET /v1/jobs/{id}/trace
-	// serves per-job subtrees live); -trace additionally persists the
-	// whole accumulated tree at shutdown.
+	// serves per-job subtrees live) and keeps the trees of the last
+	// service.KeptTraces finished jobs; -trace additionally persists
+	// those at shutdown.
 	tr := span.NewTracer()
 	mgr := service.New(service.Config{
 		Workers:         *workers,

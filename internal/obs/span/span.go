@@ -57,17 +57,27 @@ func (d Data) Attr(key string) string {
 
 // Tracer collects finished spans. It is safe for concurrent use; a nil
 // *Tracer is a valid no-op tracer (Start returns nil, Snapshot returns
-// nothing, exports write an empty trace).
+// nothing, exports write an empty trace). It files each finished span
+// with the tree of its root span, so a long-lived owner can Drop the
+// trees it no longer needs.
 type Tracer struct {
 	epoch  time.Time // monotonic reference point for all span times
 	nextID atomic.Uint64
 
-	mu   sync.Mutex
-	done []Data
+	mu    sync.Mutex
+	trees map[uint64]*tree // by root span id
+	n     int              // finished spans held
+}
+
+// tree holds the finished spans of one root span and its descendants.
+// Once dropped, it takes no more. Tracer.mu guards it.
+type tree struct {
+	spans   []Data
+	dropped bool
 }
 
 // NewTracer returns an empty tracer whose time epoch is "now".
-func NewTracer() *Tracer { return &Tracer{epoch: time.Now()} }
+func NewTracer() *Tracer { return &Tracer{epoch: time.Now(), trees: map[uint64]*tree{}} }
 
 // now is the nanoseconds elapsed since the tracer's epoch, measured on
 // the monotonic clock.
@@ -81,7 +91,12 @@ func (t *Tracer) Start(parent *Span, name string, attrs ...Attr) *Span {
 	}
 	s := &Span{t: t, id: t.nextID.Add(1), name: name, start: t.now()}
 	if parent != nil {
-		s.parent = parent.id
+		s.parent, s.tree = parent.id, parent.tree
+	} else {
+		s.tree = &tree{}
+		t.mu.Lock()
+		t.trees[s.id] = s.tree
+		t.mu.Unlock()
 	}
 	if len(attrs) > 0 {
 		s.attrs = append(s.attrs, attrs...)
@@ -89,11 +104,31 @@ func (t *Tracer) Start(parent *Span, name string, attrs ...Attr) *Span {
 	return s
 }
 
-// record files a finished span.
-func (t *Tracer) record(d Data) {
+// record files a finished span with its tree, unless the tree was
+// dropped.
+func (t *Tracer) record(tr *tree, d Data) {
 	t.mu.Lock()
-	t.done = append(t.done, d)
+	if !tr.dropped {
+		tr.spans = append(tr.spans, d)
+		t.n++
+	}
 	t.mu.Unlock()
+}
+
+// Drop discards the tree of the root span with id root: its finished
+// spans, and every span of it that ends later, including spans started
+// under it later. An id that is not a held root is ignored.
+func (t *Tracer) Drop(root uint64) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if tr := t.trees[root]; tr != nil {
+		t.n -= len(tr.spans)
+		tr.spans, tr.dropped = nil, true
+		delete(t.trees, root)
+	}
 }
 
 // Snapshot returns every finished span, sorted by start time (ties by
@@ -104,8 +139,10 @@ func (t *Tracer) Snapshot() []Data {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]Data, len(t.done))
-	copy(out, t.done)
+	out := make([]Data, 0, t.n)
+	for _, tr := range t.trees {
+		out = append(out, tr.spans...)
+	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].StartNS != out[j].StartNS {
@@ -116,14 +153,14 @@ func (t *Tracer) Snapshot() []Data {
 	return out
 }
 
-// Len reports the number of finished spans.
+// Len reports the number of finished spans held.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.done)
+	return t.n
 }
 
 // Span is one open interval in the trace tree. A nil *Span is valid:
@@ -131,6 +168,7 @@ func (t *Tracer) Len() int {
 // propagates through an entire call tree without checks.
 type Span struct {
 	t      *Tracer
+	tree   *tree // the root's, which the span is filed with
 	id     uint64
 	parent uint64
 	name   string
@@ -188,5 +226,5 @@ func (s *Span) End() {
 	if d.EndNS < d.StartNS { // paranoia: monotonic time cannot go back
 		d.EndNS = d.StartNS
 	}
-	s.t.record(d)
+	s.t.record(s.tree, d)
 }

@@ -268,3 +268,80 @@ func TestWriteFile(t *testing.T) {
 		t.Fatalf("trace file has %d X events, want 1", len(events))
 	}
 }
+
+// TestTracerDropDiscardsTree: Drop removes one root's tree, the spans it
+// holds and those of it that end or start later, and leaves every other
+// tree whole; dropping a child's id or an unknown id does nothing.
+func TestTracerDropDiscardsTree(t *testing.T) {
+	tr := NewTracer()
+	keep := tr.Start(nil, "job")
+	keepChild := keep.Child("evaluate")
+	keepChild.End()
+	drop := tr.Start(nil, "job")
+	done := drop.Child("evaluate")
+	done.End()
+	late := drop.Child("replay")
+	drop.End()
+	if got := tr.Len(); got != 3 {
+		t.Fatalf("Len = %d before Drop, want 3", got)
+	}
+
+	tr.Drop(keepChild.ID()) // not a root
+	tr.Drop(1 << 40)        // unknown
+	if got := tr.Len(); got != 3 {
+		t.Fatalf("Len = %d after dropping a child's and an unknown id, want 3", got)
+	}
+	tr.Drop(drop.ID())
+	late.End()
+	drop.Child("after").End()
+	keep.End()
+
+	spans := tr.Snapshot()
+	if len(spans) != 2 || tr.Len() != 2 {
+		t.Fatalf("after Drop: Snapshot %+v, Len %d; want the kept job and its child", spans, tr.Len())
+	}
+	for _, d := range spans {
+		if d.ID != keep.ID() && d.ID != keepChild.ID() {
+			t.Errorf("span %+v of the dropped tree survived", d)
+		}
+	}
+}
+
+// TestTracerDropConcurrent drops trees while other goroutines end spans
+// of them and of trees that are kept, for the race detector: every kept
+// span must be held, and no dropped one.
+func TestTracerDropConcurrent(t *testing.T) {
+	tr := NewTracer()
+	const roots, children = 8, 200
+	var wg sync.WaitGroup
+	kept := make([]*Span, roots)
+	for r := range kept {
+		kept[r] = tr.Start(nil, "job")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < children; i++ {
+				kept[r].Child("config").End()
+			}
+		}()
+		dropped := tr.Start(nil, "job")
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < children; i++ {
+				dropped.Child("config").End()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			tr.Drop(dropped.ID())
+		}()
+	}
+	wg.Wait()
+	for _, s := range kept {
+		s.End()
+	}
+	if got, want := tr.Len(), roots*(children+1); got != want || len(tr.Snapshot()) != want {
+		t.Errorf("Len %d, Snapshot %d spans; want the %d of the kept trees", got, len(tr.Snapshot()), want)
+	}
+}

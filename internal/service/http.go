@@ -26,7 +26,9 @@ package service
 //	                          stand-ins flagged "approx": true)
 //	GET    /v1/jobs/{id}/trace   the job's span tree as Chrome
 //	                          trace_event JSON, loadable in Perfetto
-//	                          (202 + status while the job is running)
+//	                          (202 + status while the job is running;
+//	                          404 once KeptTraces jobs have finished
+//	                          after it and its tree is dropped)
 //	DELETE /v1/jobs/{id}      cancel a running job
 //	GET    /v1/envelope       the paper's budget question: ?area=<rbe>
 //	                          [&workload=<name>] [&job=<id>] answers with
@@ -314,7 +316,10 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := j.WriteTrace(w); err != nil {
+		switch err := j.WriteTrace(w); {
+		case errors.Is(err, ErrTraceDropped):
+			httpError(w, http.StatusNotFound, fmt.Errorf("job %q: %w", j.ID(), err))
+		case err != nil:
 			httpError(w, http.StatusInternalServerError, err)
 		}
 	})

@@ -301,6 +301,29 @@ func TestAPIOversizedCacheRejected(t *testing.T) {
 	}
 }
 
+// TestAPIInvalidGeometryRejected: a job with a configuration that
+// core.Config.Validate rejects is refused whole with a 400 naming the
+// configuration and the cause, and no job is created.
+func TestAPIInvalidGeometryRejected(t *testing.T) {
+	srv, m := newTestServer(t)
+	for _, c := range []struct{ options, label, cause string }{
+		{`"l1_kb":[1],"l2_kb":[0,3]`, "1:3", "power of two"},
+		{`"l1_kb":[1],"l2_kb":[0],"line_size":24`, "1:0", "power of two"},
+	} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		body := `{"workloads":["gcc1"],"options":{"refs":1000,` + c.options + `}}`
+		code := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", body, &e)
+		if code != http.StatusBadRequest || !strings.Contains(e.Error, "configuration "+c.label) || !strings.Contains(e.Error, c.cause) {
+			t.Errorf("%s: status %d, error %q; want 400 naming configuration %s and %q", c.options, code, e.Error, c.label, c.cause)
+		}
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Errorf("%d jobs created from refused requests", len(jobs))
+	}
+}
+
 // TestToOptionsCapsCacheSizes: toOptions refuses any size above
 // maxCacheKB before shifting it to bytes, where 2^54 KB would wrap to a
 // zero-byte L1 (whose L2 sizes never end), and takes the cap itself.

@@ -27,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,6 +50,16 @@ var ErrClosed = errors.New("service: manager is shut down")
 // active-job or queue limit is reached). The HTTP layer maps it to 429
 // with a Retry-After; callers should back off and resubmit.
 var ErrOverloaded = errors.New("service: overloaded, retry later")
+
+// ErrTraceDropped is returned by Job.WriteTrace for a job whose span
+// tree the manager no longer keeps.
+var ErrTraceDropped = errors.New("service: the job's trace is no longer kept")
+
+// KeptTraces is how many finished jobs' span trees the manager keeps:
+// once a job finishes beyond it, the tree of the oldest finished job is
+// dropped from the tracer, so a long-running service holds a bounded
+// trace whatever number of jobs it serves.
+const KeptTraces = 32
 
 // Config parameterizes a Manager.
 type Config struct {
@@ -80,7 +91,8 @@ type Config struct {
 	// trace stage and config → attempt → simulate). When nil the manager
 	// keeps a private tracer so GET /v1/jobs/{id}/trace works regardless;
 	// pass one explicitly to also export the whole service trace
-	// (cmd/served -trace).
+	// (cmd/served -trace). Either way the manager drops a finished job's
+	// tree once KeptTraces jobs have finished after it.
 	Trace *span.Tracer
 
 	// MaxActiveJobs bounds jobs submitted but not yet terminal; a Submit
@@ -162,6 +174,10 @@ type Manager struct {
 	heartbeat  time.Duration
 	// workersN is the pool size; retryAfter scales its hint by it.
 	workersN int
+	// traceMu guards traced, the finished jobs whose span trees the
+	// tracer keeps, oldest first.
+	traceMu sync.Mutex
+	traced  []*Job
 	// active counts non-terminal jobs for admission. It is atomic, not
 	// m.mu-guarded, because the terminal transition (closeLocked) runs
 	// under j.mu — sometimes while Submit already holds m.mu — and the
@@ -206,8 +222,8 @@ type task struct {
 // dropWaiter removes j from the waiter list, cancelling the task's
 // context once nobody is left wanting the result. A task orphaned
 // before a worker starts it is skipped off its evaluator at once, so a
-// trace stage that runs later neither records nor replays its L1 pass
-// for it.
+// trace stage that runs later does not read for it, and one that is
+// running stops the task's direct reader.
 func (t *task) dropWaiter(j *Job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -363,8 +379,9 @@ func (m *Manager) Ready() bool {
 	return !m.closed
 }
 
-// WriteTrace exports the whole service trace — every job's span tree —
-// as one Chrome trace_event JSON document (cmd/served -trace).
+// WriteTrace exports the whole service trace — the span trees of the
+// running jobs and of the last KeptTraces finished ones — as one Chrome
+// trace_event JSON document (cmd/served -trace).
 func (m *Manager) WriteTrace(w io.Writer) error { return m.tracer.Export(w) }
 
 // Submit validates and enqueues one job, returning it immediately; the
@@ -394,6 +411,13 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 	cfgs := sweep.Configs(opt)
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("service: options enumerate no configurations")
+	}
+	// A job is admitted whole or not at all: a geometry the simulator
+	// rejects fails here, not once per configuration after a 202.
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("service: configuration %s: %w", sweep.Label(cfg), err)
+		}
 	}
 	timeout := req.Timeout
 	if m.maxTimeout > 0 && (timeout <= 0 || timeout > m.maxTimeout) {
@@ -712,7 +736,9 @@ type Job struct {
 	// root is the job's trace span; evalSpans holds the open "evaluate"
 	// child for every task the job still awaits (ended on delivery or at
 	// the terminal transition). Both live on the manager's tracer.
-	root *span.Span
+	// traceDropped is set once the manager drops the job's tree.
+	root         *span.Span
+	traceDropped atomic.Bool
 
 	mu        sync.Mutex
 	state     State
@@ -848,9 +874,9 @@ func (j *Job) closeLocked(event string) {
 	// exact-only on every path (done, failed, cancelled, expired).
 	clear(j.approx)
 	// The manager keeps every job for status queries, and each task's
-	// evaluator holds its workload's replay results, and any trace it
-	// keeps, until its last task is done. Cancel and expire have already
-	// taken their snapshot of the tasks.
+	// evaluator holds its workload's reader results until its last task
+	// is done. Cancel and expire have already taken their snapshot of the
+	// tasks.
 	j.tasks = nil
 	// Evaluations still open (cancellation, shutdown) end with the job,
 	// marked with the state that cut them off.
@@ -862,6 +888,7 @@ func (j *Job) closeLocked(event string) {
 	j.root.Annotate("state", string(j.state))
 	j.root.Annotate("done", fmt.Sprintf("%d/%d", j.done, j.total))
 	j.root.End()
+	j.m.keepTrace(j)
 	j.finished = time.Now()
 	close(j.doneCh)
 	j.m.activeJobs.Done()
@@ -875,11 +902,30 @@ func (j *Job) closeLocked(event string) {
 	})
 }
 
+// keepTrace files j, just finished, among the jobs whose span trees the
+// tracer keeps, and drops the tree of the oldest beyond KeptTraces.
+func (m *Manager) keepTrace(j *Job) {
+	m.traceMu.Lock()
+	defer m.traceMu.Unlock()
+	m.traced = append(m.traced, j)
+	if len(m.traced) > KeptTraces {
+		old := m.traced[0]
+		m.traced = slices.Delete(m.traced, 0, 1)
+		old.traceDropped.Store(true)
+		m.tracer.Drop(old.root.ID())
+	}
+}
+
 // WriteTrace exports the job's span subtree (job → evaluate →
 // store-{hit,miss}, the trace stage, config → attempt → simulate) as a
 // Chrome trace_event JSON document — the same document GET
-// /v1/jobs/{id}/trace serves once the job is terminal.
+// /v1/jobs/{id}/trace serves once the job is terminal. It returns
+// ErrTraceDropped, and writes nothing, once KeptTraces jobs have
+// finished after this one.
 func (j *Job) WriteTrace(w io.Writer) error {
+	if j.traceDropped.Load() {
+		return ErrTraceDropped
+	}
 	return j.m.tracer.ExportSubtree(w, j.root.ID())
 }
 

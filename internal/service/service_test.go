@@ -364,11 +364,9 @@ func TestStoreEviction(t *testing.T) {
 }
 
 // TestFinishedJobsReleaseTraces pins that a terminal job lets go of its
-// evaluators: each cold job's evaluator records its workload's L1
-// passes (or keeps a whole trace, 16 B per reference, for a
-// configuration that simulates directly), and the manager keeps every
-// job for status queries, so a job that held on to its tasks would pin
-// them forever.
+// evaluators: each cold job's evaluator holds the results of its
+// workload's trace stage, and the manager keeps every job for status
+// queries, so a job that held on to its tasks would pin them forever.
 // Twenty finished 200k-reference jobs must grow the live heap by less
 // than one trace, while still serving status, points and span trace.
 func TestFinishedJobsReleaseTraces(t *testing.T) {

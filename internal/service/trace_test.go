@@ -3,11 +3,14 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"twolevel/internal/obs/span"
+	"twolevel/internal/sweep"
 )
 
 // spanIndex groups a tracer snapshot for tree assertions.
@@ -234,4 +237,56 @@ func TestAPITrace(t *testing.T) {
 		t.Fatalf("GET trace while running: status %d", code)
 	}
 	doJSON(t, http.MethodDelete, srv.URL+"/v1/jobs/"+st2.ID, "", nil)
+}
+
+// TestManagerRetainsRecentTraces runs three windows' worth of jobs, each
+// with a trace of its own (every job has a distinct trace length, so no
+// store hit shortens its tree): the tracer's span count must stop growing
+// once KeptTraces jobs have finished, the trace of a job pushed out of
+// the window must answer 404, as an unknown job does, and that of the
+// latest job 200.
+func TestManagerRetainsRecentTraces(t *testing.T) {
+	tr := span.NewTracer()
+	m := New(Config{Workers: 2, Trace: tr})
+	srv := httptest.NewServer(NewHandler(m))
+	defer func() {
+		srv.Close()
+		m.Close()
+	}()
+	var jobs []*Job
+	var window int // spans held once the window first filled
+	for i := 0; i < 3*KeptTraces; i++ {
+		opt := sweep.Options{Refs: uint64(1000 + i), L1Sizes: []int64{1 << 10}, L2Sizes: []int64{0, 8 << 10}}
+		j, err := m.Submit(JobRequest{Workloads: []string{"gcc1"}, Options: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		jobs = append(jobs, j)
+		switch n := tr.Len(); {
+		case i+1 == KeptTraces:
+			window = n
+		case i+1 > KeptTraces && n > window:
+			t.Fatalf("after %d jobs the tracer holds %d spans, more than the %d it held after %d", i+1, n, window, KeptTraces)
+		}
+	}
+	if got := len(indexSpans(tr.Snapshot()).byName["job"]); got != KeptTraces {
+		t.Errorf("the tracer holds %d job trees, want %d", got, KeptTraces)
+	}
+	if err := jobs[0].WriteTrace(io.Discard); !errors.Is(err, ErrTraceDropped) {
+		t.Errorf("WriteTrace of the first job: %v, want ErrTraceDropped", err)
+	}
+	for _, c := range []struct {
+		j    *Job
+		want int
+	}{{jobs[0], http.StatusNotFound}, {jobs[len(jobs)-KeptTraces], http.StatusOK}, {jobs[len(jobs)-1], http.StatusOK}} {
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + c.j.ID() + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("trace of %s: status %d, want %d", c.j.ID(), resp.StatusCode, c.want)
+		}
+	}
 }

@@ -146,33 +146,33 @@ func hasCounter(r *obs.Registry, name string) bool {
 	return ok
 }
 
-// TestRunContextSingleGroupUsesEveryWorker checks that a sweep with one
-// L1 size, and so one group and one follower, evaluates its
-// configurations on several workers at once.
-func TestRunContextSingleGroupUsesEveryWorker(t *testing.T) {
+// TestRunContextReadersUseEveryWorker checks that the direct readers of
+// an inclusive sweep walk on several workers at once: the first reader
+// to take a token waits, holding it, until a second one walks.
+func TestRunContextReadersUseEveryWorker(t *testing.T) {
 	w := testWorkload(t)
 	opt := l1OnceOpt()
 	opt.L1Sizes = opt.L1Sizes[:1]
+	opt.Policy = core.Inclusive
 	opt.Workers = 2
 	var (
 		mu       sync.Mutex
 		started  int
 		together = make(chan struct{})
 	)
-	evalTestHook = func(core.Config) {
+	readTestHook = func([]core.Config) {
 		mu.Lock()
 		started++
 		n := started
 		mu.Unlock()
 		switch n {
 		case 1:
-		case 2:
 			<-together
-		case 3:
+		case 2:
 			close(together)
 		}
 	}
-	defer func() { evalTestHook = nil }()
+	defer func() { readTestHook = nil }()
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunContext(context.Background(), w, opt)
@@ -184,7 +184,7 @@ func TestRunContextSingleGroupUsesEveryWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("the group's evaluations never ran on two workers at once")
+		t.Fatal("the sweep's readers never walked on two workers at once")
 	}
 }
 

@@ -30,10 +30,11 @@ const (
 	// MetricTimeouts counts evaluation attempts that hit the
 	// per-configuration timeout.
 	MetricTimeouts = "sweep_timeouts_total"
-	// MetricQueueDepth gauges configurations enqueued but not yet picked
-	// up by a worker.
+	// MetricQueueDepth gauges configurations enqueued but not yet
+	// evaluated.
 	MetricQueueDepth = "sweep_queue_depth"
-	// MetricWorkers gauges the worker-pool size of the current sweep.
+	// MetricWorkers gauges Options.Workers of the current sweep, the
+	// readers of its trace stage that walk at once.
 	MetricWorkers = "sweep_workers"
 	// MetricConfigSeconds is the per-configuration wall-time histogram.
 	MetricConfigSeconds = "sweep_config_seconds"
@@ -88,8 +89,9 @@ type Progress struct {
 	// configurations' wall times.
 	MeanConfigSeconds float64 `json:"mean_config_seconds"`
 	P90ConfigSeconds  float64 `json:"p90_config_seconds"`
-	// ETASeconds estimates the remaining wall time:
-	// remaining × mean / workers. Zero until the first completion.
+	// ETASeconds estimates the remaining wall time as remaining × mean,
+	// since RunContext evaluates one configuration at a time once its
+	// trace stage has run. Zero until the first completion.
 	ETASeconds float64 `json:"eta_seconds"`
 }
 
@@ -115,11 +117,7 @@ func ProgressSummary(r *obs.Registry) func() any {
 			p.PctDone = 100 * float64(finished) / float64(p.Total)
 		}
 		if remaining := p.Total - finished; remaining > 0 && p.MeanConfigSeconds > 0 {
-			workers := p.Workers
-			if workers < 1 {
-				workers = 1
-			}
-			p.ETASeconds = float64(remaining) * p.MeanConfigSeconds / float64(workers)
+			p.ETASeconds = float64(remaining) * p.MeanConfigSeconds
 		}
 		return p
 	}

@@ -8,8 +8,9 @@ import (
 
 // TestProgressSummaryETA pins the ETA arithmetic against the degenerate
 // registry states a live scrape can observe: nothing finished yet, a
-// clock-skewed (negative) wall-time sample, a zero workers gauge, and a
-// finished count that overshoots the total.
+// clock-skewed (negative) wall-time sample, and a finished count that
+// overshoots the total. The workers gauge does not enter it: RunContext
+// evaluates one configuration at a time.
 func TestProgressSummaryETA(t *testing.T) {
 	cases := []struct {
 		name string
@@ -31,7 +32,7 @@ func TestProgressSummaryETA(t *testing.T) {
 			name: "steady state",
 			done: 5, total: 10, workers: 2,
 			samples: []float64{2, 2, 2, 2, 2},
-			wantETA: 5 * 2.0 / 2, wantPct: 50,
+			wantETA: 5 * 2.0, wantPct: 50,
 		},
 		{
 			name: "clock skew yields negative mean",
@@ -42,16 +43,16 @@ func TestProgressSummaryETA(t *testing.T) {
 			wantETA: 0, wantPct: 20,
 		},
 		{
-			name: "zero workers clamps to one",
+			name: "zero workers gauge",
 			done: 5, total: 10,
 			samples: []float64{4, 4, 4, 4, 4},
-			wantETA: 5 * 4.0 / 1, wantPct: 50,
+			wantETA: 5 * 4.0, wantPct: 50,
 		},
 		{
 			name: "skips and failures count as finished",
 			done: 2, skipped: 2, failed: 1, total: 10, workers: 1,
 			samples: []float64{3, 3},
-			wantETA: 5 * 3.0 / 1, wantPct: 50,
+			wantETA: 5 * 3.0, wantPct: 50,
 		},
 		{
 			name: "finished beyond total",

@@ -109,18 +109,12 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 		span.Attr{Key: "total", Value: strconv.Itoa(total)})
 
 	var (
-		mu        sync.Mutex
 		completed = make([]Point, 0, total)
 		errs      []error
 		done      int
 		skipped   int
 		failed    int
 	)
-	report := func(ev ProgressEvent) {
-		if opt.Progress != nil {
-			opt.Progress(ev)
-		}
-	}
 
 	var pending []core.Config
 	for _, cfg := range cfgs {
@@ -139,80 +133,70 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 			rs := sw.Child("config", span.Attr{Key: "label", Value: label})
 			rs.Annotate("outcome", "cached")
 			rs.End()
-			report(ProgressEvent{Done: done, Total: total, Label: label, Skipped: true})
+			if opt.Progress != nil {
+				opt.Progress(ProgressEvent{Done: done, Total: total, Label: label, Skipped: true})
+			}
 			continue
 		}
 		pending = append(pending, cfg)
 	}
 
 	if len(pending) > 0 && ctx.Err() == nil {
-		eopt := opt
-		eopt.TraceParent = sw
-		e := NewEvaluator(w, eopt, pending)
-		// The stage runs before the workers, which check ctx, start.
+		opt.TraceParent = sw
+		e := NewEvaluator(w, opt, pending)
+		// The stage runs first, which leaves each configuration only its
+		// wait and pricing, so they go one by one. Configs enumerates by
+		// L1 size, so each group's result is dropped early.
 		_ = e.stage(ctx)
 		met.queueDepth.Set(int64(len(pending)))
-		// The workers take pending in order. Configs enumerates by L1
-		// size, so each group's result is dropped early.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for n := 0; n < min(opt.Workers, len(pending)); n++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					i := next.Add(1) - 1
-					if i >= int64(len(pending)) {
-						return
-					}
-					cfg := pending[i]
-					met.queueDepth.Add(-1)
-					label := Label(cfg)
-					opt.Events.Emit(obs.Event{Type: obs.EventConfigStart, Workload: w.Name, Label: label})
-					cs := sw.Child("config", span.Attr{Key: "label", Value: label})
-					start := time.Now()
-					p, err := e.evaluate(ctx, cfg, cs)
-					dur := time.Since(start)
-					mu.Lock()
-					done++
-					switch {
-					case err == nil:
-						completed = append(completed, p)
-						met.done.Inc()
-						met.cfgSeconds.Observe(dur.Seconds())
-						cs.Annotate("outcome", "ok")
-						opt.Events.Emit(obs.Event{
-							Type: obs.EventConfigDone, Workload: w.Name, Label: label,
-							Done: done, Total: total, DurNS: dur.Nanoseconds(),
-							Area: p.AreaRbe, TPI: p.TPINS,
-						})
-						if opt.Store != nil {
-							ps := cs.Child("store-put")
-							opt.Store.Put(Key(w.Name, cfg, opt), p)
-							ps.End()
-						}
-					case ctx.Err() != nil:
-						// The whole run was cancelled mid-evaluation;
-						// that is reported once below, not per config.
-						cs.Annotate("outcome", "cancelled")
-					default:
-						failed++
-						met.failures.Inc()
-						errs = append(errs, err)
-						cs.Annotate("outcome", "failed")
-						cs.Annotate("error", err.Error())
-						opt.Events.Emit(obs.Event{
-							Type: obs.EventConfigError, Workload: w.Name, Label: label,
-							Done: done, Total: total, Err: err.Error(),
-						})
-					}
-					cs.End()
-					report(ProgressEvent{Done: done, Total: total, Label: label, Err: err})
-					mu.Unlock()
+		for _, cfg := range pending {
+			if ctx.Err() != nil {
+				break
+			}
+			met.queueDepth.Add(-1)
+			label := Label(cfg)
+			opt.Events.Emit(obs.Event{Type: obs.EventConfigStart, Workload: w.Name, Label: label})
+			cs := sw.Child("config", span.Attr{Key: "label", Value: label})
+			start := time.Now()
+			p, err := e.evaluate(ctx, cfg, cs)
+			dur := time.Since(start)
+			done++
+			switch {
+			case err == nil:
+				completed = append(completed, p)
+				met.done.Inc()
+				met.cfgSeconds.Observe(dur.Seconds())
+				cs.Annotate("outcome", "ok")
+				opt.Events.Emit(obs.Event{
+					Type: obs.EventConfigDone, Workload: w.Name, Label: label,
+					Done: done, Total: total, DurNS: dur.Nanoseconds(),
+					Area: p.AreaRbe, TPI: p.TPINS,
+				})
+				if opt.Store != nil {
+					ps := cs.Child("store-put")
+					opt.Store.Put(Key(w.Name, cfg, opt), p)
+					ps.End()
 				}
-			}()
+			case ctx.Err() != nil:
+				// The whole run was cancelled mid-evaluation; that is
+				// reported once below, not per config.
+				cs.Annotate("outcome", "cancelled")
+			default:
+				failed++
+				met.failures.Inc()
+				errs = append(errs, err)
+				cs.Annotate("outcome", "failed")
+				cs.Annotate("error", err.Error())
+				opt.Events.Emit(obs.Event{
+					Type: obs.EventConfigError, Workload: w.Name, Label: label,
+					Done: done, Total: total, Err: err.Error(),
+				})
+			}
+			cs.End()
+			if opt.Progress != nil {
+				opt.Progress(ProgressEvent{Done: done, Total: total, Label: label, Err: err})
+			}
 		}
-		wg.Wait()
 		e.close()
 		met.queueDepth.Set(0)
 	}
@@ -257,170 +241,80 @@ func stored(store PointStore, workload string, cfg core.Config, opt Options) (Po
 	return p, true
 }
 
-// evaluateOne evaluates a single configuration with panic recovery, the
-// per-configuration timeout, and bounded retries, wrapping any final
-// failure in a ConfigError. A parent-context cancellation is returned
-// unwrapped (it is a property of the run, not of the configuration).
-// Every attempt appears in the trace as its own child of parent, so
-// retries show up as sibling "attempt" spans.
-//
-// A non-nil f is the follower of the configuration's group: the attempt
-// takes its replay instead of simulating the whole hierarchy over refs,
-// or, when refs is nil too, over w's stream afresh.
-func evaluateOne(ctx context.Context, w spec.Workload, refs []trace.Ref, f *follower, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
-	var err error
-	// A negative Retries still makes the one attempt, so a ConfigError
-	// always carries the cause of a real failure.
-	for attempt := 0; attempt <= max(opt.Retries, 0); attempt++ {
-		as := parent.Child("attempt", span.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
-		var p Point
-		p, err = evaluateGuarded(ctx, w, refs, f, cfg, opt, as)
-		if err == nil {
-			as.End()
-			p.Workload = w.Name
-			return p, nil
-		}
-		as.Annotate("error", err.Error())
-		if ctx.Err() != nil {
-			as.End()
-			return Point{}, err
-		}
-		var pe panicError
-		cause := "error"
-		switch {
-		case errors.As(err, &pe):
-			met.panics.Inc()
-			cause = "panic"
-		case errors.Is(err, context.DeadlineExceeded):
-			// The parent context is live (checked above), so the deadline
-			// that fired was the per-configuration one.
-			met.timeouts.Inc()
-			cause = "timeout"
-		}
-		if attempt < opt.Retries {
-			met.retries.Inc()
-			as.Annotate("retry_cause", cause)
-			opt.Events.Emit(obs.Event{
-				Type: obs.EventConfigRetry, Workload: w.Name, Label: Label(cfg),
-				Attempt: attempt + 1, Err: err.Error(),
-			})
-		}
-		as.End()
-	}
-	return Point{}, &ConfigError{Label: Label(cfg), Workload: w.Name, Cause: err}
-}
-
-// evaluateGuarded is one evaluation attempt: panics become errors and the
-// per-configuration timeout is applied. The simulation proper is traced
-// as a "simulate" child of the attempt span, which carries the trace
-// length (and is ended even when the evaluation panics, so the trace
-// stays complete). With a follower, the attempt waits for its group's
-// replay under the timeout; a group whose follower was stopped before
-// it finished, once its result was dropped, is simulated afresh.
-func evaluateGuarded(ctx context.Context, w spec.Workload, refs []trace.Ref, f *follower, cfg core.Config, opt Options, sp *span.Span) (p Point, err error) {
-	sim := sp.Child("simulate", span.Attr{Key: "refs", Value: strconv.FormatUint(opt.Refs, 10)})
-	defer func() {
-		if r := recover(); r != nil {
-			err = panicError{v: r}
-		}
-		sim.End()
-	}()
-	if opt.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
-		defer cancel()
-	}
-	if evalTestHook != nil {
-		evalTestHook(cfg)
-	}
-	if err := opt.Chaos.Hit(ChaosSiteEvaluate); err != nil {
-		return Point{}, err
-	}
-	if f != nil {
-		p, err := evaluateWith(cfg, opt, func() (core.Stats, error) {
-			return f.result(ctx, cfg, opt.Metrics)
-		})
-		if !errors.Is(err, errStopped) {
-			return p, err
-		}
-	}
-	if refs != nil {
-		return evaluateStream(ctx, trace.NewSliceStream(refs), cfg, opt)
-	}
-	return evaluateStream(ctx, w.Stream(opt.Refs), cfg, opt)
-}
-
 // Evaluator evaluates one workload's configurations, from a set fixed
 // when it is built, with RunContext's per-configuration hardening and
 // without its enumeration; RunContext evaluates through one too. Its
-// first evaluation runs the trace stage: one walk of the trace records
-// the L1 pass of every geometry of the core.ReplayEligible
-// configurations, and one follower per geometry replays the pass into
-// the L2s of its configurations while it records; the others run
-// System.Run over the trace, kept only for them. An eligible
-// configuration's evaluation waits for its follower's result and prices
-// it. A group's result is dropped once its configurations are evaluated
-// or skipped. A stage cut short by its caller's context stops its
-// followers and records nothing, so the next evaluation runs it again.
-// An Evaluator is safe for concurrent use; internal/service shares one
-// per (job, workload).
+// first evaluation runs the trace stage, one walk of the trace through a
+// ring of chunks that every group reads: the follower of a group of
+// core.ReplayEligible configurations replays the L1 pass the stage
+// records into their L2s, and the direct reader of any other
+// configuration runs its hierarchy over the chunks. An evaluation waits
+// for its group's result, dropped once the group is done, and prices it.
+// A stage cut short by its caller's context stops its readers and
+// records nothing, so the next evaluation runs it again. An Evaluator is
+// safe for concurrent use; internal/service shares one per (job,
+// workload).
 type Evaluator struct {
 	w      spec.Workload
 	opt    Options
 	met    *runMetrics
 	groups []*l1Group
 	group  map[core.Config]*l1Group
-	// tokens holds one slot per Options.Workers: a follower holds one
+	// tokens holds one slot per Options.Workers: a reader holds one
 	// while it walks a chunk.
 	tokens chan struct{}
 
-	// mu guards every group's left and fol.
+	// mu guards every group's left and rd.
 	mu sync.Mutex
 
 	// staging, a one-slot semaphore held while the stage runs (a waiter
-	// can give up when its context ends), guards staged, refs and fols.
+	// can give up when its context ends), guards staged and readers.
 	staging chan struct{}
 	staged  bool
-	refs    []trace.Ref
-	fols    []*follower
+	readers []*reader
 }
 
-// l1Group is a run of configurations that share one L1 pass: the
-// valid core.ReplayEligible configurations with one L1 geometry, or a
-// single configuration that simulates directly and has no pass. left counts
-// the evaluations still to come; the stage records only groups with
-// some, and sets fol, the group's follower, which is stopped and
-// dropped when left falls to zero.
+// l1Group is a run of configurations that share one reader: the valid
+// core.ReplayEligible configurations with one L1 geometry, or a single
+// configuration that simulates directly. left counts the evaluations
+// still to come; the stage reads only for groups with some, and sets
+// rd, which is stopped and dropped when left falls to zero.
 type l1Group struct {
 	cfgs   []core.Config
 	replay bool
 	left   int
-	fol    *follower
+	rd     *reader
 }
 
-// follower is the outcome of one group's replay behind the recorder:
-// res, one core.Replayed per configuration of cfgs, or err, set before
-// done is closed. err is errStopped once cancel stopped the follower,
-// or the panicError of a panic in it.
-type follower struct {
+// reader is the outcome of one group's reading of the stage, set before
+// done is closed: res, one result per configuration of cfgs, or err,
+// errStopped once cancel stopped it early or the panicError of a panic.
+type reader struct {
 	cfgs   []core.Config
 	cancel context.CancelFunc
 	done   chan struct{}
-	res    []core.Replayed
+	res    []result
 	err    error
 }
 
-// errStopped is the result of a follower stopped before it finished.
-var errStopped = errors.New("sweep: replay stopped")
+// result is one configuration's statistics, and count, which adds the
+// counters of its hierarchy to a registry.
+type result struct {
+	stats core.Stats
+	count func(*obs.Registry)
+}
 
-// followTestHook, when non-nil, runs on a follower's goroutine before it
-// walks each chunk. Tests use it to make a follower panic.
-var followTestHook func()
+// errStopped is the result of a reader stopped before it finished.
+var errStopped = errors.New("sweep: reader stopped")
+
+// readTestHook, when non-nil, runs with a reader's configurations before
+// it walks each chunk. Tests use it to make a reader panic or wait.
+var readTestHook func([]core.Config)
 
 // NewEvaluator prepares an evaluator of the configurations cfgs for one
 // workload. Only the per-configuration fields of opt participate
 // (Timeout, Retries, Refs, Tech, OffChipNS, DualPorted, Metrics, Events,
-// Trace, TraceParent, Chaos), and Workers, which bounds the followers
+// Trace, TraceParent, Chaos), and Workers, which bounds the readers
 // walking at once; the enumeration fields are ignored. The eligible
 // configurations are grouped by L1 geometry; every other one, and every
 // invalid one, is a group of its own.
@@ -459,9 +353,9 @@ func (e *Evaluator) Workload() spec.Workload { return e.w }
 // Failures arrive as *ConfigError exactly as RunContext records them,
 // and so does a configuration outside the set; a ctx cancellation is
 // returned unwrapped. Options.Timeout does not bound the stage, nor the
-// replay work done during it. With Options.Trace set, the stage, its
-// followers' "replay" spans and each call's "config" span, with its
-// attempt children, nest under Options.TraceParent.
+// reading done during it. With Options.Trace set, the stage, its
+// readers' "replay" and "read" spans and each call's "config" span,
+// with its attempt children, nest under Options.TraceParent.
 func (e *Evaluator) Evaluate(ctx context.Context, cfg core.Config) (Point, error) {
 	if e.group[cfg] == nil {
 		return Point{}, &ConfigError{Label: Label(cfg), Workload: e.w.Name,
@@ -483,38 +377,118 @@ func (e *Evaluator) Evaluate(ctx context.Context, cfg core.Config) (Point, error
 
 // Skip counts off one evaluation of cfg, a member of the set, that will
 // not happen, as an evaluation that ran would be counted: a stage yet to
-// run does not record a group with no evaluations to come, and a
-// group's result is dropped once it has none. The service skips the
-// tasks of cancelled jobs this way.
+// run does not read for a group with no evaluations to come, and a
+// group's reader is stopped, and its result dropped, once it has none.
+// The service skips the tasks of cancelled jobs this way.
 func (e *Evaluator) Skip(cfg core.Config) {
 	if g := e.group[cfg]; g != nil {
 		e.countOff(g)
 	}
 }
 
-// evaluate evaluates cfg, a member of the set, after the stage, with its
-// attempts traced under cs; once cfg's group result is dropped, it
-// simulates.
-func (e *Evaluator) evaluate(ctx context.Context, cfg core.Config, cs *span.Span) (Point, error) {
-	g := e.group[cfg]
+// evaluate evaluates cfg, a member of the set, after the stage, with
+// panic recovery, the per-configuration timeout, and bounded retries,
+// wrapping any final failure in a ConfigError. A parent-context
+// cancellation is returned unwrapped (it is a property of the run, not
+// of the configuration). Every attempt appears in the trace as its own
+// child of parent, so retries show up as sibling "attempt" spans.
+func (e *Evaluator) evaluate(ctx context.Context, cfg core.Config, parent *span.Span) (Point, error) {
+	g, opt := e.group[cfg], e.opt
 	defer e.countOff(g)
 	if err := e.stage(ctx); err != nil {
 		return Point{}, err
 	}
 	e.mu.Lock()
-	f := g.fol
+	rd := g.rd
 	e.mu.Unlock()
-	return evaluateOne(ctx, e.w, e.refs, f, cfg, e.opt, e.met, cs)
+	var err error
+	// A negative Retries still makes the one attempt, so a ConfigError
+	// always carries the cause of a real failure.
+	for attempt := 0; attempt <= max(opt.Retries, 0); attempt++ {
+		as := parent.Child("attempt", span.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
+		var p Point
+		p, err = e.attempt(ctx, rd, cfg, as)
+		if err == nil {
+			as.End()
+			p.Workload = e.w.Name
+			return p, nil
+		}
+		as.Annotate("error", err.Error())
+		if ctx.Err() != nil {
+			as.End()
+			return Point{}, err
+		}
+		var pe panicError
+		cause := "error"
+		switch {
+		case errors.As(err, &pe):
+			e.met.panics.Inc()
+			cause = "panic"
+		case errors.Is(err, context.DeadlineExceeded):
+			// The parent context is live (checked above), so the deadline
+			// that fired was the per-configuration one.
+			e.met.timeouts.Inc()
+			cause = "timeout"
+		}
+		if attempt < opt.Retries {
+			e.met.retries.Inc()
+			as.Annotate("retry_cause", cause)
+			opt.Events.Emit(obs.Event{
+				Type: obs.EventConfigRetry, Workload: e.w.Name, Label: Label(cfg),
+				Attempt: attempt + 1, Err: err.Error(),
+			})
+		}
+		as.End()
+	}
+	return Point{}, &ConfigError{Label: Label(cfg), Workload: e.w.Name, Cause: err}
+}
+
+// attempt is one evaluation attempt: panics become errors and the
+// per-configuration timeout is applied. The simulation proper is traced
+// as a "simulate" child of the attempt span, which carries the trace
+// length (and is ended even when the evaluation panics, so the trace
+// stays complete): the wait for rd's result, or, once that is gone (the
+// group was dropped, or rd stopped early), a stage of cfg alone.
+func (e *Evaluator) attempt(ctx context.Context, rd *reader, cfg core.Config, sp *span.Span) (p Point, err error) {
+	opt := e.opt
+	sim := sp.Child("simulate", span.Attr{Key: "refs", Value: strconv.FormatUint(opt.Refs, 10)})
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicError{v: r}
+		}
+		sim.End()
+	}()
+	if opt.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
+		defer cancel()
+	}
+	if evalTestHook != nil {
+		evalTestHook(cfg)
+	}
+	if err := opt.Chaos.Hit(ChaosSiteEvaluate); err != nil {
+		return Point{}, err
+	}
+	return evaluateWith(cfg, opt, func() (core.Stats, error) {
+		stats, err := rd.result(ctx, cfg, opt.Metrics)
+		if !errors.Is(err, errStopped) {
+			return stats, err
+		}
+		f := NewEvaluator(e.w, opt, []core.Config{cfg})
+		defer f.close()
+		_ = f.stage(ctx) // fails only once ctx is done, which result reports
+		return f.group[cfg].rd.result(ctx, cfg, opt.Metrics)
+	})
 }
 
 // countOff counts one evaluation of g off, stopping and dropping its
-// follower after the last.
+// reader after the last.
 func (e *Evaluator) countOff(g *l1Group) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if g.left--; g.left == 0 && g.fol != nil {
-		g.fol.cancel()
-		g.fol = nil
+	if g.left--; g.left == 0 && g.rd != nil {
+		g.rd.cancel()
+		g.rd = nil
 	}
 }
 
@@ -528,114 +502,138 @@ func (e *Evaluator) stage(ctx context.Context) (err error) {
 	}
 	defer func() { <-e.staging }()
 	if !e.staged {
-		e.refs, err = e.record(ctx)
+		err = e.record(ctx)
 		e.staged = err == nil
 	}
 	return err
 }
 
-// close stops every follower the stage started, as those of a cancelled
+// close stops every reader the stage started, as those of a cancelled
 // RunContext, whose groups keep evaluations that will not come, and
 // waits for them to end.
 func (e *Evaluator) close() {
 	e.staging <- struct{}{}
 	defer func() { <-e.staging }()
-	for _, f := range e.fols {
-		f.cancel()
-		<-f.done
+	for _, rd := range e.readers {
+		rd.cancel()
+		<-rd.done
 	}
 }
 
-// result waits for the follower's replay of cfg and adds its counters to
+// result waits for the reader's result for cfg and adds its counters to
 // reg. It returns ctx's error if ctx ends first, including before the
-// wait, so a timeout that has passed fails whether or not the replay is
-// done.
-func (f *follower) result(ctx context.Context, cfg core.Config, reg *obs.Registry) (core.Stats, error) {
+// wait, so a timeout that has passed fails whether or not the reader is
+// done, and errStopped for a nil reader.
+func (rd *reader) result(ctx context.Context, cfg core.Config, reg *obs.Registry) (core.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Stats{}, err
 	}
+	if rd == nil {
+		return core.Stats{}, errStopped
+	}
 	select {
-	case <-f.done:
+	case <-rd.done:
 	case <-ctx.Done():
 		return core.Stats{}, ctx.Err()
 	}
-	if f.err != nil {
-		return core.Stats{}, f.err
+	if rd.err != nil {
+		return core.Stats{}, rd.err
 	}
-	r := f.res[slices.Index(f.cfgs, cfg)]
-	r.Instrument(reg)
-	return r.Stats, nil
+	r := rd.res[slices.Index(rd.cfgs, cfg)]
+	r.count(reg)
+	return r.stats, nil
 }
 
 // chunkRefs caps the references of one chunk of the trace stage, and
-// chunkBuffers is how many chunks exist at once: enough for the generator
-// to keep running while the recorder walks the chunk before. The four
-// chunks of 4Ki references take 256 KB, which stays in one core's
-// cache.
+// chunkBuffers is how many chunks exist at once, the ring: enough for
+// the generator to keep running while the recorder and the direct
+// readers walk the chunks before. The four chunks of 4Ki references
+// take 256 KB, which stays in one core's cache.
 const (
 	chunkRefs    = 4 << 10
 	chunkBuffers = 4
 )
 
-// keptPrealloc caps the capacity the kept trace allocates up front (4M
-// references, as trace.Collect caps it), so a bogus Options.Refs cannot
-// allocate gigabytes before the stream proves that long.
-const keptPrealloc = 1 << 22
+// chunk is one buffer of the ring; held counts the recorder and the
+// direct readers it was handed to that have yet to release it.
+type chunk struct {
+	refs []trace.Ref
+	held atomic.Int32
+}
 
-// record walks w's trace once for the groups with evaluations to come.
-// A generator goroutine fills recycled chunks of the trace, and the
-// calling goroutine feeds each chunk to one core.L1Recorder, which
-// records the pass of every replay group in a single walk, while one
-// follower per replay group replays its pass behind it. The whole trace
-// is kept, and returned, only when some group simulates directly. The
-// stage's spans nest under Options.TraceParent.
+// release gives c up; the last holder hands it back to the generator.
+func (c *chunk) release(free chan<- *chunk) {
+	if c.held.Add(-1) == 0 {
+		free <- c // never blocks: free holds every chunk
+	}
+}
+
+// record walks w's trace once for the groups with evaluations to come. A generator goroutine fills the ring's chunks; the calling
+// goroutine hands each to every direct reader and feeds it to one
+// core.L1Recorder, which records every replay group's pass in one walk
+// while the pass's follower replays it behind. A chunk goes back to the
+// generator once all of them have released it, so the stage holds the
+// ring whatever Options.Refs is. The stage's spans nest under
+// Options.TraceParent.
 //
-// A done ctx stops the stage, which then stops its followers and returns
-// ctx's error with no follower set. A panic in the generator is raised
+// A done ctx stops the stage, which then stops its readers and returns
+// ctx's error with no reader set. A panic in the generator is raised
 // again on the calling goroutine, where a panic in the recorder
-// surfaces anyway; the followers are stopped then too.
-func (e *Evaluator) record(ctx context.Context) ([]trace.Ref, error) {
+// surfaces anyway; the readers are stopped then too.
+func (e *Evaluator) record(ctx context.Context) error {
 	opt := e.opt
 	var (
-		replay []*l1Group
+		live   []*l1Group
 		groups [][]core.Config
-		direct bool
 	)
+	// A direct reader joins its group at once, so that Skip can stop it
+	// mid-stage; a follower when the walk ends, as its pass keeps every
+	// chunk it publishes until it is walked.
 	e.mu.Lock()
 	for _, g := range e.groups {
-		switch {
-		case g.left <= 0:
-		case g.replay:
-			replay = append(replay, g)
-			groups = append(groups, g.cfgs)
-		default:
-			direct = true
+		if g.left > 0 {
+			live = append(live, g)
+			if g.replay {
+				groups = append(groups, g.cfgs)
+			}
 		}
 	}
-	e.mu.Unlock()
 	rec, err := core.NewL1Recorder(groups)
 	if err != nil {
 		panic(err) // NewEvaluator groups only valid, eligible configurations by L1s
 	}
+	free := make(chan *chunk, chunkBuffers)
+	full := make(chan *chunk, chunkBuffers)
+	for range chunkBuffers {
+		free <- &chunk{refs: make([]trace.Ref, min(chunkRefs, opt.Refs))}
+	}
+	rds, fols := make([]*reader, len(live)), rec.Followers()
+	var ins []chan *chunk
+	for i, g := range live {
+		if g.replay {
+			rds[i], fols = e.follow(g, fols[0]), fols[1:]
+		} else {
+			in := make(chan *chunk, chunkBuffers) // never blocks: it holds every chunk
+			rds[i], ins = e.read(g, in, free), append(ins, in)
+			g.rd = rds[i]
+		}
+	}
+	e.mu.Unlock()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // also stops the generator when the recorder panics
-
-	fols := make([]*follower, len(replay))
-	for i, g := range replay {
-		fols[i] = e.follow(g, rec.Followers()[i])
-	}
 	recorded := false
 	defer func() {
-		if !recorded {
-			for _, f := range fols {
-				f.cancel()
-				<-f.done
+		for _, in := range ins {
+			close(in)
+		}
+		for _, rd := range rds {
+			if !recorded {
+				rd.cancel()
+				<-rd.done
 			}
 		}
 	}()
 
-	free := make(chan []trace.Ref, chunkBuffers)
-	full := make(chan []trace.Ref, chunkBuffers)
 	var genPanic any
 	gs := opt.Trace.Start(opt.TraceParent, "generate")
 	go func() {
@@ -649,37 +647,34 @@ func (e *Evaluator) record(ctx context.Context) ([]trace.Ref, error) {
 			gs.End()
 		}()
 		st := e.w.Stream(opt.Refs)
-		for made := 0; n < opt.Refs; {
-			var buf []trace.Ref
-			if made < chunkBuffers {
-				buf, made = make([]trace.Ref, min(chunkRefs, opt.Refs)), made+1
-			} else {
-				select {
-				case buf = <-free:
-				case <-ctx.Done():
-					return
-				}
+		for n < opt.Refs {
+			var c *chunk
+			select {
+			case c = <-free:
+			case <-ctx.Done():
+				return
 			}
-			buf = buf[:min(uint64(cap(buf)), opt.Refs-n)]
-			k := trace.Fill(st, buf)
+			want := min(uint64(cap(c.refs)), opt.Refs-n)
+			k := trace.Fill(st, c.refs[:want])
 			n += uint64(k)
 			if k > 0 {
+				c.refs = c.refs[:k]
 				select {
-				case full <- buf[:k]:
+				case full <- c:
 				case <-ctx.Done():
 					return
 				}
 			}
-			if k < len(buf) {
+			if uint64(k) < want {
 				return
 			}
 		}
 	}()
 
-	rs := opt.Trace.Start(opt.TraceParent, "l1-record", span.Attr{Key: "passes", Value: strconv.Itoa(len(replay))})
+	rs := opt.Trace.Start(opt.TraceParent, "l1-record", span.Attr{Key: "passes", Value: strconv.Itoa(len(groups))})
 	var passSpans []*span.Span
-	for _, g := range replay {
-		passSpans = append(passSpans, rs.Child("l1-pass", span.Attr{Key: "l1", Value: cache.FormatSize(g.cfgs[0].L1I.Size)}))
+	for _, cfgs := range groups {
+		passSpans = append(passSpans, rs.Child("l1-pass", span.Attr{Key: "l1", Value: cache.FormatSize(cfgs[0].L1I.Size)}))
 	}
 	defer func() {
 		for _, ps := range passSpans {
@@ -687,99 +682,150 @@ func (e *Evaluator) record(ctx context.Context) ([]trace.Ref, error) {
 		}
 		rs.End()
 	}()
-	var refs []trace.Ref
-	if direct {
-		refs = make([]trace.Ref, 0, min(opt.Refs, keptPrealloc))
-	}
-	for buf := range full {
-		// Record fails only once ctx is done; the generator then stops,
-		// and the chunks it already sent are drained unread.
-		if ctx.Err() == nil {
-			if direct {
-				refs = append(refs, buf...)
-			}
-			_ = rec.Record(ctx, buf)
+	for c := range full {
+		c.held.Store(int32(len(ins)) + 1)
+		for _, in := range ins {
+			in <- c
 		}
-		free <- buf // never blocks: free holds every chunk
+		// Once ctx is done Record fails, at once after the first time,
+		// and the generator stops within the ring's few chunks.
+		_ = rec.Record(ctx, c.refs)
+		c.release(free)
 	}
 	if genPanic != nil {
 		panic(genPanic)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	rec.Finish()
 	recorded = true
-	e.fols = fols
+	e.readers = rds
 	e.mu.Lock()
-	for i, g := range replay {
+	for i, g := range live {
 		if g.left > 0 {
-			g.fol = fols[i]
+			g.rd = rds[i]
 		} else {
-			fols[i].cancel()
+			rds[i].cancel()
 		}
 	}
 	e.mu.Unlock()
-	return refs, nil
+	return nil
 }
 
-// follow starts g's follower, which replays g's pass through fl, with a
-// "replay" span that carries the group's L1 size, its count of L2s and
-// the miss events it walked. It runs until it has replayed the whole
-// pass or is cancelled, holding one of e.tokens while it walks each
-// chunk.
-func (e *Evaluator) follow(g *l1Group, fl *core.Follower) *follower {
+// start starts a reader of g: run, on a goroutine of its own, with the
+// reader's context, which cancel ends; sp, the reader's span, carries
+// its error.
+func (e *Evaluator) start(g *l1Group, sp *span.Span, run func(ctx context.Context, rd *reader)) *reader {
+	ctx, cancel := context.WithCancel(context.Background())
+	rd := &reader{cfgs: g.cfgs, cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(rd.done)
+		defer func() {
+			if r := recover(); r != nil {
+				rd.err = panicError{v: r}
+			}
+			if rd.err != nil {
+				sp.Annotate("error", rd.err.Error())
+			}
+			sp.End()
+		}()
+		run(ctx, rd)
+	}()
+	return rd
+}
+
+// walk takes one of e.tokens, runs step, a reader's walk of one chunk
+// for cfgs, and gives the token back. It returns errStopped if ctx ends
+// first, and a panic in step as its panicError.
+func (e *Evaluator) walk(ctx context.Context, cfgs []core.Config, step func()) (err error) {
+	select {
+	case e.tokens <- struct{}{}:
+	case <-ctx.Done():
+		return errStopped
+	}
+	defer func() {
+		<-e.tokens
+		if r := recover(); r != nil {
+			err = panicError{v: r}
+		}
+	}()
+	if readTestHook != nil {
+		readTestHook(cfgs)
+	}
+	step()
+	return nil
+}
+
+// follow starts g's follower, which replays g's pass through fl. Its
+// "replay" span carries the group's L1 size, its count of L2s and the
+// miss events it walked.
+func (e *Evaluator) follow(g *l1Group, fl *core.Follower) *reader {
 	l2s := 0
 	for _, cfg := range g.cfgs {
 		if cfg.TwoLevel() {
 			l2s++
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	f := &follower{cfgs: g.cfgs, cancel: cancel, done: make(chan struct{})}
-	rs := e.opt.Trace.Start(e.opt.TraceParent, "replay",
+	sp := e.opt.Trace.Start(e.opt.TraceParent, "replay",
 		span.Attr{Key: "l1", Value: cache.FormatSize(g.cfgs[0].L1I.Size)},
 		span.Attr{Key: "l2s", Value: strconv.Itoa(l2s)})
-	go func() {
-		defer close(f.done)
-		defer func() {
-			if r := recover(); r != nil {
-				f.err = panicError{v: r}
+	return e.start(g, sp, func(ctx context.Context, rd *reader) {
+		for rd.err == nil && rd.res == nil {
+			switch more, err := fl.Wait(ctx); {
+			case err != nil:
+				rd.err = errStopped
+			case more:
+				rd.err = e.walk(ctx, g.cfgs, fl.Step)
+			default:
+				for _, r := range fl.Results() {
+					rd.res = append(rd.res, result{r.Stats, r.Instrument})
+				}
 			}
-			rs.Annotate("events", strconv.FormatUint(fl.Events(), 10))
-			if f.err != nil {
-				rs.Annotate("error", f.err.Error())
-			}
-			rs.End()
-		}()
-		for {
-			more, err := fl.Wait(ctx)
-			if err != nil {
-				f.err = errStopped
-				return
-			}
-			if !more {
-				break
-			}
-			select {
-			case e.tokens <- struct{}{}:
-			case <-ctx.Done():
-				f.err = errStopped
-				return
-			}
-			e.step(fl)
 		}
-		f.res = fl.Results()
-	}()
-	return f
+		sp.Annotate("events", strconv.FormatUint(fl.Events(), 10))
+	})
 }
 
-// step walks the follower's next chunk and gives its token back, even
-// when the walk panics.
-func (e *Evaluator) step(fl *core.Follower) {
-	defer func() { <-e.tokens }()
-	if followTestHook != nil {
-		followTestHook()
-	}
-	fl.Step()
+// read starts g's direct reader, which runs g's configuration over each
+// chunk on in and releases it to free, walked or not: a stopped or
+// failed reader keeps releasing, so it never holds the generator up. Its
+// System lives for the stage, as a follower's L2 kernels do. Its "read"
+// span carries the configuration's label and the references it walked.
+func (e *Evaluator) read(g *l1Group, in <-chan *chunk, free chan<- *chunk) *reader {
+	cfg := g.cfgs[0]
+	sp := e.opt.Trace.Start(e.opt.TraceParent, "read", span.Attr{Key: "label", Value: Label(cfg)})
+	return e.start(g, sp, func(ctx context.Context, rd *reader) {
+		// The hierarchy counts into a registry of its own, added to
+		// Options.Metrics as its result is taken, so that the readers do
+		// not contend for the shared counters' cache lines.
+		var local *obs.Registry
+		if e.opt.Metrics != nil {
+			local = obs.NewRegistry()
+		}
+		sys, err := core.TryNewSystem(cfg)
+		if rd.err = err; err == nil { // an invalid configuration's pricing fails first
+			sys.Instrument(local)
+		}
+		var walked uint64
+		for c := range in {
+			if rd.err == nil {
+				rd.err = e.walk(ctx, g.cfgs, func() {
+					for _, r := range c.refs {
+						sys.Access(r)
+					}
+					walked += uint64(len(c.refs))
+				})
+			}
+			c.release(free)
+		}
+		sp.Annotate("refs", strconv.FormatUint(walked, 10))
+		if rd.err == nil {
+			rd.res = []result{{sys.Stats(), func(reg *obs.Registry) {
+				for name, v := range local.Snapshot().Counters {
+					reg.Counter(name).Add(v)
+				}
+			}}}
+		}
+	})
 }

@@ -23,7 +23,6 @@ import (
 	"twolevel/internal/perf"
 	"twolevel/internal/spec"
 	"twolevel/internal/timing"
-	"twolevel/internal/trace"
 )
 
 // Options fixes the system parameters of one sweep (one figure).
@@ -63,14 +62,13 @@ type Options struct {
 	LineSize int
 
 	// Timeout bounds each evaluation attempt of a single configuration
-	// under RunContext (0 = unbounded): for a configuration that replays
-	// an L1 pass, its wait for its group's replay plus its pricing; for
-	// any other, its simulation. An attempt that exceeds it fails with
-	// context.DeadlineExceeded, and a configuration whose attempts all
-	// fail gets a ConfigError wrapping it; the rest of the sweep
-	// continues. It does not bound the sweep-level stage that generates
-	// the trace and records the L1 passes before any configuration
-	// starts, nor the replay work the stage's followers do during it.
+	// under RunContext (0 = unbounded): its wait for the result of its
+	// group's reader of the trace stage, plus its pricing. An attempt
+	// that exceeds it fails with context.DeadlineExceeded, and a
+	// configuration whose attempts all fail gets a ConfigError wrapping
+	// it; the rest of the sweep continues. It does not bound the
+	// sweep-level stage that generates the trace before any
+	// configuration starts, nor the work its readers do during it.
 	Timeout time.Duration
 	// Retries is the number of extra evaluation attempts RunContext makes
 	// for a configuration that failed transiently (panic or
@@ -100,10 +98,10 @@ type Options struct {
 	// nothing. Fingerprint ignores it.
 	Events *obs.EventLog
 	// Trace, when non-nil, receives a span tree of the run under
-	// RunContext: sweep → {generate, l1-record → l1-pass, replay, config
-	// → {attempt → simulate, store-put}}, with one l1-pass and one
-	// replay span per L1 group, exportable as Chrome trace_event JSON.
-	// An Evaluator hangs its stage, its replay spans and its config
+	// RunContext: sweep → {generate, l1-record → l1-pass, replay, read,
+	// config → {attempt → simulate, store-put}}, with one l1-pass and one
+	// replay span per L1 group and one read span per other configuration.
+	// An Evaluator hangs its stage, its readers' spans and its config
 	// spans directly below TraceParent. Nil (the default) costs nothing
 	// — span methods degrade to no-ops. Fingerprint ignores it.
 	Trace *span.Tracer
@@ -275,7 +273,11 @@ func Label(cfg core.Config) string {
 // first, for untrusted input).
 func Evaluate(w spec.Workload, cfg core.Config, opt Options) Point {
 	opt = opt.withDefaults()
-	p, err := evaluateStream(context.Background(), w.Stream(opt.Refs), cfg, opt)
+	p, err := evaluateWith(cfg, opt, func() (core.Stats, error) {
+		sys := core.NewSystem(cfg) // valid: evaluateWith priced it
+		sys.Instrument(opt.Metrics)
+		return sys.Run(w.Stream(opt.Refs)), nil
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -333,32 +335,6 @@ func PriceConfig(cfg core.Config, opt Options) (perf.Machine, float64, error) {
 	return m, totalArea, nil
 }
 
-// evaluateStream simulates cfg over an explicit reference stream and
-// prices the configuration, honoring ctx cancellation mid-simulation.
-func evaluateStream(ctx context.Context, st trace.Stream, cfg core.Config, opt Options) (Point, error) {
-	return evaluateWith(cfg, opt, func() (core.Stats, error) {
-		sys, err := core.TryNewSystem(cfg)
-		if err != nil {
-			return core.Stats{}, err
-		}
-		// The hierarchy counts into a registry of its own, added to
-		// opt.Metrics once the run ends: counting every reference into
-		// counters that concurrent evaluations share would have them
-		// contend for the counters' cache lines.
-		var local *obs.Registry
-		if opt.Metrics != nil {
-			local = obs.NewRegistry()
-		}
-		sys.Instrument(local)
-		cs := &ctxStream{st: st, ctx: ctx}
-		stats := sys.Run(cs)
-		for name, v := range local.Snapshot().Counters {
-			opt.Metrics.Counter(name).Add(v)
-		}
-		return stats, cs.err
-	})
-}
-
 // evaluateWith prices cfg, then takes its statistics from simulate and
 // computes its TPI.
 func evaluateWith(cfg core.Config, opt Options, simulate func() (core.Stats, error)) (Point, error) {
@@ -383,28 +359,6 @@ func evaluateWith(cfg core.Config, opt Options, simulate func() (core.Stats, err
 		Machine: m,
 		Stats:   stats,
 	}, nil
-}
-
-// ctxStream wraps a Stream and aborts it (reporting exhaustion) once ctx
-// is done. System.Run drains it through Fill in batches of
-// trace.BatchRefs, so it checks ctx once per batch: a cancelled
-// simulation stops promptly without a per-reference check.
-type ctxStream struct {
-	st  trace.Stream
-	ctx context.Context
-	err error
-}
-
-func (c *ctxStream) Fill(buf []trace.Ref) int {
-	if c.err = c.ctx.Err(); c.err != nil {
-		return 0
-	}
-	return trace.Fill(c.st, buf)
-}
-
-func (c *ctxStream) Next() (trace.Ref, bool) {
-	var r [1]trace.Ref
-	return r[0], c.Fill(r[:]) == 1
 }
 
 // Run evaluates every configuration of the sweep for one workload and
