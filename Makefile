@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short race cover fuzz bench-smoke examples staticcheck serve-smoke loadgen-smoke explain-smoke chaos-smoke fast-smoke ci clean
+.PHONY: all build vet test test-short race cover fuzz bench-smoke examples staticcheck serve-smoke loadgen-smoke explain-smoke chaos-smoke fast-smoke experiments-check ci clean
 
 all: build
 
@@ -110,6 +110,13 @@ fast-smoke:
 # collapse under exclusive 4-way L2. Requires jq.
 explain-smoke:
 	bash scripts/explain_smoke.sh
+
+# experiments-check regenerates EXPERIMENTS.md into a temporary file
+# (about 8 s on 2 cores) and fails, printing the diff, unless it is
+# byte-identical to the committed one.
+experiments-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/experiments > "$$tmp" && diff -u EXPERIMENTS.md "$$tmp"
 
 # ci is what .github/workflows/ci.yml's test job runs; staticcheck and
 # cover run as separate jobs.

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"slices"
 
 	"twolevel/internal/area"
 	"twolevel/internal/cache"
@@ -17,27 +18,47 @@ import (
 // size, policy traffic) and the §10 future-work model. They share the
 // harness and renderer with the paper figures and carry "ext" IDs.
 
-// evalVariant evaluates one gcc1 configuration variant.
-func (h *Harness) evalVariant(l1KB, l2KB int64, mutate func(*core.Config), opt sweep.Options) sweep.Point {
-	w := mustWorkload("gcc1")
-	opt.Refs = h.cfg.Refs
-	opt.Tech = h.cfg.Tech
-	line := opt.LineSize
-	if line == 0 {
-		line = 16
+// simulate evaluates cfgs, distinct configurations, on w through one
+// sweep.Evaluator, so they all read one trace stage, and prices them as
+// every extension figure does: the harness's technology, 50ns off-chip,
+// single-ported L1s. It runs under the harness's Context, Metrics and
+// Trace. A configuration that fails keeps a zero point, and its error
+// is recorded for ByID.
+func (h *Harness) simulate(w spec.Workload, cfgs ...core.Config) []sweep.Point {
+	e := sweep.NewEvaluator(w, sweep.Options{
+		Tech: h.cfg.Tech, Refs: h.cfg.Refs, OffChipNS: 50,
+		Metrics: h.cfg.Metrics, Trace: h.cfg.Trace, TraceParent: h.cfg.TraceParent,
+	}, cfgs)
+	pts := make([]sweep.Point, len(cfgs))
+	for i, cfg := range cfgs {
+		p, err := e.Evaluate(h.cfg.Context, cfg)
+		if err != nil {
+			h.fail(fmt.Errorf("figures: %s: %w", w.Name, err))
+		}
+		pts[i] = p
 	}
+	if simulateTestHook != nil {
+		simulateTestHook(w, cfgs, pts)
+	}
+	return pts
+}
+
+// simulateTestHook, when non-nil, sees every simulate call's workload,
+// configurations and points. Tests use it to check the points against
+// System.Run.
+var simulateTestHook func(spec.Workload, []core.Config, []sweep.Point)
+
+// variant is the hierarchy of direct-mapped l1KB L1s and, unless l2KB
+// is 0, an l2KB l2Assoc-way L2, all with line-byte lines.
+func variant(l1KB, l2KB int64, line, l2Assoc int) core.Config {
 	cfg := core.Config{
-		L1I:    cache.Config{Size: l1KB << 10, LineSize: line, Assoc: 1},
-		L1D:    cache.Config{Size: l1KB << 10, LineSize: line, Assoc: 1},
-		Policy: opt.Policy,
+		L1I: cache.Config{Size: l1KB << 10, LineSize: line, Assoc: 1},
+		L1D: cache.Config{Size: l1KB << 10, LineSize: line, Assoc: 1},
 	}
 	if l2KB > 0 {
-		cfg.L2 = cache.Config{Size: l2KB << 10, LineSize: line, Assoc: max(opt.L2Assoc, 1), Policy: opt.L2Policy}
+		cfg.L2 = cache.Config{Size: l2KB << 10, LineSize: line, Assoc: l2Assoc}
 	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return sweep.Evaluate(w, cfg, opt)
+	return cfg
 }
 
 // ExtReplacement compares L2 replacement policies (the paper fixes
@@ -48,18 +69,23 @@ func (h *Harness) ExtReplacement() Figure {
 		Title:  "Ablation: L2 replacement policy (gcc1, 8:64, 4-way, 50ns)",
 		Header: []string{"Policy", "TPI (ns)", "L2 local miss rate", "Global miss rate"},
 	}
-	var tpis []float64
+	var cfgs []core.Config
 	for _, pol := range []cache.ReplacementPolicy{cache.Random, cache.LRU, cache.FIFO} {
-		p := h.evalVariant(8, 64, func(c *core.Config) { c.L2.Policy = pol }, sweep.Options{L2Assoc: 4})
+		cfg := variant(8, 64, 16, 4)
+		cfg.L2.Policy = pol
+		cfgs = append(cfgs, cfg)
+	}
+	var tpis []float64
+	for i, p := range h.simulate(mustWorkload("gcc1"), cfgs...) {
 		f.Rows = append(f.Rows, []string{
-			pol.String(),
+			cfgs[i].L2.Policy.String(),
 			fmt.Sprintf("%.3f", p.TPINS),
 			fmt.Sprintf("%.4f", p.Stats.LocalL2MissRate()),
 			fmt.Sprintf("%.4f", p.Stats.GlobalMissRate()),
 		})
 		tpis = append(tpis, p.TPINS)
 	}
-	spreadPct := 100 * (maxF(tpis) - minF(tpis)) / minF(tpis)
+	spreadPct := 100 * (slices.Max(tpis) - slices.Min(tpis)) / slices.Min(tpis)
 	f.Notes = append(f.Notes, fmt.Sprintf(
 		"replacement policy moves TPI by %.1f%% — pseudo-random (the paper's choice) is a reasonable stand-in for LRU",
 		spreadPct))
@@ -73,10 +99,10 @@ func (h *Harness) ExtAssociativity() Figure {
 		Title:  "Ablation: L2 associativity (gcc1, 8:64, 50ns)",
 		Header: []string{"L2 assoc", "L2 cycle (ns)", "TPI (ns)", "L2 local miss rate"},
 	}
-	for _, assoc := range []int{1, 2, 4, 8} {
-		p := h.evalVariant(8, 64, nil, sweep.Options{L2Assoc: assoc})
+	cfgs := []core.Config{variant(8, 64, 16, 1), variant(8, 64, 16, 2), variant(8, 64, 16, 4), variant(8, 64, 16, 8)}
+	for i, p := range h.simulate(mustWorkload("gcc1"), cfgs...) {
 		f.Rows = append(f.Rows, []string{
-			fmt.Sprintf("%d-way", assoc),
+			fmt.Sprintf("%d-way", cfgs[i].L2.Assoc),
 			fmt.Sprintf("%.2f", p.Machine.L2CycleNS),
 			fmt.Sprintf("%.3f", p.TPINS),
 			fmt.Sprintf("%.4f", p.Stats.LocalL2MissRate()),
@@ -94,10 +120,10 @@ func (h *Harness) ExtLineSize() Figure {
 		Title:  "Ablation: line size (gcc1, 8:64, 4-way, 50ns miss-rate view)",
 		Header: []string{"Line size", "L1 miss rate", "L2 local miss rate", "Global miss rate"},
 	}
-	for _, line := range []int{16, 32, 64} {
-		p := h.evalVariant(8, 64, nil, sweep.Options{L2Assoc: 4, LineSize: line})
+	cfgs := []core.Config{variant(8, 64, 16, 4), variant(8, 64, 32, 4), variant(8, 64, 64, 4)}
+	for i, p := range h.simulate(mustWorkload("gcc1"), cfgs...) {
 		f.Rows = append(f.Rows, []string{
-			fmt.Sprintf("%dB", line),
+			fmt.Sprintf("%dB", cfgs[i].L1I.LineSize),
 			fmt.Sprintf("%.4f", p.Stats.L1MissRate()),
 			fmt.Sprintf("%.4f", p.Stats.LocalL2MissRate()),
 			fmt.Sprintf("%.4f", p.Stats.GlobalMissRate()),
@@ -116,24 +142,24 @@ func (h *Harness) ExtPolicyTraffic() Figure {
 		Title:  "Ablation: policy off-chip traffic (gcc1, 8:64, 4-way, 50ns)",
 		Header: []string{"Policy", "TPI (ns)", "Off-chip fetches/ref", "WB to L2/ref", "WB off-chip/ref"},
 	}
-	type row struct {
-		pol core.Policy
-		p   sweep.Point
-	}
-	var rows []row
+	var cfgs []core.Config
 	for _, pol := range []core.Policy{core.Conventional, core.Exclusive, core.Inclusive} {
-		p := h.evalVariant(8, 64, nil, sweep.Options{L2Assoc: 4, Policy: pol})
-		rows = append(rows, row{pol, p})
+		cfg := variant(8, 64, 16, 4)
+		cfg.Policy = pol
+		cfgs = append(cfgs, cfg)
+	}
+	pts := h.simulate(mustWorkload("gcc1"), cfgs...)
+	for i, p := range pts {
 		refs := float64(p.Stats.Refs())
 		f.Rows = append(f.Rows, []string{
-			pol.String(),
+			cfgs[i].Policy.String(),
 			fmt.Sprintf("%.3f", p.TPINS),
 			fmt.Sprintf("%.4f", p.Stats.GlobalMissRate()),
 			fmt.Sprintf("%.4f", float64(p.Stats.WriteBacksToL2)/refs),
 			fmt.Sprintf("%.4f", float64(p.Stats.WriteBacksOffChip)/refs),
 		})
 	}
-	if rows[1].p.TPINS < rows[0].p.TPINS && rows[0].p.TPINS <= rows[2].p.TPINS {
+	if pts[1].TPINS < pts[0].TPINS && pts[0].TPINS <= pts[2].TPINS {
 		f.Notes = append(f.Notes,
 			"ordering holds: exclusive < conventional <= inclusive in TPI (duplication costs capacity; inclusion costs back-invalidations)")
 	} else {
@@ -150,27 +176,18 @@ func (h *Harness) ExtMulticycle() Figure {
 		Title:  "Extension: §10 multicycle L1 + non-blocking loads (gcc1, 50ns)",
 		Header: []string{"Config", "§2.5 TPI (ns)", "Multicycle TPI (ns)", "Multicycle+overlap TPI (ns)"},
 	}
-	w := mustWorkload("gcc1")
 	// Fixed 2.5ns datapath (a small-L1-class cycle); the L1 grows without
 	// stretching it.
 	const datapath = 2.5
-	configs := []struct{ l1, l2 int64 }{{4, 0}, {32, 0}, {128, 0}, {8, 64}, {32, 256}}
+	cfgs := []core.Config{variant(4, 0, 16, 4), variant(32, 0, 16, 4), variant(128, 0, 16, 4),
+		variant(8, 64, 16, 4), variant(32, 256, 16, 4)}
 	var base25, mc []float64
-	for _, c := range configs {
-		cfg := core.Config{
-			L1I: cache.Config{Size: c.l1 << 10, LineSize: 16, Assoc: 1},
-			L1D: cache.Config{Size: c.l1 << 10, LineSize: 16, Assoc: 1},
-		}
-		if c.l2 > 0 {
-			cfg.L2 = cache.Config{Size: c.l2 << 10, LineSize: 16, Assoc: 4}
-		}
-		sys := core.NewSystem(cfg)
-		st := sys.Run(w.Stream(h.cfg.Refs))
-
-		l1t := timing.Optimal(h.cfg.Tech, timing.Params{Size: c.l1 << 10, LineSize: 16, Assoc: 1})
+	for i, p := range h.simulate(mustWorkload("gcc1"), cfgs...) {
+		cfg, st := cfgs[i], p.Stats
+		l1t := timing.Optimal(h.cfg.Tech, timing.Params{Size: cfg.L1I.Size, LineSize: 16, Assoc: 1})
 		var l2cyc float64
-		if c.l2 > 0 {
-			l2cyc = timing.Optimal(h.cfg.Tech, timing.Params{Size: c.l2 << 10, LineSize: 16, Assoc: 4}).CycleTime
+		if cfg.TwoLevel() {
+			l2cyc = timing.Optimal(h.cfg.Tech, timing.Params{Size: cfg.L2.Size, LineSize: 16, Assoc: 4}).CycleTime
 		}
 		paper := perf.Machine{L1CycleNS: l1t.CycleTime, L2CycleNS: l2cyc, OffChipNS: 50, IssueRate: 1}
 		multi := perf.MulticycleMachine{
@@ -180,9 +197,8 @@ func (h *Harness) ExtMulticycle() Figure {
 		overlap := multi
 		overlap.Overlap = 0.4
 
-		label := fmt.Sprintf("%d:%d", c.l1, c.l2)
 		f.Rows = append(f.Rows, []string{
-			label,
+			sweep.Label(cfg),
 			fmt.Sprintf("%.3f", paper.TPI(st)),
 			fmt.Sprintf("%.3f", multi.TPI(st)),
 			fmt.Sprintf("%.3f", overlap.TPI(st)),
@@ -204,26 +220,6 @@ func (h *Harness) ExtMulticycle() Figure {
 	return f
 }
 
-func maxF(v []float64) float64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func minF(v []float64) float64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // ExtensionIDs lists the extension figures in order.
 func ExtensionIDs() []string {
 	return []string{"extrepl", "extassoc", "extline", "extpolicy", "extmulti", "extmr", "exttlb", "extseeds", "extbank", "extboard", "extwrite", "extstream"}
@@ -238,17 +234,16 @@ func (h *Harness) ExtMissRates() Figure {
 		Title:  "Calibration: single-level miss rates by workload and size",
 		Header: []string{"Workload", "1K", "2K", "4K", "8K", "16K", "32K", "64K", "128K", "256K", "Paper@32K"},
 	}
+	var cfgs []core.Config
+	for kb := int64(1); kb <= 256; kb *= 2 {
+		cfgs = append(cfgs, variant(kb, 0, 16, 0))
+	}
 	for _, w := range spec.All() {
 		row := []string{w.Name}
 		var at32 float64
-		for kb := int64(1); kb <= 256; kb *= 2 {
-			cfg := core.Config{
-				L1I: cache.Config{Size: kb << 10, LineSize: 16, Assoc: 1},
-				L1D: cache.Config{Size: kb << 10, LineSize: 16, Assoc: 1},
-			}
-			sys := core.NewSystem(cfg)
-			mr := sys.Run(w.Stream(h.cfg.Refs)).L1MissRate()
-			if kb == 32 {
+		for i, p := range h.simulate(w, cfgs...) {
+			mr := p.Stats.L1MissRate()
+			if cfgs[i].L1I.Size == 32<<10 {
 				at32 = mr
 			}
 			row = append(row, fmt.Sprintf("%.4f", mr))
@@ -280,26 +275,25 @@ func (h *Harness) ExtTranslation() Figure {
 			"TPI + translation (ns)"},
 	}
 	tr := perf.PaperTranslation
-	configs := []struct{ l1, l2 int64 }{
-		{2, 0}, {4, 0}, {16, 0}, {64, 0}, {4, 64}, {4, 256},
-	}
+	cfgs := []core.Config{variant(2, 0, 16, 4), variant(4, 0, 16, 4), variant(16, 0, 16, 4),
+		variant(64, 0, 16, 4), variant(4, 64, 16, 4), variant(4, 256, 16, 4)}
 	var single64, two464 float64
-	for _, c := range configs {
-		p := h.evalVariant(c.l1, c.l2, nil, sweep.Options{L2Assoc: 4})
+	for i, p := range h.simulate(mustWorkload("gcc1"), cfgs...) {
+		l1, label := cfgs[i].L1I.Size, sweep.Label(cfgs[i])
 		mode := "parallel"
-		if tr.Serialized(c.l1 << 10) {
+		if tr.Serialized(l1) {
 			mode = "SERIALIZED"
 		}
-		withTr := tr.TPIWithTranslation(p.Machine, p.Stats, c.l1<<10)
+		withTr := tr.TPIWithTranslation(p.Machine, p.Stats, l1)
 		f.Rows = append(f.Rows, []string{
-			p.Label, mode,
+			label, mode,
 			fmt.Sprintf("%.3f", p.TPINS),
 			fmt.Sprintf("%.3f", withTr),
 		})
-		if c.l1 == 64 && c.l2 == 0 {
+		switch label {
+		case "64:0":
 			single64 = withTr
-		}
-		if c.l1 == 4 && c.l2 == 64 {
+		case "4:64":
 			two464 = withTr
 		}
 	}
@@ -329,20 +323,10 @@ func (h *Harness) ExtSeeds() Figure {
 		w := base
 		w.Gen.Seed = seed
 
-		mrCfg := core.Config{
-			L1I: cache.Config{Size: 32 << 10, LineSize: 16, Assoc: 1},
-			L1D: cache.Config{Size: 32 << 10, LineSize: 16, Assoc: 1},
-		}
-		mr := core.NewSystem(mrCfg).Run(w.Stream(h.cfg.Refs)).L1MissRate()
-
-		twoCfg := core.Config{
-			L1I: cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
-			L1D: cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
-			L2:  cache.Config{Size: 64 << 10, LineSize: 16, Assoc: 4},
-		}
-		conv := sweep.Evaluate(w, twoCfg, sweep.Options{Refs: h.cfg.Refs, Tech: h.cfg.Tech})
-		twoCfg.Policy = core.Exclusive
-		excl := sweep.Evaluate(w, twoCfg, sweep.Options{Refs: h.cfg.Refs, Tech: h.cfg.Tech, Policy: core.Exclusive})
+		exCfg := variant(8, 64, 16, 4)
+		exCfg.Policy = core.Exclusive
+		pts := h.simulate(w, variant(32, 0, 16, 0), variant(8, 64, 16, 4), exCfg)
+		mr, conv, excl := pts[0].Stats.L1MissRate(), pts[1], pts[2]
 
 		wins := excl.TPINS < conv.TPINS
 		stable = stable && wins
@@ -373,14 +357,7 @@ func (h *Harness) ExtBanked() Figure {
 		Title:  "Extension: §6 alternative — banked versus dual-ported L1 (gcc1, 16:64)",
 		Header: []string{"L1 organization", "Issue rate", "Area (rbe)", "TPI (ns)"},
 	}
-	w := mustWorkload("gcc1")
-	cfg := core.Config{
-		L1I: cache.Config{Size: 16 << 10, LineSize: 16, Assoc: 1},
-		L1D: cache.Config{Size: 16 << 10, LineSize: 16, Assoc: 1},
-		L2:  cache.Config{Size: 64 << 10, LineSize: 16, Assoc: 4},
-	}
-	sys := core.NewSystem(cfg)
-	st := sys.Run(w.Stream(h.cfg.Refs))
+	st := h.simulate(mustWorkload("gcc1"), variant(16, 64, 16, 4))[0].Stats
 
 	l1p := timing.Params{Size: 16 << 10, LineSize: 16, Assoc: 1, OutputBits: 64, Ports: 1}
 	l1t := timing.Optimal(h.cfg.Tech, l1p)
@@ -442,11 +419,7 @@ func (h *Harness) ExtBoard() Figure {
 		Header: []string{"Board cache", "Board hit rate", "Memory misses/ref", "TPI (ns)"},
 	}
 	w := mustWorkload("gcc1")
-	onChip := core.Config{
-		L1I: cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
-		L1D: cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
-		L2:  cache.Config{Size: 64 << 10, LineSize: 16, Assoc: 4},
-	}
+	onChip := variant(8, 64, 16, 4)
 	l1t := timing.Optimal(h.cfg.Tech, timing.Params{Size: 8 << 10, LineSize: 16, Assoc: 1})
 	l2t := timing.Optimal(h.cfg.Tech, timing.Params{Size: 64 << 10, LineSize: 16, Assoc: 4})
 	bm := perf.BoardMachine{
@@ -458,8 +431,7 @@ func (h *Harness) ExtBoard() Figure {
 	}
 
 	// The 200ns endpoint: no board cache at all.
-	noBoard := core.NewSystem(onChip)
-	stNo := noBoard.Run(w.Stream(h.cfg.Refs))
+	stNo := h.simulate(w, onChip)[0].Stats
 	m200 := bm.Machine
 	m200.OffChipNS = 200
 	f.Rows = append(f.Rows, []string{
@@ -469,7 +441,12 @@ func (h *Harness) ExtBoard() Figure {
 	})
 
 	var tpis []float64
+	// A board cache is no core.Config, so it runs a System of its own,
+	// and only while the harness's context is live.
 	for _, kb := range []int64{256, 1024, 4096} {
+		if h.cfg.Context.Err() != nil {
+			break
+		}
 		b, err := core.NewBoardSystem(onChip, cache.Config{
 			Size: kb << 10, LineSize: 16, Assoc: 4, Policy: cache.LRU,
 		})
@@ -527,22 +504,22 @@ func (h *Harness) ExtWritePolicy() Figure {
 			"Off-chip writes/ref", "Off-chip total/ref"},
 	}
 	w := mustWorkload("doduc")
+	var cfgs []core.Config
+	for _, mode := range []core.WriteMode{core.WriteBackAllocate, core.WriteThroughNoAllocate} {
+		cfg := variant(8, 64, 16, 4)
+		cfg.Writes = mode
+		cfgs = append(cfgs, cfg)
+	}
 	var fetches [2]float64
-	for i, mode := range []core.WriteMode{core.WriteBackAllocate, core.WriteThroughNoAllocate} {
-		sys := core.NewSystem(core.Config{
-			L1I:    cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
-			L1D:    cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
-			L2:     cache.Config{Size: 64 << 10, LineSize: 16, Assoc: 4},
-			Writes: mode,
-		})
-		st := sys.Run(w.Stream(h.cfg.Refs))
+	for i, p := range h.simulate(w, cfgs...) {
+		st := p.Stats
 		refs := float64(st.Refs())
 		l1dMR := float64(st.L1DMisses) / float64(st.DataRefs)
 		offW := float64(st.WriteBacksOffChip) / refs
 		offF := st.GlobalMissRate()
 		fetches[i] = offF
 		f.Rows = append(f.Rows, []string{
-			mode.String(),
+			cfgs[i].Writes.String(),
 			fmt.Sprintf("%.4f", l1dMR),
 			fmt.Sprintf("%.4f", offF),
 			fmt.Sprintf("%.4f", offW),
@@ -572,12 +549,18 @@ func (h *Harness) ExtStreamBuffer() Figure {
 	victimRivalsL2 := false
 	for _, name := range []string{"gcc1", "tomcatv"} {
 		w := mustWorkload(name)
-		bareCfg := core.Config{
-			L1I: cache.Config{Size: 4 << 10, LineSize: 16, Assoc: 1},
-			L1D: cache.Config{Size: 4 << 10, LineSize: 16, Assoc: 1},
-		}
-		bare := core.NewSystem(bareCfg).Run(w.Stream(h.cfg.Refs)).GlobalMissRate()
+		bareCfg := variant(4, 0, 16, 0)
+		exCfg := variant(4, 32, 16, 4)
+		exCfg.Policy = core.Exclusive
+		pts := h.simulate(w, bareCfg, exCfg)
+		bare, exMR := pts[0].Stats.GlobalMissRate(), pts[1].Stats.GlobalMissRate()
 
+		// The victim cache and the stream buffers are no core.Config, so
+		// they run Systems of their own, and only while the harness's
+		// context is live.
+		if h.cfg.Context.Err() != nil {
+			break
+		}
 		vc, err := core.NewVictimCacheSystem(4<<10, 16, 16)
 		if err != nil {
 			f.Notes = append(f.Notes, "WARNING: "+err.Error())
@@ -591,11 +574,6 @@ func (h *Harness) ExtStreamBuffer() Figure {
 			continue
 		}
 		sbMR := sb.Run(w.Stream(h.cfg.Refs)).GlobalMissRate()
-
-		exCfg := bareCfg
-		exCfg.L2 = cache.Config{Size: 32 << 10, LineSize: 16, Assoc: 4}
-		exCfg.Policy = core.Exclusive
-		exMR := core.NewSystem(exCfg).Run(w.Stream(h.cfg.Refs)).GlobalMissRate()
 
 		f.Rows = append(f.Rows, []string{
 			name,

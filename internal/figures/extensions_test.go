@@ -1,9 +1,17 @@
 package figures
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"twolevel/internal/cache"
+	"twolevel/internal/core"
+	"twolevel/internal/obs"
+	"twolevel/internal/obs/span"
+	"twolevel/internal/spec"
+	"twolevel/internal/sweep"
 )
 
 func TestExtensionIDsRegistered(t *testing.T) {
@@ -236,6 +244,100 @@ func TestExtStreamBuffer(t *testing.T) {
 		if i == 0 && (ex >= vc || ex >= sb) { // gcc1
 			t.Errorf("gcc1: exclusive L2 (%.4f) did not beat victim (%.4f) / stream (%.4f)",
 				ex, vc, sb)
+		}
+	}
+}
+
+// TestSimulateMatchesSystemRun is the oracle for the extension figures'
+// one-stage evaluation: every point simulate hands a figure, whether a
+// follower replayed it from its L1 group's pass or a direct reader ran
+// it over the stage's chunks, must equal sweep.Evaluate's, which runs
+// System.Run over a freshly generated stream, in every field but the
+// workload name. It also checks that the figures still reach every kind
+// of configuration the oracle is meant to cover.
+func TestSimulateMatchesSystemRun(t *testing.T) {
+	type call struct {
+		w    spec.Workload
+		cfgs []core.Config
+		pts  []sweep.Point
+	}
+	var calls []call
+	simulateTestHook = func(w spec.Workload, cfgs []core.Config, pts []sweep.Point) {
+		calls = append(calls, call{w, cfgs, pts})
+	}
+	t.Cleanup(func() { simulateTestHook = nil })
+	h := fastHarness()
+	for _, id := range ExtensionIDs() {
+		if _, err := h.ByID(id); err != nil {
+			t.Fatalf("ByID(%s): %v", id, err)
+		}
+	}
+
+	seen := map[string]bool{}
+	seeds := map[uint64]bool{}
+	opt := sweep.Options{Tech: h.cfg.Tech, Refs: h.cfg.Refs, OffChipNS: 50}
+	for _, c := range calls {
+		seeds[c.w.Gen.Seed] = true
+		for i, cfg := range c.cfgs {
+			want := sweep.Evaluate(c.w, cfg, opt)
+			got := c.pts[i]
+			want.Workload, got.Workload = "", ""
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %#x %s (%+v): simulate = %+v, System.Run = %+v",
+					c.w.Name, c.w.Gen.Seed, sweep.Label(cfg), cfg, got, want)
+			}
+			seen["policy "+cfg.Policy.String()] = true
+			seen["writes "+cfg.Writes.String()] = true
+			seen["line "+strconv.Itoa(cfg.L1I.LineSize)] = true
+			if cfg.TwoLevel() {
+				seen["l2 "+cfg.L2.Policy.String()] = true
+				seen["l2 assoc "+strconv.Itoa(cfg.L2.Assoc)] = true
+			}
+		}
+	}
+	for _, want := range []string{
+		"policy " + core.Conventional.String(), "policy " + core.Exclusive.String(),
+		"policy " + core.Inclusive.String(), "writes " + core.WriteThroughNoAllocate.String(),
+		"line 32", "line 64", "l2 " + cache.LRU.String(), "l2 " + cache.FIFO.String(),
+		"l2 assoc 1", "l2 assoc 2", "l2 assoc 8",
+	} {
+		if !seen[want] {
+			t.Errorf("no extension figure simulated a configuration with %s", want)
+		}
+	}
+	if len(seeds) < 4 {
+		t.Errorf("simulated %d generator seeds, want extseeds' 4 at least", len(seeds))
+	}
+}
+
+// TestExtensionTraceAndMetrics checks that the extension figures report
+// to the harness's sinks: extmr's 63 configurations read one trace stage
+// per workload, each a generate span under TraceParent, and the
+// simulated caches count into Metrics.
+func TestExtensionTraceAndMetrics(t *testing.T) {
+	tr := span.NewTracer()
+	root := tr.Start(nil, "run")
+	reg := obs.NewRegistry()
+	h := NewHarness(Config{Refs: 20_000, Metrics: reg, Trace: tr, TraceParent: root})
+	if _, err := h.ByID("extmr"); err != nil {
+		t.Fatal(err)
+	}
+	generates := 0
+	for _, d := range tr.Snapshot() {
+		if d.Name == "generate" {
+			if d.Parent != root.ID() {
+				t.Errorf("generate span %d hangs under %d, want TraceParent %d", d.ID, d.Parent, root.ID())
+			}
+			generates++
+		}
+	}
+	if want := len(spec.All()); generates != want {
+		t.Errorf("extmr recorded %d generate spans, want %d (one stage per workload)", generates, want)
+	}
+	counters := reg.Snapshot().Counters
+	for _, name := range []string{"cache_l1i_misses_total", "cache_l1d_misses_total", "cache_l1i_hits_total"} {
+		if counters[name] == 0 {
+			t.Errorf("counter %s = 0 after extmr", name)
 		}
 	}
 }

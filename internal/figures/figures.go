@@ -64,23 +64,25 @@ type Config struct {
 	Refs uint64
 	// Tech overrides the technology (default: the paper's 0.5µm).
 	Tech timing.Tech
-	// Context, when non-nil, cancels the harness's design-space sweeps:
+	// Context, when non-nil, cancels every simulation of the harness:
 	// once it is done, figure generation finishes fast with partial data
 	// and ByID reports the cancellation.
 	Context context.Context
-	// Store, when non-nil, serves every sweep point it already holds and
-	// stores each one evaluated, so an interrupted run can resume (see
-	// sweep.Options.Store).
+	// Store, when non-nil, serves every design-space sweep point it
+	// already holds and stores each one evaluated, so an interrupted run
+	// can resume (see sweep.Options.Store).
 	Store sweep.PointStore
 	// Metrics, when non-nil, receives live sweep and simulator
-	// instrumentation (see internal/obs and the sweep.Metric* names).
+	// instrumentation of every core.Config simulation (see internal/obs
+	// and the sweep.Metric* names).
 	Metrics *obs.Registry
 	// Events, when non-nil, receives each sweep's structured run journal.
 	Events *obs.EventLog
-	// Trace, when non-nil, records every design-space sweep as a span
-	// tree (sweep → config → attempt → simulate) under TraceParent.
+	// Trace, when non-nil, records every core.Config simulation as spans
+	// under TraceParent: a design-space sweep as sweep → config → attempt
+	// → simulate, an extension figure as its stage and config spans.
 	Trace *span.Tracer
-	// TraceParent is the span new sweep spans attach to; nil roots them.
+	// TraceParent is the span new spans attach to; nil roots them.
 	TraceParent *span.Span
 }
 
@@ -91,6 +93,9 @@ func (c Config) withDefaults() Config {
 	if c.Tech == (timing.Tech{}) {
 		c.Tech = timing.Paper05um
 	}
+	if c.Context == nil {
+		c.Context = context.Background()
+	}
 	return c
 }
 
@@ -100,7 +105,7 @@ type Harness struct {
 	cfg    Config
 	mu     sync.Mutex
 	sweeps map[string][]sweep.Point
-	err    error // first sweep failure (e.g. cancellation)
+	err    error // first simulation failure (e.g. cancellation)
 }
 
 // NewHarness builds a harness.
@@ -132,31 +137,33 @@ func (h *Harness) runSweep(w spec.Workload, opt sweep.Options) []sweep.Point {
 	if ok {
 		return pts
 	}
-	ctx := h.cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	opt.Store = h.cfg.Store
 	opt.Metrics = h.cfg.Metrics
 	opt.Events = h.cfg.Events
 	opt.Trace = h.cfg.Trace
 	opt.TraceParent = h.cfg.TraceParent
-	pts, err := sweep.RunContext(ctx, w, opt)
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	pts, err := sweep.RunContext(h.cfg.Context, w, opt)
 	if err != nil {
-		if h.err == nil {
-			h.err = err
-		}
-		// Do not memoize a partial sweep.
-		return pts
+		h.fail(err)
+		return pts // Do not memoize a partial sweep.
 	}
+	h.mu.Lock()
 	h.sweeps[key] = pts
+	h.mu.Unlock()
 	return pts
 }
 
-// Err reports the first sweep failure the harness has seen (nil when all
-// sweeps so far completed).
+// fail remembers err if it is the harness's first failure.
+func (h *Harness) fail(err error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.err == nil {
+		h.err = err
+	}
+}
+
+// Err reports the first simulation failure the harness has seen (nil
+// when all simulations so far completed).
 func (h *Harness) Err() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -199,6 +206,9 @@ func (h *Harness) Table1() Figure {
 		Header: []string{"Program", "Paper instr", "Paper data", "Paper total", "Gen instr frac (paper)", "Gen instr frac (measured)"},
 	}
 	for _, w := range spec.All() {
+		if h.cfg.Context.Err() != nil {
+			break
+		}
 		instr, data := trace.Count(w.Stream(h.cfg.Refs))
 		measured := float64(instr) / float64(instr+data)
 		f.Rows = append(f.Rows, []string{
@@ -234,7 +244,7 @@ func (h *Harness) Figure1() Figure {
 	for kb := int64(1); kb <= 256; kb *= 2 {
 		p := timing.Params{Size: kb << 10, LineSize: 16, Assoc: 1, OutputBits: 64, Ports: 1}
 		r := timing.Optimal(h.cfg.Tech, p)
-		a := cacheArea(p, r.Org)
+		a := area.Cache(p, r.Org)
 		label := fmt.Sprintf("%dK", kb)
 		acc.Points = append(acc.Points, XY{X: a, Y: r.AccessTime, Label: label})
 		cyc.Points = append(cyc.Points, XY{X: a, Y: r.CycleTime, Label: label})
@@ -264,7 +274,7 @@ func (h *Harness) Figure2() Figure {
 	for kb := int64(8); kb <= 256; kb *= 2 {
 		p := timing.Params{Size: kb << 10, LineSize: 16, Assoc: 4, OutputBits: 64}
 		r := timing.Optimal(h.cfg.Tech, p)
-		a := cacheArea(p, r.Org)
+		a := area.Cache(p, r.Org)
 		label := fmt.Sprintf("%dK", kb)
 		n := int((r.CycleTime + l1.CycleTime - 1e-9) / l1.CycleTime)
 		rounded := float64(n) * l1.CycleTime
@@ -732,8 +742,11 @@ func (h *Harness) ByID(id string) (Figure, error) {
 		return Figure{}, fmt.Errorf("figures: unknown figure %q (have %v)", id, IDs())
 	}
 	f := gen()
-	// A sweep failure (cancellation, bad configuration) leaves the figure
-	// partial; surface it alongside whatever data was generated.
+	// A simulation failure (cancellation, bad configuration) or a done
+	// context leaves the figure partial; surface it with the data.
+	if err := h.cfg.Context.Err(); err != nil {
+		h.fail(fmt.Errorf("figures: %s: %w", id, err))
+	}
 	return f, h.Err()
 }
 
@@ -791,9 +804,4 @@ func Render(w io.Writer, f Figure) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// cacheArea prices one cache with the area model.
-func cacheArea(p timing.Params, org timing.Organization) float64 {
-	return area.Cache(p, org)
 }

@@ -1,6 +1,8 @@
 package figures
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -200,6 +202,21 @@ func TestEveryFigureGenerates(t *testing.T) {
 		}
 		if err := Plot(&sb, f, 40, 10); err != nil {
 			t.Errorf("%s: plot: %v", id, err)
+		}
+	}
+}
+
+// TestByIDCancelled gives every figure a harness whose context is
+// already done: each must return promptly, without a panic, reporting
+// the cancellation, whether it sweeps the design space, runs the
+// extension figures' simulations or only prices configurations.
+func TestByIDCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range IDs() {
+		h := NewHarness(Config{Refs: 100_000, Context: ctx})
+		if _, err := h.ByID(id); !errors.Is(err, context.Canceled) {
+			t.Errorf("ByID(%s) under a cancelled context: err = %v, want context.Canceled", id, err)
 		}
 	}
 }
